@@ -17,10 +17,7 @@ the :class:`~repro.netstack.stages.StageContext` handed to stages is a
 single reused instance (stages must read, not retain, it — every
 in-tree stage extracts what it needs); and datapath skbs come from a
 free list with poisoned recycling (:meth:`alloc_skb` /
-:meth:`recycle_skb`).  Interposing on :meth:`inject` (as
-:class:`~repro.sim.trace.PathTracer` does) still sees every hop: the
-forwarding loop detects an instance-attribute override and falls back to
-routing through it.
+:meth:`recycle_skb`).
 """
 
 from __future__ import annotations
@@ -161,11 +158,6 @@ class Pipeline:
         """
         if node is None:
             return
-        if "inject" in self.__dict__:
-            # an interposer (PathTracer) replaced inject: route through it
-            for pkt in packets:
-                self.inject(node, self.alloc_skb(pkt), from_core)
-            return
         stage = node.stage
         name = stage.name
         core_for = self.policy.core_for
@@ -241,20 +233,6 @@ class Pipeline:
         if not outputs or node.next is None:
             return
         nxt = node.next
-        if "inject" in self.__dict__:
-            # interposed inject (PathTracer): preserve the original
-            # two-pass routing so the tracer observes every hop
-            inject = self.inject
-            same = []
-            for out in outputs:
-                target = self.policy.core_for(nxt.stage.name, out, core)
-                if target.id == core.id:
-                    same.append(out)
-                else:
-                    inject(nxt, out, core)
-            for out in reversed(same):
-                inject(nxt, out, core, front=True)
-            return
         nstage = nxt.stage
         nname = nstage.name
         core_for = self.policy.core_for

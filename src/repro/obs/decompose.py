@@ -27,7 +27,7 @@ latency *exactly* — the property the acceptance test pins to within 1%.
 
 Journeys are keyed by a monotonically assigned ``skb.trace_id`` (never
 ``id(skb)`` — CPython reuses object ids after GC, which silently merges
-distinct journeys; see the matching fix in :mod:`repro.sim.trace`).
+distinct journeys).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class JourneyTracker:
 
     ``max_journeys`` bounds memory; tracking starts at ``start_ns`` (set
     it to the warmup horizon to sample steady state only).  Trace ids
-    are assigned monotonically; ids assigned elsewhere (PathTracer) are
+    are assigned monotonically; ids assigned by another tracker are
     adopted and skipped over, so two trackers never collide on a key.
     """
 

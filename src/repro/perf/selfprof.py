@@ -4,26 +4,29 @@ The simulated network already has a flight recorder (:mod:`repro.obs`);
 this profiles the *simulator as a Python program*: where real CPU time
 goes while the event loop runs.  A :class:`SelfProfiler` attaches to a
 :class:`~repro.sim.engine.Simulator` (``sim.profiler = prof``) and the
-engine then runs an instrumented copy of its loop that
+engine's one run loop then hands every callback to :meth:`SelfProfiler.call`,
+which
 
-* times every callback with :func:`time.perf_counter` and attributes the
+* times the callback with :func:`time.perf_counter` and attributes the
   cost to the owning component (``Nic._do_poll``, ``Core._run_next``, …),
 * counts heap traffic (pushes, pops, cancelled-event skips, compactions)
   and tracks the peak heap size,
 * derives executed-events-per-wall-second, the harness's headline
   throughput number.
 
-With no profiler attached (the default) the engine takes its original
-loop: the object graph, event schedule, and simulated measurements are
-bit-identical to a build without this module — the same discipline as
-``obs=None`` and inert fault plans.  Even with a profiler attached the
-*simulated* results never change (only wall-clock is observed); the
-toggle exists so the uninstrumented loop also pays zero overhead.
+Every wall-clock read of the profiler lives in this module.  Profiling
+only *reads* clocks, so the event schedule and simulated measurements
+are bit-identical with or without a profiler, and it composes with a
+checkpointer on the same run.  The profiler is part of the snapshotted
+object graph: a run resumed from a checkpoint reports counters that
+include the pickled pre-kill counts, and a ``run_wall_s`` that lacks the
+interrupted ``run()`` call's wall time up to the snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from time import perf_counter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 def callback_owner(fn: Callable[..., Any]) -> str:
@@ -56,6 +59,7 @@ class SelfProfiler:
         "callback_wall_s",
         "centers",
         "queue_stats",
+        "_run_started",
     )
 
     def __init__(self) -> None:
@@ -79,6 +83,32 @@ class SelfProfiler:
         self.centers: Dict[str, List[float]] = {}
         #: optional end-of-run queue snapshots (filled by the scenario)
         self.queue_stats: List[Dict[str, Any]] = []
+
+    # ------------------------------------------------------------ loop hooks
+    def begin_run(self) -> None:
+        """Called as :meth:`Simulator.run` starts its loop."""
+        self._run_started = perf_counter()
+
+    def end_run(self) -> None:
+        """Called as :meth:`Simulator.run` leaves its loop, however it exits."""
+        self.run_wall_s += perf_counter() - self._run_started
+
+    def call(self, fn: Callable[..., Any], args: Tuple) -> None:
+        """Fire one popped event's callback, timed and attributed."""
+        self.heap_pops += 1
+        started = perf_counter()
+        fn(*args)
+        self.note_callback(fn, perf_counter() - started)
+
+    def note_skip(self) -> None:
+        """A popped entry was a cancelled event."""
+        self.heap_pops += 1
+        self.cancelled_skips += 1
+
+    def note_requeue(self, heap_len: int) -> None:
+        """A popped entry lay past ``until_ns`` and went back on the wheel."""
+        self.heap_pops += 1
+        self.note_push(heap_len, 0)
 
     # ------------------------------------------------------------ heap hooks
     def note_push(self, heap_len: int, level: int = 0) -> None:

@@ -7,7 +7,8 @@ Three cooperating pieces keep long experiment matrices preemption-proof:
   file behind;
 * :mod:`repro.resilience.checkpoint` — deterministic pickled snapshots
   of the full simulator graph, schema-versioned and digest-verified,
-  taken periodically by :meth:`Simulator.checkpoint_every`'s loop;
+  taken periodically by :meth:`Simulator.run` while ``sim.checkpointer``
+  is set;
 * :mod:`repro.resilience.resume` / :mod:`~repro.resilience.fsck` —
   ``repro resume`` salvages a killed sweep from its ``sweep.json``,
   result cache and checkpoints; ``repro fsck`` audits a results tree

@@ -21,9 +21,11 @@ Checkpoints are an *optimization*: a missing, stale (code changed) or
 corrupt file is silently discarded and the run restarts from scratch,
 which is always correct.
 
-The attach idiom mirrors faults/obs/selfprof: ``sim.checkpointer`` is
-``None`` by default and the uncheckpointed run loop is untouched, so the
-disabled path is bit-identical by construction.
+The attach idiom mirrors selfprof: ``sim.checkpointer = ckpt`` attaches,
+``None`` (the default) detaches.  :meth:`Simulator.run` — the one event
+loop — offers the checkpointer a snapshot after every callback; a save
+only reads the graph, so checkpointing composes with a profiler and a
+checkpointed run measures exactly what an uncheckpointed one does.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ def load_checkpoint(path: Union[str, Path]) -> Tuple[Dict[str, Any], Any]:
 
 # ----------------------------------------------------------------- checkpointer
 class Checkpointer:
-    """Periodic snapshot hook driven by the simulator's checkpointed loop.
+    """Periodic snapshot hook driven by :meth:`Simulator.run`.
 
     Snapshots fire between events whenever ``every_sim_ns`` of simulated
     time or ``every_wall_s`` of wall-clock time has elapsed since the

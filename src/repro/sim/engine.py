@@ -141,12 +141,11 @@ class Simulator:
         #: free list of recycled internal events (see _sched)
         self._pool: List[_Event] = []
         self.events_executed: int = 0
-        #: optional :class:`repro.perf.selfprof.SelfProfiler`; when None
-        #: (the default) the engine runs its original uninstrumented loop
+        #: optional :class:`repro.perf.selfprof.SelfProfiler` that wraps
+        #: every callback :meth:`run` fires (attach or detach by assignment)
         self.profiler: Optional[Any] = None
-        #: optional :class:`repro.resilience.checkpoint.Checkpointer`;
-        #: when None (the default) the original loop runs untouched, so
-        #: the checkpoint-off path is bit-identical by construction
+        #: optional :class:`repro.resilience.checkpoint.Checkpointer` that
+        #: :meth:`run` offers a snapshot after every callback
         self.checkpointer: Optional[Any] = None
 
     # ------------------------------------------------------------ persistence
@@ -156,31 +155,6 @@ class Simulator:
         state = self.__dict__.copy()
         state["_running"] = False
         return state
-
-    def checkpoint_every(
-        self,
-        checkpointer: Optional[Any],
-        *,
-        sim_ns: Optional[float] = None,
-        wall_s: Optional[float] = None,
-    ) -> None:
-        """Attach (or with ``None`` detach) a periodic checkpointer.
-
-        ``sim_ns`` / ``wall_s`` override the checkpointer's own snapshot
-        intervals when given.  Checkpointing and self-profiling both
-        replace the run loop with an instrumented twin, so they are
-        mutually exclusive.
-        """
-        if checkpointer is not None and self.profiler is not None:
-            raise SimulationError(
-                "checkpointing and self-profiling are mutually exclusive"
-            )
-        if checkpointer is not None:
-            if sim_ns is not None:
-                checkpointer.every_sim_ns = sim_ns
-            if wall_s is not None:
-                checkpointer.every_wall_s = wall_s
-        self.checkpointer = checkpointer
 
     # ------------------------------------------------------------------ time
     @property
@@ -404,18 +378,6 @@ class Simulator:
             self.profiler.note_cascade(jumped)
         return True
 
-    def _pop_entry(self) -> Optional[tuple]:
-        """Remove and return the globally earliest ``(time, seq, ev)``
-        entry, or None when the wheel is empty.  Decrements the pending
-        count; cancelled-entry bookkeeping is the caller's job."""
-        active = self._active
-        while not active:
-            if not self._refill():
-                return None
-            active = self._active
-        self._npending -= 1
-        return heappop(active)
-
     # ---------------------------------------------------------------- running
     def run(self, until_ns: Optional[float] = None) -> None:
         """Execute events until the wheel is empty or the clock passes ``until_ns``.
@@ -423,17 +385,24 @@ class Simulator:
         When ``until_ns`` is given, the clock is left exactly at ``until_ns``
         (events scheduled later stay on the wheel), matching the convention of
         measurement windows: ``sim.run(until_ns=window_end)``.
+
+        This is the only loop that fires events.  An attached
+        :attr:`profiler` wraps each callback (it times and attributes the
+        call and counts pops); an attached :attr:`checkpointer` is offered
+        a snapshot after each callback, between events, so every snapshot
+        is consistent.  Neither feeds anything back into the simulation,
+        so measurements are bit-identical with either, both, or neither.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        prof = self.profiler
+        ckpt = self.checkpointer
         try:
-            if self.profiler is not None:
-                self._run_profiled(until_ns, self.profiler)
-                return
-            if self.checkpointer is not None:
-                self._run_checkpointed(until_ns, self.checkpointer)
-                return
+            if prof is not None:
+                prof.begin_run()
+            if ckpt is not None:
+                ckpt.begin(self)
             until = float("inf") if until_ns is None else until_ns
             pop = heappop
             pool = self._pool
@@ -446,11 +415,15 @@ class Simulator:
                         # no callback ran since the pop: reinserting the
                         # entry restores the exact pre-pop wheel state
                         self._place(t, entry[1], entry[2])
+                        if prof is not None:
+                            prof.note_requeue(self._npending)
                         break
                     self._npending -= 1
                     ev = entry[2]
                     if ev.state:  # cancelled (only external handles can be)
                         self._cancelled -= 1
+                        if prof is not None:
+                            prof.note_skip()
                         continue
                     self._now = t
                     self.events_executed += 1
@@ -464,7 +437,12 @@ class Simulator:
                         pool.append(ev)
                     else:
                         ev.state = _FIRED
-                    fn(*args)
+                    if prof is None:
+                        fn(*args)
+                    else:
+                        prof.call(fn, args)
+                    if ckpt is not None and ckpt.due(t):
+                        ckpt.save(self)
                 else:
                     if not self._refill():
                         break
@@ -473,113 +451,8 @@ class Simulator:
                 self._now = until_ns
         finally:
             self._running = False
-
-    def _fire(self, entry: tuple) -> None:
-        """Shared fire path of the instrumented twins: mark/recycle the
-        event and invoke its callback.  Semantically identical to the
-        inlined body in :meth:`run`."""
-        ev = entry[2]
-        self._now = entry[0]
-        self.events_executed += 1
-        fn = ev.fn
-        args = ev.args
-        if ev.pooled:
-            ev.fn = None
-            ev.args = None
-            ev.state = _FREE
-            ev.gen += 1
-            self._pool.append(ev)
-        else:
-            ev.state = _FIRED
-        fn(*args)
-
-    def _run_profiled(self, until_ns: Optional[float], prof: Any) -> None:
-        """The run loop's instrumented twin: identical event semantics,
-        plus wall-clock attribution of every callback to its owner.
-
-        Profiling reads :func:`time.perf_counter` but never feeds it back
-        into the simulation, so simulated measurements are bit-identical
-        with or without a profiler attached.
-        """
-        from time import perf_counter
-
-        loop_started = perf_counter()
-        try:
-            while True:
-                entry = self._pop_entry()
-                if entry is None:
-                    break
-                prof.heap_pops += 1
-                if until_ns is not None and entry[0] > until_ns:
-                    self._place(entry[0], entry[1], entry[2])
-                    self._npending += 1
-                    prof.note_push(self._npending, 0)
-                    break
-                ev = entry[2]
-                if ev.state:
-                    self._cancelled -= 1
-                    prof.cancelled_skips += 1
-                    continue
-                fn = ev.fn
-                started = perf_counter()
-                self._fire(entry)
-                prof.note_callback(fn, perf_counter() - started)
-            if until_ns is not None and self._now < until_ns:
-                self._now = until_ns
-        finally:
-            prof.run_wall_s += perf_counter() - loop_started
-
-    def _run_checkpointed(self, until_ns: Optional[float], ckpt: Any) -> None:
-        """The run loop's checkpointing twin: identical event semantics,
-        plus a periodic snapshot of the owning object graph *between*
-        events (never mid-callback, so every snapshot is consistent).
-
-        Snapshots only read state — pickling mutates nothing — so
-        measurements are bit-identical with or without checkpointing.
-        """
-        ckpt.begin(self)
-        while True:
-            entry = self._pop_entry()
-            if entry is None:
-                break
-            if until_ns is not None and entry[0] > until_ns:
-                self._place(entry[0], entry[1], entry[2])
-                self._npending += 1
-                break
-            ev = entry[2]
-            if ev.state:
-                self._cancelled -= 1
-                continue
-            self._fire(entry)
-            if ckpt.due(self._now):
-                ckpt.save(self)
-        if until_ns is not None and self._now < until_ns:
-            self._now = until_ns
-
-    def step(self) -> bool:
-        """Execute a single event.  Returns False when no events remain."""
-        while True:
-            entry = self._pop_entry()
-            if entry is None:
-                return False
-            if entry[2].state:
-                self._cancelled -= 1
-                continue
-            self._fire(entry)
-            return True
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or None if the wheel is drained."""
-        while True:
-            entry = self._pop_entry()
-            if entry is None:
-                return None
-            if entry[2].state:  # drop cancelled entries lazily, like run()
-                self._cancelled -= 1
-                continue
-            self._place(entry[0], entry[1], entry[2])
-            self._npending += 1
-            return entry[0]
+            if prof is not None:
+                prof.end_run()
 
     @property
     def pending(self) -> int:

@@ -415,7 +415,7 @@ class Scenario:
                 return restored._finish_run()
             ckpt = slot.checkpointer_for(self)
             if ckpt is not None:
-                self.sim.checkpoint_every(ckpt)
+                self.sim.checkpointer = ckpt
             self._ckpt_slot = slot
         self._begin_run(warmup_ns, measure_ns)
         return self._finish_run()
@@ -471,7 +471,7 @@ class Scenario:
         slot = self._ckpt_slot
         if slot is not None:
             self._ckpt_slot = None
-            self.sim.checkpoint_every(None)
+            self.sim.checkpointer = None
             slot.complete()
         return self._collect(self._measure_ns)
 

@@ -1,9 +1,8 @@
-"""Tests for the CLI and the path tracer."""
+"""Tests for the CLI."""
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.sim.trace import PathTracer
 
 
 class TestCli:
@@ -47,111 +46,3 @@ class TestCli:
     def test_invalid_system_exits(self):
         with pytest.raises(SystemExit):
             main(["throughput", "--system", "bogus"])
-
-
-class TestPathTracer:
-    def _harness(self):
-        from helpers import Harness, make_skb
-        from repro.netstack.stages import CountingSink, PassthroughStage
-
-        sink = CountingSink()
-        h = Harness(
-            [PassthroughStage("s1", "ip_rcv_ns"), PassthroughStage("s2", "bridge_fwd_ns"), sink],
-            mapping={"s1": 1, "s2": 2, "sink": 0},
-        )
-        return h, sink, make_skb
-
-    def test_traces_hops(self):
-        h, sink, make_skb = self._harness()
-        tracer = PathTracer(h.pipeline, h.sim)
-        tracer.install()
-        for i in range(5):
-            h.inject(make_skb(msg_id=i, start_seq=i * 2000))
-        h.run()
-        assert tracer.n_traces == 5
-        hops = tracer.hops()
-        pairs = {(s.src, s.dst) for s in hops}
-        assert ("s1", "s2") in pairs and ("s2", "sink") in pairs
-
-    def test_report_format(self):
-        h, sink, make_skb = self._harness()
-        tracer = PathTracer(h.pipeline, h.sim)
-        tracer.install()
-        h.inject(make_skb())
-        h.run()
-        report = tracer.hop_report()
-        assert "mean us" in report and "s1->s2" in report
-
-    def test_empty_report(self):
-        h, _, _ = self._harness()
-        tracer = PathTracer(h.pipeline, h.sim)
-        tracer.install()
-        assert tracer.hop_report() == "(no hops traced)"
-
-    def test_max_traces_respected(self):
-        h, sink, make_skb = self._harness()
-        tracer = PathTracer(h.pipeline, h.sim, max_traces=3)
-        tracer.install()
-        for i in range(10):
-            h.inject(make_skb(msg_id=i, start_seq=i * 2000))
-        h.run()
-        assert tracer.n_traces == 3
-
-    def test_start_ns_gates_sampling(self):
-        h, sink, make_skb = self._harness()
-        tracer = PathTracer(h.pipeline, h.sim, start_ns=1e9)
-        tracer.install()
-        h.inject(make_skb())
-        h.run()
-        assert tracer.n_traces == 0
-
-    def test_uninstall_stops_tracing(self):
-        h, sink, make_skb = self._harness()
-        tracer = PathTracer(h.pipeline, h.sim)
-        tracer.install()
-        h.inject(make_skb(msg_id=0))
-        h.run()
-        tracer.uninstall()
-        before = tracer.n_traces
-        h.inject(make_skb(msg_id=1, start_seq=5000))
-        h.run()
-        assert tracer.n_traces == before  # no new skbs sampled
-        assert len(sink.received) == 2  # pipeline still works
-
-    def test_install_idempotent(self):
-        h, _, make_skb = self._harness()
-        tracer = PathTracer(h.pipeline, h.sim)
-        tracer.install()
-        fn = h.pipeline.inject
-        tracer.install()
-        assert h.pipeline.inject is fn
-
-    def test_path_of(self):
-        h, sink, make_skb = self._harness()
-        tracer = PathTracer(h.pipeline, h.sim)
-        tracer.install()
-        h.inject(make_skb())
-        h.run()
-        path = tracer.path_of(0)
-        assert [p[0] for p in path] == ["s1", "s2", "sink"]
-
-    def test_path_of_empty_raises(self):
-        h, _, _ = self._harness()
-        tracer = PathTracer(h.pipeline, h.sim)
-        with pytest.raises(IndexError):
-            tracer.path_of(0)
-
-    def test_invalid_max_traces(self):
-        h, _, _ = self._harness()
-        with pytest.raises(ValueError):
-            PathTracer(h.pipeline, h.sim, max_traces=0)
-
-    def test_works_on_real_scenario(self):
-        from repro.workloads.sockperf import build_scenario
-
-        sc = build_scenario("mflow", "tcp", 65536)
-        tracer = PathTracer(sc.pipeline, sc.sim, start_ns=0.5e6)
-        tracer.install()
-        sc.run(warmup_ns=0.5e6, measure_ns=1.5e6)
-        names = {s.src for s in tracer.hops()} | {s.dst for s in tracer.hops()}
-        assert "mflow_split" in names and "mflow_merge" in names

@@ -99,6 +99,24 @@ class TestSelfprofInertness:
         ) or prof["n_cost_centers"] > len(centers)
         assert prof["queues"], "scenario should snapshot NIC queue stats"
         json.dumps(prof)  # payload must be JSON-safe end to end
+        # exact accounting for this seed-0 run: the loop must count every
+        # pop, skip and requeue, and attribute every callback
+        assert prof["events_executed"] == 66963
+        assert heap == {
+            "pushes": 66977, "pops": 66965, "cancelled_skips": 0,
+            "compactions": 0, "peak_size": 57,
+            "level_pushes": {"active": 41437, "l0": 25296, "l1": 244, "overflow": 0},
+            "cascades": 9, "window_jumps": 0,
+        }
+        assert {c["name"]: c["calls"] for c in centers} == {
+            "Core._complete": 52555,
+            "Nic.receive": 5930,
+            "Wire.send": 5804,
+            "TcpSender.on_ack": 1513,
+            "GroStage._flush_check": 1149,
+            "ReassemblyStage._progress_check": 11,
+            "TcpSender.start": 1,
+        }
 
     def test_shared_profiler_aggregates_runs(self):
         prof = SelfProfiler()

@@ -1,6 +1,7 @@
 """Tests for the crash-safety layer: atomic artifacts, checkpoints,
 supervised retry/quarantine, resume, and fsck (:mod:`repro.resilience`)."""
 
+import dataclasses
 import json
 import os
 import re
@@ -32,7 +33,7 @@ from repro.resilience.resume import ResumeError, resume_results
 from repro.runner import ResultCache, RunEngine, RunSpec, code_version
 from repro.runner.engine import SWEEP_KIND, SWEEP_SCHEMA_VERSION
 from repro.runner.records import scenario_result_to_dict
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Simulator
 from repro.workloads.sockperf import run_single_flow
 
 TINY = {"warmup_ns": 100_000.0, "measure_ns": 400_000.0}
@@ -194,20 +195,54 @@ class TestCheckpointer:
         clone = pickle.loads(pickle.dumps(ckpt))
         assert clone._next_sim_ns is None and clone._next_wall is None
 
-    def test_profiler_and_checkpointer_exclusive(self, tmp_path):
-        from repro.perf.selfprof import SelfProfiler
+    def test_profiler_and_checkpointer_compose(self, tmp_path, monkeypatch):
+        """A profiled run under a checkpoint scope takes snapshots, measures
+        exactly what a plain run does, and its mid-run snapshot resumes to
+        the same measurements and the same profiler counters."""
+        golden = run_single_flow("mflow", "tcp", 65536, seed=3, **SHORT)
+        every = {"every_sim_ns": 300_000.0}
 
-        sim = Simulator()
-        sim.profiler = SelfProfiler()
-        with pytest.raises(SimulationError, match="mutually exclusive"):
-            sim.checkpoint_every(Checkpointer(tmp_path / "c", every_sim_ns=1.0))
+        saves = []
+        orig = Checkpointer.save
+
+        def counting_save(self, sim):
+            orig(self, sim)
+            saves.append(sim.now)
+
+        monkeypatch.setattr(Checkpointer, "save", counting_save)
+        with checkpoint_scope(tmp_path / "full", "k", **every):
+            full = run_single_flow("mflow", "tcp", 65536, seed=3, selfprof=True, **SHORT)
+        _restore_save(monkeypatch, orig)
+        assert saves, "the profiled run took no snapshot"
+        assert full.selfprof["events_executed"] == full.events_executed
+        assert dataclasses.replace(full, selfprof=None) == golden
+
+        _kill_after_first_save(monkeypatch)
+        with checkpoint_scope(tmp_path / "kill", "k", **every):
+            with pytest.raises(KilledMidRun):
+                run_single_flow("mflow", "tcp", 65536, seed=3, selfprof=True, **SHORT)
+        _restore_save(monkeypatch, orig)
+        with checkpoint_scope(tmp_path / "kill", "k", **every) as ctx:
+            resumed = run_single_flow("mflow", "tcp", 65536, seed=3, selfprof=True, **SHORT)
+        assert ctx.restores == 1
+        assert dataclasses.replace(resumed, selfprof=None) == golden
+        # the profiler rides in the snapshot: pre-kill counts carry over
+        for key in ("events_executed", "heap", "n_cost_centers"):
+            assert resumed.selfprof[key] == full.selfprof[key], key
+
+        def calls(prof):
+            return {c["name"]: c["calls"] for c in prof["cost_centers"]}
+
+        assert calls(resumed.selfprof) == calls(full.selfprof)
 
     def test_detach_with_none(self, tmp_path):
         sim = Simulator()
-        sim.checkpoint_every(Checkpointer(tmp_path / "c", every_sim_ns=1.0))
-        assert sim.checkpointer is not None
-        sim.checkpoint_every(None)
-        assert sim.checkpointer is None
+        ckpt = Checkpointer(tmp_path / "c", every_sim_ns=1.0)
+        sim.checkpointer = ckpt
+        sim.checkpointer = None
+        sim.call_in(5.0, lambda: None)
+        sim.run()
+        assert ckpt.saves == 0
 
     def test_no_scope_claims_nothing(self):
         assert claim_slot() is None
@@ -412,6 +447,23 @@ class TestEngineSupervision:
         manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
         assert manifest["runs"][0]["retries"] == records[0].retries
         assert manifest["retries"] == 2
+
+    def test_selfprof_cell_runs_under_checkpointing(self, tmp_path):
+        """Self-profiling and checkpointing share one run loop, so a
+        profiled cell in a checkpointing sweep completes with its profile."""
+        spec = RunSpec.make(
+            "sockperf",
+            {"system": "mflow", "proto": "tcp", "size": 65536, "selfprof": True},
+            warmup_ns=2e5, measure_ns=5e5,
+        )
+        engine = RunEngine(
+            jobs=1, results_dir=tmp_path, checkpoint_sim_ns=100_000, retries=0,
+        )
+        [record] = engine.run("exp", [spec])
+        assert record.ok, record
+        assert not engine.quarantined
+        prof = record.measurements["selfprof"]
+        assert prof["events_executed"] == record.measurements["events_executed"] > 0
 
     def test_quarantine_keeps_siblings_running(self, tmp_path):
         engine = RunEngine(
@@ -769,7 +821,7 @@ class TestWheelPopulatedKillResume:
         path = tmp_path / "wheel.ckpt"
         ckpt = Checkpointer(path, root={"sim": sim, "rec": rec},
                             every_sim_ns=500.0)
-        sim.checkpoint_every(ckpt)
+        sim.checkpointer = ckpt
         orig = _kill_after_first_save(monkeypatch)
         with pytest.raises(KilledMidRun):
             sim.run()
@@ -785,7 +837,7 @@ class TestWheelPopulatedKillResume:
         assert rsim.pending == sim.pending
         assert rsim.live_pending == sim.live_pending
         assert len(rsim._pool) == len(sim._pool)
-        rsim.checkpoint_every(None)
+        rsim.checkpointer = None
         rsim.run()
         assert rrec.log == self.EXPECTED
         assert rsim.pending == 0 and rsim.live_pending == 0
@@ -798,7 +850,7 @@ class TestWheelPopulatedKillResume:
         sim, rec = self._build()
         ckpt = Checkpointer(tmp_path / "w.ckpt", root={"sim": sim, "rec": rec},
                             every_sim_ns=500.0)
-        sim.checkpoint_every(ckpt)
+        sim.checkpointer = ckpt
         sim.run()
         assert ckpt.saves >= 1
         assert rec.log == golden_rec.log == self.EXPECTED

@@ -108,26 +108,6 @@ def test_events_scheduled_during_run_execute():
     assert seen == [60.0]
 
 
-def test_step_executes_one_event():
-    sim = Simulator()
-    seen = []
-    sim.call_in(10.0, seen.append, 1)
-    sim.call_in(20.0, seen.append, 2)
-    assert sim.step() is True
-    assert seen == [1]
-    assert sim.step() is True
-    assert sim.step() is False
-    assert seen == [1, 2]
-
-
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    ev = sim.call_in(10.0, lambda: None)
-    sim.call_in(20.0, lambda: None)
-    ev.cancel()
-    assert sim.peek_time() == 20.0
-
-
 def test_events_executed_counter():
     sim = Simulator()
     for i in range(5):
