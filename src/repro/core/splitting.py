@@ -63,23 +63,22 @@ class MicroflowSplitStage(Stage):
         self._mf_sizes: Dict[tuple, int] = {}
 
     def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.mflow_split_ns * skb.segs
-
-    def _key(self, skb: Skb) -> FlowKey:
-        return skb.flow if self.per_flow else GLOBAL_KEY
+        return costs.mflow_split_ns * len(skb.packets)
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
-        key = self._key(skb)
+        key = skb.flow if self.per_flow else GLOBAL_KEY
+        segs = len(skb.packets)
         seen = self._seen.get(key, 0)
         microflow = seen // self.batch_size
         skb.microflow_id = microflow
         skb.branch = microflow % self.n_branches
         skb.flow_serial = seen
-        self._seen[key] = seen + skb.segs
+        self._seen[key] = seen + segs
         size_key = (key, microflow)
-        new_microflow = self._mf_sizes.get(size_key) is None
-        self._mf_sizes[size_key] = self._mf_sizes.get(size_key, 0) + skb.segs
-        ctx.telemetry.count("mflow_split_packets", skb.segs)
+        size = self._mf_sizes.get(size_key)
+        new_microflow = size is None
+        self._mf_sizes[size_key] = (size or 0) + segs
+        ctx.telemetry.count("mflow_split_packets", segs)
         obs = ctx.pipeline.obs
         if obs is not None and new_microflow:
             # steering decision: a fresh micro-flow opens on `branch`

@@ -13,22 +13,27 @@ Hot-path notes: work items submitted via the ``*_call`` shorthands are
 drawn from a per-core free list and recycled on completion (items passed
 to :meth:`Core.submit` directly are caller-owned and never recycled);
 completions schedule through the engine's pooled no-handle
-:meth:`~repro.sim.engine.Simulator._sched`.  Jitter normals stay scalar
-draws: topologies may share one named RNG stream across cores (the
-client machines reuse ``core0.jitter``/``core1.jitter``), so per-core
-batching would reorder the interleaved draw sequence and change the
-timeline.
+:meth:`~repro.sim.engine.Simulator._sched`.  Jitter normals are popped
+inline from a :class:`~repro.sim.rng.BufferedNormals` block buffer.
+Topologies may share one named RNG stream across cores (the client
+machines reuse ``core0.jitter``/``core1.jitter``), so the buffer belongs
+to the *stream*, not the core: every sharer pops from the same buffer
+and the interleaved draw sequence is exactly that of scalar draws.
+Per-core buffers would reorder it and change the timeline.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Union
 
 import numpy as np
 
 from repro.sim.engine import Simulator
+from repro.sim.rng import BufferedNormals
+
+_exp = math.exp
 
 
 class WorkItem:
@@ -56,7 +61,7 @@ class Core:
         core_id: int,
         speed: float = 1.0,
         jitter_sigma: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        rng: Union[None, BufferedNormals, np.random.Generator] = None,
     ):
         if speed <= 0:
             raise ValueError(f"core speed must be positive, got {speed}")
@@ -68,7 +73,13 @@ class Core:
         self.id = core_id
         self.speed = speed
         self.jitter_sigma = jitter_sigma
-        self._rng = rng
+        if isinstance(rng, np.random.Generator):
+            # a private generator: its own buffer keeps its draw order
+            rng = BufferedNormals(rng)
+        #: jitter normal source, shared by every core on the same stream
+        self._normals = rng
+        #: its pending draws (refills extend this same list in place)
+        self._zbuf = rng.buf if rng is not None else None
         # lognormal(mu, sigma) has mean exp(mu + sigma^2/2); choose mu so the
         # jitter factor has mean 1.0 and only adds variance, not bias.
         self._jitter_mu = -0.5 * jitter_sigma * jitter_sigma
@@ -102,7 +113,8 @@ class Core:
         if not self._busy:
             self._start_next()
 
-    def _make_item(self, tag: str, cost_ns: float, fn: Callable[..., Any], args: tuple) -> WorkItem:
+    def submit_call(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Pooled shorthand for ``submit(WorkItem(tag, cost_ns, fn, *args))``."""
         pool = self._item_pool
         if pool:
             item = pool.pop()
@@ -110,15 +122,11 @@ class Core:
             item.cost_ns = cost_ns
             item.fn = fn
             item.args = args
-            return item
-        item = WorkItem(tag, cost_ns, fn, *args)
-        item.pooled = True
-        return item
-
-    def submit_call(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Pooled shorthand for ``submit(WorkItem(tag, cost_ns, fn, *args))``."""
+        else:
+            item = WorkItem(tag, cost_ns, fn, *args)
+            item.pooled = True
         q = self._queue
-        q.append(self._make_item(tag, cost_ns, fn, args))
+        q.append(item)
         if len(q) > self._queue_len_max:
             self._queue_len_max = len(q)
         if not self._busy:
@@ -132,28 +140,42 @@ class Core:
         Note: multiple front submissions stack LIFO; callers submitting
         several continuations must iterate them in reverse.
         """
-        self._queue.appendleft(item)
+        q = self._queue
+        q.appendleft(item)
+        if len(q) > self._queue_len_max:
+            self._queue_len_max = len(q)
         if not self._busy:
             self._start_next()
 
     def submit_front_call(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any) -> None:
         """Pooled shorthand for ``submit_front(WorkItem(tag, cost_ns, fn, *args))``."""
-        self._queue.appendleft(self._make_item(tag, cost_ns, fn, args))
+        pool = self._item_pool
+        if pool:
+            item = pool.pop()
+            item.tag = tag
+            item.cost_ns = cost_ns
+            item.fn = fn
+            item.args = args
+        else:
+            item = WorkItem(tag, cost_ns, fn, *args)
+            item.pooled = True
+        q = self._queue
+        q.appendleft(item)
+        if len(q) > self._queue_len_max:
+            self._queue_len_max = len(q)
         if not self._busy:
             self._start_next()
 
     # ------------------------------------------------------------ execution
-    def _jitter(self) -> float:
-        if self.jitter_sigma == 0.0:
-            return 1.0
-        return math.exp(self._jitter_mu + self.jitter_sigma * self._rng.standard_normal())
-
     def _start_next(self) -> None:
         item = self._queue.popleft()
-        if self.jitter_sigma == 0.0:
+        sigma = self.jitter_sigma
+        if sigma == 0.0:
             duration = item.cost_ns / self.speed
         else:
-            duration = item.cost_ns / self.speed * self._jitter()
+            zbuf = self._zbuf
+            z = zbuf.pop() if zbuf else self._normals.refill()
+            duration = item.cost_ns / self.speed * _exp(self._jitter_mu + sigma * z)
         self._busy = True
         sim = self.sim
         sim._sched(sim._now + duration, self._complete, (item, duration))
@@ -193,10 +215,13 @@ class Core:
         q = self._queue
         if q:
             nxt = q.popleft()
-            if self.jitter_sigma == 0.0:
+            sigma = self.jitter_sigma
+            if sigma == 0.0:
                 duration = nxt.cost_ns / self.speed
             else:
-                duration = nxt.cost_ns / self.speed * self._jitter()
+                zbuf = self._zbuf
+                z = zbuf.pop() if zbuf else self._normals.refill()
+                duration = nxt.cost_ns / self.speed * _exp(self._jitter_mu + sigma * z)
             sim = self.sim
             sim._sched(sim._now + duration, self._complete, (nxt, duration))
         else:

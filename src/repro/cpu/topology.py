@@ -31,7 +31,7 @@ class CpuSet:
         self.sim = sim
         self.cores: List[Core] = []
         for i in range(n_cores):
-            rng = rngs.stream(f"core{i}.jitter") if (rngs and jitter_sigma > 0) else None
+            rng = rngs.normals(f"core{i}.jitter") if (rngs and jitter_sigma > 0) else None
             speed = speeds[i] if speeds is not None else 1.0
             self.cores.append(Core(sim, i, speed=speed, jitter_sigma=jitter_sigma, rng=rng))
         self._window_start_ns: float = 0.0

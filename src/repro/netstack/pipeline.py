@@ -181,26 +181,27 @@ class Pipeline:
                 f"recycled skb (generation {skb.gen}) re-entered the datapath "
                 f"at stage {stage.name!r}"
             )
-        cost = stage.cost(skb, self.costs)
+        costs = self.costs
+        cost = stage.cost(skb, costs)
         if from_core is not None and core.id != from_core.id:
             # Crossing cores costs both sides: the sender pays the steering
             # dispatch (hash + enqueue + IPI arming), the receiver pays the
             # queue pull + cold-cache penalty.
-            cost += self.costs.handoff_cost_ns
-            from_core.submit_call("steer_dispatch", self.costs.steer_dispatch_ns, _noop)
+            cost += costs.handoff_cost_ns
+            from_core.submit_call("steer_dispatch", costs.steer_dispatch_ns, _noop)
             self.telemetry.count("handoffs")
             front = False
         # Overload protection: model bounded per-core backlogs by dropping
         # when the target core's run queue is past the configured limit.
         # Drop-eligible stages only (TCP is window-limited and never drops).
-        if stage.droppable and core.queue_depth >= self.costs.backlog_limit:
+        if stage.droppable and len(core._queue) >= costs.backlog_limit:
             self.drops[stage.name] = self.drops.get(stage.name, 0) + 1
             self.telemetry.count("backlog_drops")
             self.telemetry.count(f"drops:{stage.name}")
             if self.obs is not None:
                 self.obs.instant(
                     "backlog_drop", core=core.id, stage=stage.name,
-                    depth=core.queue_depth,
+                    depth=len(core._queue),
                 )
                 if self.journeys is not None:
                     self.journeys.on_drop(skb, stage.name)

@@ -20,26 +20,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class StageContext:
-    """Execution context handed to ``Stage.process``."""
+    """Execution context handed to ``Stage.process``.
 
-    __slots__ = ("pipeline", "node", "core")
+    ``sim``, ``costs`` and ``telemetry`` are copied from the pipeline at
+    construction (a pipeline never swaps them), so stages read plain
+    slots on the hot path.
+    """
+
+    __slots__ = ("pipeline", "node", "core", "sim", "costs", "telemetry")
 
     def __init__(self, pipeline: "Pipeline", node: "StageNode", core: Core):
         self.pipeline = pipeline
         self.node = node
         self.core = core
-
-    @property
-    def sim(self):
-        return self.pipeline.sim
-
-    @property
-    def costs(self) -> CostModel:
-        return self.pipeline.costs
-
-    @property
-    def telemetry(self):
-        return self.pipeline.telemetry
+        self.sim = pipeline.sim
+        self.costs: CostModel = pipeline.costs
+        self.telemetry = pipeline.telemetry
 
 
 class Stage:
@@ -94,11 +90,11 @@ class SkbAllocStage(Stage):
     name = "skb_alloc"
 
     def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.skb_alloc_ns * skb.segs
+        return costs.skb_alloc_ns * len(skb.packets)
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
         skb.alloc_ts = ctx.sim.now
-        ctx.telemetry.count("skb_allocated", skb.segs)
+        ctx.telemetry.count("skb_allocated", len(skb.packets))
         return [skb]
 
 
@@ -123,13 +119,13 @@ class GroStage(Stage):
         self._timer_armed: Dict[object, bool] = {}
 
     def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.gro_per_seg_ns * skb.segs
+        return costs.gro_per_seg_ns * len(skb.packets)
 
     def _cap(self, skb: Skb, costs: CostModel) -> int:
         return costs.gro_max_segs_encap if skb.head.encap else costs.gro_max_segs_native
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
-        ctx.telemetry.count("gro_in", skb.segs)
+        ctx.telemetry.count("gro_in", len(skb.packets))
         if skb.flow.proto != "tcp":
             return [skb]  # GRO is ineffective for UDP: pay cost, no merge
         cap = self._cap(skb, ctx.costs)

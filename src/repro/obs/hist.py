@@ -226,36 +226,74 @@ class StageHistograms:
         self._stages: Dict[str, Dict[int, Dict[str, List[LatencyHistogram]]]] = {}
         # tag -> core_id -> service_hist
         self._cores: Dict[str, Dict[int, LatencyHistogram]] = {}
+        if not self.config.core_tags:
+            self.record_core = _skip_core  # type: ignore[method-assign]
 
     # ------------------------------------------------------------ recording
+    # Both record paths inline LatencyHistogram.record's bucket math: the
+    # saved method call is most of a hop's histogram cost.  Keep every copy
+    # identical to record (tests/test_hist.py checks them against it and
+    # against bucket_index).
     def record_stage(
         self, stage: str, core_id: int, flow_class: str,
         queue_ns: float, service_ns: float,
     ) -> None:
         """One executed hop (hot path: lookups + integer math only)."""
-        by_core = self._stages.get(stage)
-        if by_core is None:
-            by_core = self._stages[stage] = {}
-        by_class = by_core.get(core_id)
-        if by_class is None:
-            by_class = by_core[core_id] = {}
-        pair = by_class.get(flow_class)
-        if pair is None:
+        try:
+            pair = self._stages[stage][core_id][flow_class]
+        except KeyError:
+            by_class = self._stages.setdefault(stage, {}).setdefault(core_id, {})
             pair = by_class[flow_class] = [LatencyHistogram(), LatencyHistogram()]
-        pair[0].record(queue_ns)
-        pair[1].record(service_ns)
+        h, v = pair[0], int(queue_ns)
+        if v < LINEAR_MAX:
+            if v < 0:
+                v = 0
+            h.counts[v] += 1
+        else:
+            k = v.bit_length() - 5
+            h.counts[(k << 4) + (v >> k)] += 1
+        h.count += 1
+        h.sum_ns += v
+        if v < h.min_ns:
+            h.min_ns = v
+        if v > h.max_ns:
+            h.max_ns = v
+        h, v = pair[1], int(service_ns)
+        if v < LINEAR_MAX:
+            if v < 0:
+                v = 0
+            h.counts[v] += 1
+        else:
+            k = v.bit_length() - 5
+            h.counts[(k << 4) + (v >> k)] += 1
+        h.count += 1
+        h.sum_ns += v
+        if v < h.min_ns:
+            h.min_ns = v
+        if v > h.max_ns:
+            h.max_ns = v
 
     def record_core(self, tag: str, core_id: int, service_ns: float) -> None:
-        """One completed non-stage work item."""
-        if not self.config.core_tags:
-            return
-        by_core = self._cores.get(tag)
-        if by_core is None:
-            by_core = self._cores[tag] = {}
-        hist = by_core.get(core_id)
-        if hist is None:
-            hist = by_core[core_id] = LatencyHistogram()
-        hist.record(service_ns)
+        """One completed non-stage work item (a no-op without ``core_tags``,
+        decided once at construction)."""
+        try:
+            h = self._cores[tag][core_id]
+        except KeyError:
+            h = self._cores.setdefault(tag, {})[core_id] = LatencyHistogram()
+        v = int(service_ns)
+        if v < LINEAR_MAX:
+            if v < 0:
+                v = 0
+            h.counts[v] += 1
+        else:
+            k = v.bit_length() - 5
+            h.counts[(k << 4) + (v >> k)] += 1
+        h.count += 1
+        h.sum_ns += v
+        if v < h.min_ns:
+            h.min_ns = v
+        if v > h.max_ns:
+            h.max_ns = v
 
     # --------------------------------------------------------- serialization
     def to_dict(self) -> Dict[str, Any]:
@@ -291,6 +329,10 @@ class StageHistograms:
             "stages": stages,
             "cores": cores,
         }
+
+
+def _skip_core(tag: str, core_id: int, service_ns: float) -> None:
+    """``record_core`` of a histogram set without the core-tag family."""
 
 
 # ------------------------------------------------------- payload-level algebra

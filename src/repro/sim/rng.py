@@ -4,13 +4,49 @@ Every stochastic component (core speed jitter, workload think times,
 hash functions) draws from its own named substream spawned from one root
 seed, so adding a new random consumer never perturbs existing streams
 and whole experiments replay bit-identically.
+
+Per-item normals (core speed jitter) come from :class:`BufferedNormals`,
+which draws them ahead in blocks.  A block of ``n`` array draws holds
+exactly the values of ``n`` scalar draws, so buffering is invisible to
+the timeline as long as every consumer of a stream pops from the one
+shared buffer :meth:`RngStreams.normals` hands out for that stream.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
+
+#: normals drawn per refill: enough to amortise the numpy call, small
+#: enough (a 512-float list is ~16 KB) to keep every stream's buffer cheap
+NORMAL_BLOCK = 512
+
+
+class BufferedNormals:
+    """Standard normals from one generator, drawn ahead in blocks.
+
+    ``buf`` holds the pending draws in *reverse* order, so the next one
+    is ``buf.pop()``; hot paths pop it inline and call :meth:`refill`
+    only when it is empty.  :meth:`refill` extends the same list object,
+    so consumers may keep a reference to ``buf`` across refills.  The
+    generator must not be drawn from directly while a buffer is live:
+    that would interleave differently from scalar draws.
+    """
+
+    __slots__ = ("gen", "buf")
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self.buf: List[float] = []
+
+    def refill(self) -> float:
+        """Draw the next block into ``buf`` and return its first value."""
+        block = self.gen.standard_normal(NORMAL_BLOCK).tolist()
+        block.reverse()
+        buf = self.buf
+        buf.extend(block)
+        return buf.pop()
 
 
 class RngStreams:
@@ -20,6 +56,7 @@ class RngStreams:
         self.seed = seed
         self._root = np.random.SeedSequence(seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        self._normals: Dict[str, BufferedNormals] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically.
@@ -38,6 +75,19 @@ class RngStreams:
             gen = np.random.default_rng(seq)
             self._streams[name] = gen
         return gen
+
+    def normals(self, name: str) -> BufferedNormals:
+        """The one shared buffered normal source of stream ``name``.
+
+        Every consumer that shares a stream (the client machines reuse
+        the receiver's ``core0.jitter``/``core1.jitter``) pops from the
+        same buffer, so they consume one interleaved sequence exactly as
+        scalar draws from the shared generator would.
+        """
+        src = self._normals.get(name)
+        if src is None:
+            src = self._normals[name] = BufferedNormals(self.stream(name))
+        return src
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams

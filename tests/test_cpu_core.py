@@ -116,6 +116,21 @@ class TestCoreAccounting:
         assert core.max_queue_depth == 4
         sim.run()
 
+        # run-to-completion continuations can make the queue deepest
+        sim, core = make_core()
+
+        def fan_out():
+            for _ in range(3):
+                core.submit_front_call("cont", 10.0, lambda: None)
+            core.submit_front(WorkItem("cont", 10.0, lambda: None))
+
+        core.submit_call("a", 10.0, fan_out)
+        core.submit_call("b", 10.0, lambda: None)
+        assert core.max_queue_depth == 1
+        sim.run()
+        # "b" plus four continuations queued at once
+        assert core.max_queue_depth == 5
+
     def test_snapshot_is_a_copy(self):
         sim, core = make_core()
         core.submit_call("t", 10.0, lambda: None)
@@ -126,6 +141,55 @@ class TestCoreAccounting:
 
 
 class TestCoreJitter:
+    def test_generator_matches_scalar_draws(self):
+        """A bare Generator is buffered, with the scalar-draw sequence."""
+        import math
+
+        sim, core = make_core(jitter=0.2, seed=3)
+        for _ in range(700):  # spans a buffer refill
+            core.submit_call("t", 100.0, lambda: None)
+        sim.run()
+        ref = RngStreams(3).stream("core")
+        mu = -0.5 * 0.2 * 0.2
+        expected = 0.0
+        for _ in range(700):
+            expected += 100.0 * math.exp(mu + 0.2 * ref.standard_normal())
+        assert core.busy_ns["t"] == expected
+
+    def test_cores_sharing_a_stream_interleave_like_scalar_draws(self):
+        """Two cores on one named stream pop one shared buffer, so their
+        durations are exactly those of alternating scalar draws."""
+        import math
+
+        sim = Simulator()
+        normals = RngStreams(9).normals("core0.jitter")
+        a = Core(sim, 0, jitter_sigma=0.1, rng=normals)
+        b = Core(sim, 1, jitter_sigma=0.1, rng=normals)
+        seen = []
+        for _ in range(400):
+            a.submit_call("t", 100.0, lambda: seen.append(("a", sim.now)))
+            b.submit_call("t", 50.0, lambda: seen.append(("b", sim.now)))
+        sim.run()
+        ref = RngStreams(9).stream("core0.jitter")
+        mu = -0.5 * 0.1 * 0.1
+        # replay: both cores draw at submission (a first), then every
+        # completion, in time order, draws for that core's next item
+        pending = [
+            (cost * math.exp(mu + 0.1 * ref.standard_normal()), name)
+            for name, cost in (("a", 100.0), ("b", 50.0))
+        ]
+        replay = []
+        left = {"a": 399, "b": 399}
+        while pending:
+            pending.sort()
+            t, name = pending.pop(0)
+            replay.append((name, t))
+            if left[name]:
+                left[name] -= 1
+                cost = 100.0 if name == "a" else 50.0
+                pending.append((t + cost * math.exp(mu + 0.1 * ref.standard_normal()), name))
+        assert seen == replay
+
     def test_jitter_requires_rng(self):
         sim = Simulator()
         with pytest.raises(ValueError):

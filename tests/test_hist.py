@@ -110,6 +110,48 @@ def _record_many(values):
     return h
 
 
+#: values exercising every branch of the inlined bucket math: negatives
+#: (clamped to 0), the exact linear zone, both sides of every octave edge,
+#: and magnitudes past 2**32 (float sim-ns, floored like the record path)
+_EDGE_INTS = st.one_of(
+    st.integers(-(2**40), -1),
+    st.integers(0, LINEAR_MAX - 1),
+    st.integers(5, 62).flatmap(
+        lambda b: st.sampled_from([(1 << b) - 1, 1 << b, (1 << b) + 1])
+    ),
+    st.integers(2**32, 2**62),
+)
+_RECORD_VALUES = st.tuples(_EDGE_INTS, st.sampled_from([0.0, 0.25, 0.999])).map(
+    lambda t: float(t[0]) + t[1]
+)
+
+
+class TestInlinedRecordPaths:
+    """``record_stage``/``record_core`` inline ``LatencyHistogram.record``'s
+    bucket math; all three must bucket every value identically."""
+
+    @given(st.lists(_RECORD_VALUES, min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_inlined_paths_match_record_and_bucket_index(self, values):
+        hist = StageHistograms()
+        queue, service, core = LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
+        for a, b in zip(values, reversed(values)):
+            hist.record_stage("gro", 1, "tcp", a, b)
+            hist.record_core("irq:pnic", 1, a)
+            queue.record(a)
+            service.record(b)
+            core.record(a)
+        payload = hist.to_dict()
+        kinds = payload["stages"]["gro"]["1"]["tcp"]
+        assert kinds["queue"] == queue.to_dict()
+        assert kinds["service"] == service.to_dict()
+        assert payload["cores"]["irq:pnic"]["1"] == core.to_dict()
+        expected = [0] * N_BUCKETS
+        for v in values:
+            expected[bucket_index(max(int(v), 0))] += 1
+        assert queue.counts == expected
+
+
 class TestHistogramAlgebra:
     def test_exact_aggregates(self):
         h = _record_many([1.9, 100.2, 7.0, 100.7])
@@ -191,7 +233,10 @@ class TestHistogramAlgebra:
     def test_core_tags_off_drops_system_work(self):
         hist = StageHistograms(HistConfig(core_tags=False))
         hist.record_core("irq:pnic", 0, 5.0)
-        assert hist.to_dict()["cores"] == {}
+        hist.record_stage("gro", 0, "tcp", 1.0, 2.0)
+        payload = hist.to_dict()
+        assert payload["cores"] == {}
+        assert payload["stages"]["gro"]["0"]["tcp"]["service"]["count"] == 1
 
 
 # ------------------------------------------------------------- scenario wiring

@@ -9,6 +9,7 @@ from repro.cpu.topology import CpuSet
 from repro.netstack.packet import FlowKey
 from repro.overlay.topology import DatapathKind, build_datapath_stages
 from repro.sim.engine import Simulator
+from repro.steering.base import SteeringPolicy
 
 
 def cpus(n=16):
@@ -170,3 +171,77 @@ class TestCorePlacement:
     def test_invalid_placement_rejected(self):
         with pytest.raises(ValueError):
             MflowPolicy(cpus(), MflowConfig.full_path_tcp(), placement="bogus")
+
+
+class TestRouteCache:
+    """``core_for`` memoises each (flow, stage, branch) hop; the cached
+    answer must always equal the uncached slow path, also after routing
+    changes (quarantine, readmission, retirement)."""
+
+    FLOWS = [FlowKey(1, 2, "tcp", 1000 + i, 5001) for i in range(4)]
+
+    def _policy(self):
+        policy = MflowPolicy(
+            cpus(), MflowConfig.full_path_tcp(), app_core=[0, 1],
+            core_pool=list(range(2, 14)),
+        )
+        stages = policy.build_pipeline_stages(
+            build_datapath_stages(DatapathKind.OVERLAY, "tcp")
+        )
+        return policy, [s.name for s in stages]
+
+    def _assert_agrees(self, policy, names, flows=FLOWS):
+        for flow in flows:
+            skb = make_skb(flow=flow)
+            for branch in (None, 0, 1):
+                skb.branch = branch
+                for name in names:
+                    first = policy.core_for(name, skb, None)
+                    cached = policy.core_for(name, skb, None)
+                    slow = SteeringPolicy.core_for(policy, name, skb, None)
+                    assert first is cached is slow, (flow, branch, name)
+
+    def test_cache_matches_slow_path_across_routing_changes(self):
+        policy, names = self._policy()
+        self._assert_agrees(policy, names)
+        assert set(policy._routes) == set(self.FLOWS)
+
+        flow = self.FLOWS[0]
+        skb = make_skb(flow=flow)
+        skb.branch = 1
+        split_core = policy.core_for("mflow_split", skb, None)
+        branch_core = policy.core_for("vxlan", skb, None)
+        assert branch_core is not split_core
+
+        assert policy.quarantine_flow(flow)
+        assert flow not in policy._routes
+        self._assert_agrees(policy, names)
+        # degraded: in-region work now runs on the dispatch core
+        assert policy.core_for("vxlan", skb, None) is split_core
+
+        assert policy.readmit_flow(flow)
+        self._assert_agrees(policy, names)
+        assert policy.core_for("vxlan", skb, None) is branch_core
+
+        retired = self.FLOWS[1]
+        before = policy.core_for("mflow_split", make_skb(flow=retired), None)
+        assert policy.retire_flow(retired)
+        assert retired not in policy._routes
+        # a newcomer claims the freed cores, so the retired flow re-plans
+        # elsewhere: a stale cache entry would still point at `before`
+        newcomer = FlowKey(9, 2, "tcp", 9000, 5001)
+        self._assert_agrees(policy, names, flows=[newcomer, retired])
+        assert policy.core_for("mflow_split", make_skb(flow=newcomer), None) is before
+        assert policy.core_for("mflow_split", make_skb(flow=retired), None) is not before
+        self._assert_agrees(policy, names)
+
+    def test_per_packet_delivery_routing_stays_outside_cache(self):
+        from repro.experiments.extensions import COPY_CHUNK_BYTES, ParallelCopyMflowPolicy
+
+        policy = ParallelCopyMflowPolicy(cpus(), MflowConfig.full_path_tcp(), [0, 13])
+        policy.build_pipeline_stages(build_datapath_stages(DatapathKind.OVERLAY, "tcp"))
+        readers = [
+            policy.core_for("tcp_deliver", make_skb(start_seq=k * COPY_CHUNK_BYTES), None).id
+            for k in range(4)
+        ]
+        assert readers == [0, 13, 0, 13]

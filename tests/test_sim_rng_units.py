@@ -1,8 +1,10 @@
 """Unit tests for RNG streams and unit helpers."""
 
+import pickle
+
 import pytest
 
-from repro.sim.rng import RngStreams
+from repro.sim.rng import NORMAL_BLOCK, RngStreams
 from repro.sim.units import (
     GBPS,
     MSEC,
@@ -12,6 +14,11 @@ from repro.sim.units import (
     gbps,
     ns_per_byte_at_gbps,
 )
+
+
+def _draw(src):
+    """The next normal, popped the way the core hot path pops it."""
+    return src.buf.pop() if src.buf else src.refill()
 
 
 class TestRngStreams:
@@ -42,6 +49,28 @@ class TestRngStreams:
         a = RngStreams(seed=1).stream("s").standard_normal(16)
         b = RngStreams(seed=2).stream("s").standard_normal(16)
         assert not (a == b).all()
+
+    def test_normals_shared_per_stream(self):
+        rngs = RngStreams(seed=7)
+        assert rngs.normals("core0.jitter") is rngs.normals("core0.jitter")
+        assert rngs.normals("core0.jitter") is not rngs.normals("core1.jitter")
+
+    def test_buffered_normals_equal_scalar_draws(self):
+        """Block refills yield exactly the scalar-draw sequence, across
+        several refill boundaries and with a live generator in between."""
+        src = RngStreams(seed=11).normals("jitter")
+        ref = RngStreams(seed=11).stream("jitter")
+        drawn = [_draw(src) for _ in range(3 * NORMAL_BLOCK + 5)]
+        assert drawn == [ref.standard_normal() for _ in range(len(drawn))]
+        assert len(src.buf) == NORMAL_BLOCK - 5
+
+    def test_buffered_normals_survive_pickling_mid_buffer(self):
+        src = RngStreams(seed=4).normals("jitter")
+        for _ in range(10):
+            _draw(src)
+        clone = pickle.loads(pickle.dumps(src))
+        assert len(clone.buf) == NORMAL_BLOCK - 10
+        assert [_draw(clone) for _ in range(NORMAL_BLOCK)] == [_draw(src) for _ in range(NORMAL_BLOCK)]
 
     def test_contains(self):
         rngs = RngStreams()
