@@ -13,16 +13,10 @@ config: each flow deterministically draws its own dispatch core and
 branch cores from the pool (even, hash-based distribution — the
 balanced load of Fig. 12).
 
-Route cache: a hop's core depends only on its flow, its micro-flow
-branch and its stage (plus the flow's quarantine state), so
-:meth:`MflowPolicy.core_for` memoises the answer per
-``(flow, stage, branch)``.  The first packet of a flow takes the slow
-path (pool placement, branch plans) and fills the cache; later packets pay a
-nested dict lookup.  Anything that changes a flow's routing —
-:meth:`~MflowPolicy.quarantine_flow`, :meth:`~MflowPolicy.readmit_flow`,
-:meth:`~MflowPolicy.retire_flow` — drops that flow's entries.
-Per-packet decisions (a subclass routing by sequence number) belong in
-an override that runs before ``super().core_for``, outside the cache.
+Routes are cached per flow by :meth:`SteeringPolicy.core_for`;
+:meth:`~MflowPolicy.quarantine_flow`, :meth:`~MflowPolicy.readmit_flow`
+and :meth:`~MflowPolicy.retire_flow` change a flow's routing, so each
+drops that flow's cached routes.
 """
 
 from __future__ import annotations
@@ -76,8 +70,6 @@ class MflowPolicy(SteeringPolicy):
         self._flow_claims: Dict[FlowKey, List[tuple]] = {}
         #: flows degraded to single-core vanilla steering (see quarantine_flow)
         self._quarantined: set = set()
-        #: route cache: flow -> stage name -> skb.branch -> core
-        self._routes: Dict[FlowKey, Dict[str, Dict[Optional[int], Core]]] = {}
         self.faults = None
         self.health_monitor = None
         self._next_slot = 0
@@ -116,17 +108,6 @@ class MflowPolicy(SteeringPolicy):
         return out
 
     # ------------------------------------------------------------- core picks
-    def core_for(self, stage_name: str, skb: Skb, from_core: Optional[Core]) -> Core:
-        try:
-            return self._routes[skb.flow][stage_name][skb.branch]
-        except KeyError:
-            pass
-        # slow path: resolve the hop once and remember it for the flow
-        core = super().core_for(stage_name, skb, from_core)
-        by_stage = self._routes.setdefault(skb.flow, {})
-        by_stage.setdefault(stage_name, {})[skb.branch] = core
-        return core
-
     def kernel_core_for(self, stage_name: str, skb: Skb, from_core: Optional[Core]) -> Core:
         if not self._built:
             raise RuntimeError("MflowPolicy used before build_pipeline_stages()")
@@ -228,7 +209,7 @@ class MflowPolicy(SteeringPolicy):
         With a ``pipeline``, skbs parked at the merge point are recycled
         back to the skb pool instead of stranded."""
         plan = self._flow_plans.pop(flow, None)
-        self._routes.pop(flow, None)
+        self._forget_flow(flow)
         for core, weight in self._flow_claims.pop(flow, ()):
             self._allocator.release(core, weight)
         self._quarantined.discard(flow)
@@ -248,7 +229,7 @@ class MflowPolicy(SteeringPolicy):
         if flow in self._quarantined:
             return False
         self._quarantined.add(flow)
-        self._routes.pop(flow, None)
+        self._forget_flow(flow)
         return True
 
     def readmit_flow(self, flow: FlowKey) -> bool:
@@ -256,7 +237,7 @@ class MflowPolicy(SteeringPolicy):
         if flow not in self._quarantined:
             return False
         self._quarantined.discard(flow)
-        self._routes.pop(flow, None)
+        self._forget_flow(flow)
         return True
 
     def is_quarantined(self, flow: FlowKey) -> bool:

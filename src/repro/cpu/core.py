@@ -12,8 +12,9 @@ breakdowns per processing stage.
 Hot-path notes: work items submitted via the ``*_call`` shorthands are
 drawn from a per-core free list and recycled on completion (items passed
 to :meth:`Core.submit` directly are caller-owned and never recycled);
-completions schedule through the engine's pooled no-handle
-:meth:`~repro.sim.engine.Simulator._sched`.  Jitter normals are popped
+completions schedule through the engine's no-handle
+:meth:`~repro.sim.engine.Simulator._sched` with a bound ``_complete``
+cached once per core.  Jitter normals are popped
 inline from a :class:`~repro.sim.rng.BufferedNormals` block buffer.
 Topologies may share one named RNG stream across cores (the client
 machines reuse ``core0.jitter``/``core1.jitter``), so the buffer belongs
@@ -85,6 +86,8 @@ class Core:
         self._jitter_mu = -0.5 * jitter_sigma * jitter_sigma
         self._queue: Deque[WorkItem] = deque()
         self._busy = False
+        #: bound once: every completion entry shares this method object
+        self._on_complete = self._complete
         self.busy_ns: Dict[str, float] = {}
         self.items_executed = 0
         self._queue_len_max = 0
@@ -115,6 +118,8 @@ class Core:
 
     def submit_call(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any) -> None:
         """Pooled shorthand for ``submit(WorkItem(tag, cost_ns, fn, *args))``."""
+        if cost_ns < 0:
+            raise ValueError(f"negative work cost: {cost_ns}")
         pool = self._item_pool
         if pool:
             item = pool.pop()
@@ -149,6 +154,8 @@ class Core:
 
     def submit_front_call(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any) -> None:
         """Pooled shorthand for ``submit_front(WorkItem(tag, cost_ns, fn, *args))``."""
+        if cost_ns < 0:
+            raise ValueError(f"negative work cost: {cost_ns}")
         pool = self._item_pool
         if pool:
             item = pool.pop()
@@ -178,7 +185,7 @@ class Core:
             duration = item.cost_ns / self.speed * _exp(self._jitter_mu + sigma * z)
         self._busy = True
         sim = self.sim
-        sim._sched(sim._now + duration, self._complete, (item, duration))
+        sim._sched(sim._now + duration, self._on_complete, (item, duration))
 
     def _complete(self, item: WorkItem, duration: float) -> None:
         tag = item.tag
@@ -223,7 +230,7 @@ class Core:
                 z = zbuf.pop() if zbuf else self._normals.refill()
                 duration = nxt.cost_ns / self.speed * _exp(self._jitter_mu + sigma * z)
             sim = self.sim
-            sim._sched(sim._now + duration, self._complete, (nxt, duration))
+            sim._sched(sim._now + duration, self._on_complete, (nxt, duration))
         else:
             self._busy = False
 

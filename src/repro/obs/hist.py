@@ -19,9 +19,20 @@ Design constraints, in order:
   ``sum_ns``, ``min_ns``, ``max_ns``) are integers — integer addition is
   associative and commutative, so merge order can never change a byte of
   the serialized result.
-* **Zero-allocation record path.**  Counts live in preallocated integer
-  arrays; the record path performs dict lookups and integer arithmetic
-  only — no per-packet objects, tuples, or strings are created.
+* **Batched record path.**  A hop appends its raw spans to the pending
+  lists of its series (one nested lookup, two appends).  Once the
+  pending values of *all* series reach a shared budget
+  (``_FOLD_BUDGET``, 4096 values), one vectorised fold moves them into
+  an int64 bucket matrix (one 960-bucket row per series) and exact
+  per-series sum/min/max.  Buffering is bounded by the budget whatever
+  the series count: at most ~4096 pending floats (~130 KB) per run, and
+  a matrix row costs what a per-series count list did.  The fold is
+  integer-exact: it gives the same payload as calling
+  :meth:`LatencyHistogram.record` once per value, which stays as the
+  tested reference.  ``to_dict`` and pickling fold first; a checkpoint
+  carries only the matrix's nonzero cells.  A span the reference would
+  reject (not finite, or past the bucket range) raises at the fold, not
+  at the record call that buffered it.
 
 Bucket geometry (log-linear, HdrHistogram style)
 ------------------------------------------------
@@ -45,6 +56,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "HIST_SCHEMA_VERSION",
@@ -77,6 +90,18 @@ SUB_BUCKETS = 16
 N_BUCKETS = 960
 
 _SENTINEL_MIN = (1 << 63) - 1
+
+#: pending values, summed over every series of one StageHistograms, that
+#: trigger a fold (a shared budget: per-series buffers would scale the
+#: buffered memory with the series count)
+_FOLD_BUDGET = 4096
+#: a fold holding a value at or beyond this magnitude goes through
+#: LatencyHistogram.record; below it float64 -> int64 is exact and a
+#: whole fold of them sums inside int64
+_VEC_LIMIT = 1 << 48
+assert (_FOLD_BUDGET + 1) * _VEC_LIMIT < 1 << 63
+#: series rows added to the bucket matrix at a time
+_ROW_CHUNK = 64
 
 
 def bucket_index(v: int) -> int:
@@ -222,92 +247,183 @@ class StageHistograms:
         #: stage-name set the pipeline claims; the core path skips these
         #: so stage work is never double-counted into the core family
         self.stage_names: frozenset = frozenset()
-        # stage -> core_id -> flow_class -> [queue_hist, service_hist]
-        self._stages: Dict[str, Dict[int, Dict[str, List[LatencyHistogram]]]] = {}
-        # tag -> core_id -> service_hist
-        self._cores: Dict[str, Dict[int, LatencyHistogram]] = {}
+        # Every histogram is a *series*: a row index into the bucket
+        # matrix and the exact aggregates below, plus a pending list of
+        # raw spans not yet folded into them.
+        # stage -> core_id -> flow_class ->
+        #     [queue_row, service_row, queue_pending, service_pending]
+        self._stages: Dict[str, Dict[int, Dict[str, list]]] = {}
+        # tag -> core_id -> [service_row, service_pending]
+        self._cores: Dict[str, Dict[int, list]] = {}
+        self._pending: List[list] = []
+        #: per-row aggregates: exact Python-int sums, and int64 arrays
+        #: grown _ROW_CHUNK rows at a time
+        self._sums: List[int] = []
+        self._buckets = np.zeros((0, N_BUCKETS), dtype=np.int64)
+        self._mins = np.zeros(0, dtype=np.int64)
+        self._maxs = np.zeros(0, dtype=np.int64)
+        #: values that may still be appended before the next fold
+        self._room = _FOLD_BUDGET
         if not self.config.core_tags:
             self.record_core = _skip_core  # type: ignore[method-assign]
 
+    def __getstate__(self) -> dict:
+        """Checkpoints carry folded counts and empty pending lists: only
+        the rows in use (``_new_series`` regrows past them), and the
+        bucket matrix as its nonzero cells."""
+        self.fold()
+        state = self.__dict__.copy()
+        used = len(self._sums)
+        state["_mins"] = self._mins[:used]
+        state["_maxs"] = self._maxs[:used]
+        flat = self._buckets[:used].reshape(-1)
+        cells = np.flatnonzero(flat)
+        state["_buckets"] = (used, cells, flat[cells])
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        used, cells, counts = state["_buckets"]
+        buckets = np.zeros((used, N_BUCKETS), dtype=np.int64)
+        buckets.reshape(-1)[cells] = counts
+        state["_buckets"] = buckets
+        self.__dict__.update(state)
+
     # ------------------------------------------------------------ recording
-    # Both record paths inline LatencyHistogram.record's bucket math: the
-    # saved method call is most of a hop's histogram cost.  Keep every copy
-    # identical to record (tests/test_hist.py checks them against it and
-    # against bucket_index).
     def record_stage(
         self, stage: str, core_id: int, flow_class: str,
         queue_ns: float, service_ns: float,
     ) -> None:
-        """One executed hop (hot path: lookups + integer math only)."""
+        """One executed hop (hot path: one lookup and two appends)."""
         try:
-            pair = self._stages[stage][core_id][flow_class]
+            entry = self._stages[stage][core_id][flow_class]
         except KeyError:
             by_class = self._stages.setdefault(stage, {}).setdefault(core_id, {})
-            pair = by_class[flow_class] = [LatencyHistogram(), LatencyHistogram()]
-        h, v = pair[0], int(queue_ns)
-        if v < LINEAR_MAX:
-            if v < 0:
-                v = 0
-            h.counts[v] += 1
-        else:
-            k = v.bit_length() - 5
-            h.counts[(k << 4) + (v >> k)] += 1
-        h.count += 1
-        h.sum_ns += v
-        if v < h.min_ns:
-            h.min_ns = v
-        if v > h.max_ns:
-            h.max_ns = v
-        h, v = pair[1], int(service_ns)
-        if v < LINEAR_MAX:
-            if v < 0:
-                v = 0
-            h.counts[v] += 1
-        else:
-            k = v.bit_length() - 5
-            h.counts[(k << 4) + (v >> k)] += 1
-        h.count += 1
-        h.sum_ns += v
-        if v < h.min_ns:
-            h.min_ns = v
-        if v > h.max_ns:
-            h.max_ns = v
+            entry = by_class[flow_class] = self._new_series(2)
+        entry[2].append(queue_ns)
+        entry[3].append(service_ns)
+        room = self._room - 2
+        self._room = room
+        if room <= 0:
+            self.fold()
 
     def record_core(self, tag: str, core_id: int, service_ns: float) -> None:
         """One completed non-stage work item (a no-op without ``core_tags``,
         decided once at construction)."""
         try:
-            h = self._cores[tag][core_id]
+            entry = self._cores[tag][core_id]
         except KeyError:
-            h = self._cores.setdefault(tag, {})[core_id] = LatencyHistogram()
-        v = int(service_ns)
-        if v < LINEAR_MAX:
-            if v < 0:
-                v = 0
-            h.counts[v] += 1
-        else:
-            k = v.bit_length() - 5
-            h.counts[(k << 4) + (v >> k)] += 1
-        h.count += 1
-        h.sum_ns += v
-        if v < h.min_ns:
-            h.min_ns = v
-        if v > h.max_ns:
-            h.max_ns = v
+            entry = self._cores.setdefault(tag, {})[core_id] = self._new_series(1)
+        entry[1].append(service_ns)
+        room = self._room - 1
+        self._room = room
+        if room <= 0:
+            self.fold()
+
+    def _new_series(self, n: int) -> list:
+        """``[row_1..row_n, pending_1..pending_n]`` for ``n`` new series."""
+        first = len(self._pending)
+        rows = list(range(first, first + n))
+        pending: List[list] = [[] for _ in rows]
+        self._pending.extend(pending)
+        self._sums.extend(0 for _ in rows)
+        if first + n > len(self._mins):
+            grow = ((first + n - len(self._mins)) // _ROW_CHUNK + 1) * _ROW_CHUNK
+            self._buckets = np.concatenate(
+                [self._buckets, np.zeros((grow, N_BUCKETS), dtype=np.int64)]
+            )
+            self._mins = np.concatenate(
+                [self._mins, np.full(grow, _SENTINEL_MIN, dtype=np.int64)]
+            )
+            self._maxs = np.concatenate([self._maxs, np.zeros(grow, dtype=np.int64)])
+        return rows + pending
+
+    # ---------------------------------------------------------------- folding
+    def fold(self) -> None:
+        """Move every pending value into its series' exact aggregates.
+
+        Integer-exact, so the result equals one
+        :meth:`LatencyHistogram.record` call per value: ``astype(int64)``
+        truncates toward zero like ``int()``, ``frexp``'s exponent is
+        ``bit_length`` for integers below 2**53, and one fold's int64
+        sums stay below 2**61 (see ``_VEC_LIMIT``) before they join the
+        Python-int running sums.  A span the reference would reject (not
+        finite, or past the bucket range) raises here, at the fold that
+        meets it — a later record call, ``to_dict`` or pickling — rather
+        than at the record call that buffered it; nothing of the batch is
+        folded and the pending lists are kept.
+        """
+        pending = self._pending
+        lens = list(map(len, pending))  # row i's values follow row i-1's
+        values: list = []
+        for p in pending:
+            values += p
+        if values:
+            x = np.array(values, dtype=np.float64)
+            if not np.isfinite(x).all():
+                raise ValueError("latency span is not finite")
+            if np.abs(x).max() < _VEC_LIMIT:
+                self._fold_vector(lens, x)
+            else:  # huge values: the reference path is exact
+                self._fold_reference(lens, values)
+            for p in pending:
+                p.clear()
+        self._room = _FOLD_BUDGET
+
+    def _fold_vector(self, lens: List[int], x: np.ndarray) -> None:
+        v = x.astype(np.int64)
+        np.maximum(v, 0, out=v)
+        k = np.maximum(np.frexp(v)[1] - 5, 0).astype(np.int64)
+        idx = (k << 4) + (v >> k)  # k == 0 below LINEAR_MAX: idx == v
+        seg = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+        np.add.at(self._buckets.reshape(-1), seg * N_BUCKETS + idx, 1)
+        sums = np.zeros(len(lens), dtype=np.int64)
+        np.add.at(sums, seg, v)
+        self._sums = list(map(int.__add__, self._sums, sums.tolist()))
+        np.minimum.at(self._mins, seg, v)
+        np.maximum.at(self._maxs, seg, v)
+
+    def _fold_reference(self, lens: List[int], values: list) -> None:
+        # record every row before touching the aggregates, so a value the
+        # reference rejects leaves them as they were
+        refs = []
+        i = 0
+        for row, n in enumerate(lens):
+            if n:
+                ref = LatencyHistogram()
+                for value in values[i:i + n]:
+                    ref.record(value)
+                refs.append((row, ref))
+                i += n
+        for row, ref in refs:
+            self._buckets[row] += np.array(ref.counts, dtype=np.int64)
+            self._sums[row] += ref.sum_ns
+            self._mins[row] = min(int(self._mins[row]), ref.min_ns)
+            self._maxs[row] = max(int(self._maxs[row]), ref.max_ns)
+
+    def _series_dict(self, row: int) -> Dict[str, Any]:
+        hist = LatencyHistogram()
+        hist.counts = self._buckets[row].tolist()
+        hist.count = sum(hist.counts)
+        hist.sum_ns = self._sums[row]
+        hist.min_ns = int(self._mins[row])
+        hist.max_ns = int(self._maxs[row])
+        return hist.to_dict()
 
     # --------------------------------------------------------- serialization
     def to_dict(self) -> Dict[str, Any]:
         """The run-record / checkpoint payload, keys sorted for stability."""
+        self.fold()
+        series = self._series_dict
         stages: Dict[str, Any] = {}
         for stage in sorted(self._stages):
             by_core = self._stages[stage]
             stages[stage] = {
                 str(core_id): {
                     flow_class: {
-                        "queue": pair[0].to_dict(),
-                        "service": pair[1].to_dict(),
+                        "queue": series(entry[0]),
+                        "service": series(entry[1]),
                     }
-                    for flow_class, pair in sorted(by_core[core_id].items())
+                    for flow_class, entry in sorted(by_core[core_id].items())
                 }
                 for core_id in sorted(by_core)
             }
@@ -315,7 +431,7 @@ class StageHistograms:
         for tag in sorted(self._cores):
             by_core = self._cores[tag]
             cores[tag] = {
-                str(core_id): by_core[core_id].to_dict()
+                str(core_id): series(by_core[core_id][0])
                 for core_id in sorted(by_core)
             }
         return {

@@ -1,11 +1,13 @@
 """The discrete-event engine.
 
 A single :class:`Simulator` instance owns the virtual clock and a
-hierarchical timer wheel.  Entries are ``(time, seq, event)`` tuples;
+hierarchical timer wheel.  Entries are ``(time, seq, fn, args)`` tuples;
 ``seq`` is a monotone tiebreaker so same-timestamp events fire in
 schedule order, which keeps runs fully deterministic.  Tuples (not event
 objects) are what the wheel stores and the heaps compare, so every
-ordering operation runs at C speed.
+ordering operation runs at C speed.  A cancellable handle is filed as
+``(time, seq, event, None)``: ``args is None`` tells the run loop to
+look inside the handle.
 
 Wheel layout (see docs/ENGINE.md for the full invariants):
 
@@ -25,10 +27,10 @@ heapified when they become active, so the global fire order is exactly
 the order a single sorted heap would produce, bit for bit.
 
 Hot-path producers (cores, wires, softirq timers) schedule through the
-no-handle :meth:`Simulator._sched` family, which draws events from a
-free list and recycles them after firing — no per-event allocation or GC
-pressure.  The public ``call_*`` API still returns cancellable events;
-those are never recycled, so a held handle stays valid forever.
+no-handle :meth:`Simulator._sched` family, whose entry is the only
+object a hop allocates — no event object at all.  The public ``call_*``
+API returns cancellable :class:`_Event` handles; a held handle stays
+valid forever.
 """
 
 from __future__ import annotations
@@ -36,13 +38,11 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
-#: _Event.state machine: PENDING -> FIRED (public events, terminal)
+#: _Event.state machine: PENDING -> FIRED (terminal)
 #:                       PENDING -> CANCELLED (terminal; skipped by run)
-#:                       PENDING -> FREE (pooled events, recycled -> PENDING)
 _PENDING = 0
 _FIRED = 1
 _CANCELLED = 2
-_FREE = 3
 
 # Wheel geometry.  L0 slot width is 2**10 ns so ``time * _INV_SLOT_NS``
 # is an exact binary scaling (no float rounding can ever disagree with
@@ -54,19 +54,19 @@ _SLOT_NS = 1024.0
 _INV_SLOT_NS = 1.0 / _SLOT_NS
 
 
+def _live(entry: tuple) -> bool:
+    """False only for a cancelled handle (no-handle entries never die)."""
+    return entry[3] is not None or not entry[2].state
+
+
 class SimulationError(RuntimeError):
     """Raised for illegal engine operations (e.g. scheduling in the past)."""
 
 
 class _Event:
-    """A cancellable scheduled callback (returned by :meth:`Simulator.call_in`).
+    """A cancellable scheduled callback (returned by :meth:`Simulator.call_in`)."""
 
-    ``gen`` counts recycles of a pooled event; a stale handle held across
-    a recycle raises :class:`SimulationError` instead of silently
-    cancelling whatever callback reused the object.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "state", "gen", "pooled", "sim")
+    __slots__ = ("time", "seq", "fn", "args", "state", "sim")
 
     def __init__(
         self,
@@ -81,8 +81,6 @@ class _Event:
         self.fn = fn
         self.args = args
         self.state = _PENDING
-        self.gen = 0
-        self.pooled = False
         self.sim = sim
 
     @property
@@ -92,24 +90,14 @@ class _Event:
     def cancel(self) -> None:
         """Prevent the callback from firing.  Idempotent; cancelling an
         already-fired event is a harmless no-op."""
-        state = self.state
-        if state == _PENDING:
+        if self.state == _PENDING:
             self.state = _CANCELLED
             if self.sim is not None:
                 self.sim._note_cancelled()
-        elif state == _FREE:
-            raise SimulationError(
-                f"stale event handle: recycled {self.gen} generation(s) ago"
-            )
         # _CANCELLED: idempotent; _FIRED: too late, nothing left to undo
 
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        names = {0: "", 1: " fired", 2: " cancelled", 3: " free"}
+        names = {0: "", 1: " fired", 2: " cancelled"}
         return f"<Event t={self.time} seq={self.seq} {self.fn!r}{names[self.state]}>"
 
 
@@ -130,7 +118,7 @@ class Simulator:
         self._active: List[tuple] = []
         self._slot0: List[list] = [[] for _ in range(_L1_SLOTS)]
         self._slot1: List[list] = [[] for _ in range(_L1_SLOTS)]
-        #: far-future overflow, a plain (time, seq, ev) heap
+        #: far-future overflow, a plain heap of entries
         self._far: List[tuple] = []
         #: absolute L0 index covered by the active heap
         self._cur0: int = 0
@@ -138,8 +126,6 @@ class Simulator:
         self._cur1: int = 0
         #: entries resident in _slot1 (skips the scan when zero)
         self._n1: int = 0
-        #: free list of recycled internal events (see _sched)
-        self._pool: List[_Event] = []
         self.events_executed: int = 0
         #: optional :class:`repro.perf.selfprof.SelfProfiler` that wraps
         #: every callback :meth:`run` fires (attach or detach by assignment)
@@ -163,7 +149,7 @@ class Simulator:
         return self._now
 
     # ------------------------------------------------------------- placement
-    def _place(self, time_ns: float, seq: int, ev: _Event) -> int:
+    def _place(self, entry: tuple) -> int:
         """File one entry into the right wheel level; returns the level
         (0=active, 1=L0, 2=L1, 3=overflow) for profiler attribution.
 
@@ -172,19 +158,19 @@ class Simulator:
 
         Kept in lockstep with the inlined copy in :meth:`_sched`.
         """
-        idx0 = int(time_ns * _INV_SLOT_NS)
+        idx0 = int(entry[0] * _INV_SLOT_NS)
         if idx0 <= self._cur0:
-            heappush(self._active, (time_ns, seq, ev))
+            heappush(self._active, entry)
             return 0
         idx1 = idx0 >> _L0_BITS
         if idx1 == self._cur1:
-            self._slot0[idx0 & _L0_MASK].append((time_ns, seq, ev))
+            self._slot0[idx0 & _L0_MASK].append(entry)
             return 1
         if idx1 - self._cur1 < _L1_SLOTS:
-            self._slot1[idx1 & _L0_MASK].append((time_ns, seq, ev))
+            self._slot1[idx1 & _L0_MASK].append(entry)
             self._n1 += 1
             return 2
-        heappush(self._far, (time_ns, seq, ev))
+        heappush(self._far, entry)
         return 3
 
     # ------------------------------------------------------------- scheduling
@@ -203,7 +189,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         ev = _Event(time_ns, seq, fn, args, sim=self)
-        level = self._place(time_ns, seq, ev)
+        level = self._place((time_ns, seq, ev, None))
         self._npending += 1
         if self.profiler is not None:
             self.profiler.note_push(self._npending, level)
@@ -213,45 +199,34 @@ class Simulator:
         """Schedule ``fn(*args)`` at the current time (after pending same-time events)."""
         return self.call_at(self._now, fn, *args)
 
-    # ------------------------------------------------- pooled hot-path variants
+    # ------------------------------------------------- no-handle hot-path variants
     def _sched(self, time_ns: float, fn: Callable[..., Any], args: Tuple) -> None:
         """No-handle scheduling for trusted internal producers.
 
-        The event comes from the free list and is recycled right after
-        firing, so the packet hot path (core completions, wire
-        deliveries, softirq timers) allocates nothing per event.  No
-        past-time validation and no handle is returned — callers that
-        might cancel must use :meth:`call_at`.
+        The wheel entry *is* the event, so the packet hot path (core
+        completions, wire deliveries, softirq timers) allocates one tuple
+        per event.  No past-time validation and no handle is returned —
+        callers that might cancel must use :meth:`call_at`.
         """
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time_ns
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.state = _PENDING
-        else:
-            ev = _Event(time_ns, seq, fn, args, sim=self)
-            ev.pooled = True
+        entry = (time_ns, seq, fn, args)
         # inlined _place (kept in lockstep; the call costs more than the body)
         idx0 = int(time_ns * _INV_SLOT_NS)
         if idx0 <= self._cur0:
-            heappush(self._active, (time_ns, seq, ev))
+            heappush(self._active, entry)
             level = 0
         else:
             idx1 = idx0 >> _L0_BITS
             if idx1 == self._cur1:
-                self._slot0[idx0 & _L0_MASK].append((time_ns, seq, ev))
+                self._slot0[idx0 & _L0_MASK].append(entry)
                 level = 1
             elif idx1 - self._cur1 < _L1_SLOTS:
-                self._slot1[idx1 & _L0_MASK].append((time_ns, seq, ev))
+                self._slot1[idx1 & _L0_MASK].append(entry)
                 self._n1 += 1
                 level = 2
             else:
-                heappush(self._far, (time_ns, seq, ev))
+                heappush(self._far, entry)
                 level = 3
         self._npending += 1
         prof = self.profiler
@@ -259,15 +234,15 @@ class Simulator:
             prof.note_push(self._npending, level)
 
     def sched_in(self, delay_ns: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Pooled, no-handle :meth:`call_in` for internal timers."""
+        """No-handle :meth:`call_in` for internal timers."""
         self._sched(self._now + delay_ns, fn, args)
 
     def sched_at(self, time_ns: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Pooled, no-handle :meth:`call_at` for internal timers."""
+        """No-handle :meth:`call_at` for internal timers."""
         self._sched(time_ns, fn, args)
 
     def sched_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Pooled, no-handle :meth:`call_soon` for internal wakeups."""
+        """No-handle :meth:`call_soon` for internal wakeups."""
         self._sched(self._now, fn, args)
 
     # ------------------------------------------------------ cancelled events
@@ -290,24 +265,24 @@ class Simulator:
         reference stays valid.
         """
         active = self._active
-        active[:] = [e for e in active if not e[2].state]
+        active[:] = [e for e in active if _live(e)]
         heapify(active)
         live = len(active)
         slot0 = self._slot0
         for i in range(_L1_SLOTS):
             s = slot0[i]
             if s:
-                slot0[i] = s = [e for e in s if not e[2].state]
+                slot0[i] = s = [e for e in s if _live(e)]
                 live += len(s)
         n1 = 0
         slot1 = self._slot1
         for i in range(_L1_SLOTS):
             s = slot1[i]
             if s:
-                slot1[i] = s = [e for e in s if not e[2].state]
+                slot1[i] = s = [e for e in s if _live(e)]
                 n1 += len(s)
         live += n1
-        far = [e for e in self._far if not e[2].state]
+        far = [e for e in self._far if _live(e)]
         heapify(far)
         self._far = far
         live += len(far)
@@ -365,15 +340,14 @@ class Simulator:
         if s:
             self._slot1[j & _L0_MASK] = []
             self._n1 -= len(s)
-            for t, seq, ev in s:
-                place(t, seq, ev)  # lands in the freshly opened L0 window
+            for entry in s:
+                place(entry)  # lands in the freshly opened L0 window
         # promote overflow entries the advanced window now covers, so the
         # "far entries lie beyond the L1 horizon" invariant is restored
         if far:
             horizon = j + _L1_SLOTS
             while far and int(far[0][0] * _INV_SLOT_NS) >> _L0_BITS < horizon:
-                t, seq, ev = heappop(far)
-                place(t, seq, ev)
+                place(heappop(far))
         if self.profiler is not None:
             self.profiler.note_cascade(jumped)
         return True
@@ -405,38 +379,29 @@ class Simulator:
                 ckpt.begin(self)
             until = float("inf") if until_ns is None else until_ns
             pop = heappop
-            pool = self._pool
             active = self._active
             while True:
                 if active:
-                    entry = pop(active)
-                    t = entry[0]
+                    t, seq, fn, args = pop(active)
                     if t > until:
                         # no callback ran since the pop: reinserting the
                         # entry restores the exact pre-pop wheel state
-                        self._place(t, entry[1], entry[2])
+                        self._place((t, seq, fn, args))
                         if prof is not None:
                             prof.note_requeue(self._npending)
                         break
                     self._npending -= 1
-                    ev = entry[2]
-                    if ev.state:  # cancelled (only external handles can be)
-                        self._cancelled -= 1
-                        if prof is not None:
-                            prof.note_skip()
-                        continue
+                    if args is None:  # a cancellable handle
+                        if fn.state:  # cancelled
+                            self._cancelled -= 1
+                            if prof is not None:
+                                prof.note_skip()
+                            continue
+                        fn.state = _FIRED
+                        args = fn.args
+                        fn = fn.fn
                     self._now = t
                     self.events_executed += 1
-                    fn = ev.fn
-                    args = ev.args
-                    if ev.pooled:
-                        ev.fn = None
-                        ev.args = None
-                        ev.state = _FREE
-                        ev.gen += 1
-                        pool.append(ev)
-                    else:
-                        ev.state = _FIRED
                     if prof is None:
                         fn(*args)
                     else:

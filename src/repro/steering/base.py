@@ -37,6 +37,16 @@ class SteeringPolicy:
     routed to the application core uniformly (the kernel binds the
     packet-delivery thread to the app's core — paper footnote 1).
 
+    Route cache (ONCache's fast path, for every policy): a hop's core
+    may depend only on its flow, its stage and ``skb.branch``, plus
+    per-flow policy state, so :meth:`core_for` memoises the answer as
+    ``flow -> stage -> skb.branch -> core``.  The first packet of a flow
+    takes the slow path (placement, branch plans) and fills the cache;
+    later packets pay one nested dict lookup.  A policy whose answer for
+    a flow changes must call :meth:`_forget_flow`.  Per-packet decisions
+    (routing by sequence number, say) belong in an override that runs
+    before ``super().core_for``, outside the cache.
+
     :meth:`build_pipeline_stages` is the hook MFLOW uses to splice split
     and merge nodes into the datapath; baselines return it unchanged.
     """
@@ -50,6 +60,8 @@ class SteeringPolicy:
             if not self.app_cores:
                 raise ValueError("need at least one application core")
         self._app_assignment: Dict[FlowKey, int] = {}
+        #: route cache: flow -> stage name -> skb.branch -> core
+        self._routes: Dict[FlowKey, Dict[str, Dict[Optional[int], Core]]] = {}
 
     @property
     def app_core_idx(self) -> int:
@@ -73,9 +85,22 @@ class SteeringPolicy:
 
     # ------------------------------------------------------------- interface
     def core_for(self, stage_name: str, skb: Skb, from_core: Optional[Core]) -> Core:
+        try:
+            return self._routes[skb.flow][stage_name][skb.branch]
+        except KeyError:
+            pass
+        # slow path: resolve the hop once and remember it for the flow
         if stage_name in DELIVERY_STAGES:
-            return self.cpus[self.app_core_idx_for(skb.flow)]
-        return self.kernel_core_for(stage_name, skb, from_core)
+            core = self.cpus[self.app_core_idx_for(skb.flow)]
+        else:
+            core = self.kernel_core_for(stage_name, skb, from_core)
+        by_stage = self._routes.setdefault(skb.flow, {})
+        by_stage.setdefault(stage_name, {})[skb.branch] = core
+        return core
+
+    def _forget_flow(self, flow: FlowKey) -> None:
+        """Drop ``flow``'s cached routes; its next hop re-resolves."""
+        self._routes.pop(flow, None)
 
     def nic_queue_core_idx(self, flow: FlowKey) -> Optional[int]:
         """Core index whose NIC RX queue should serve ``flow``.
@@ -87,6 +112,10 @@ class SteeringPolicy:
         return None
 
     def kernel_core_for(self, stage_name: str, skb: Skb, from_core: Optional[Core]) -> Core:
+        """The core for a non-delivery hop.  Must be a pure function of
+        ``(skb.flow, stage_name, skb.branch)`` and the flow's policy state,
+        never of ``from_core`` or the rest of the skb: :meth:`core_for`
+        caches it."""
         raise NotImplementedError
 
     def build_pipeline_stages(self, stages: List[Stage]) -> List[Stage]:
@@ -103,8 +132,9 @@ class SteeringPolicy:
         Returns True when the policy actually held state for ``flow``.
         ``pipeline``, when given, lets stateful policies recycle parked
         skbs back to the skb pool (MFLOW's merge queues); baselines keep
-        no per-flow resources worth reclaiming.
+        no per-flow resources worth reclaiming beyond the route cache.
         """
+        self._forget_flow(flow)
         return False
 
     @property

@@ -58,6 +58,22 @@ class TestCoreExecution:
         with pytest.raises(ValueError):
             WorkItem("t", -1.0, lambda: None)
 
+    @pytest.mark.parametrize("method", ["submit_call", "submit_front_call"])
+    def test_negative_cost_rejected_with_warm_item_pool(self, method):
+        """A recycled item skips WorkItem.__init__, so the cost check
+        must not live only there: a negative cost would schedule the
+        completion into the past."""
+        sim, core = make_core()
+        submit = getattr(core, method)
+        with pytest.raises(ValueError):
+            submit("x", -5.0, lambda: None)
+        submit("x", 10.0, lambda: None)
+        sim.run()
+        assert core._item_pool, "one completed item now sits in the free list"
+        with pytest.raises(ValueError, match="negative work cost"):
+            submit("x", -5.0, lambda: None)
+        assert core.queue_depth == 0 and not core.busy
+
     def test_submit_front_runs_before_queued_work(self):
         sim, core = make_core()
         order = []

@@ -127,8 +127,8 @@ _RECORD_VALUES = st.tuples(_EDGE_INTS, st.sampled_from([0.0, 0.25, 0.999])).map(
 
 
 class TestInlinedRecordPaths:
-    """``record_stage``/``record_core`` inline ``LatencyHistogram.record``'s
-    bucket math; all three must bucket every value identically."""
+    """``record_stage``/``record_core`` (batched, folded by ``to_dict``)
+    and ``LatencyHistogram.record`` must bucket every value identically."""
 
     @given(st.lists(_RECORD_VALUES, min_size=1, max_size=40))
     @settings(max_examples=150, deadline=None)
@@ -150,6 +150,133 @@ class TestInlinedRecordPaths:
         for v in values:
             expected[bucket_index(max(int(v), 0))] += 1
         assert queue.counts == expected
+
+
+#: magnitudes the vectorised fold handles itself (below 2**48)
+_FOLD_SMALL = st.one_of(
+    st.integers(-(2**40), -1),
+    st.integers(0, LINEAR_MAX - 1),
+    st.integers(5, 47).flatmap(
+        lambda b: st.sampled_from([(1 << b) - 1, 1 << b, (1 << b) + 1])
+    ),
+)
+#: magnitudes past 2**53 (not every integer is a float) up to near 2**62
+_FOLD_HUGE = st.one_of(
+    st.integers(53, 62).flatmap(
+        lambda b: st.sampled_from([(1 << b) - 1, 1 << b, (1 << b) + 1])
+    ),
+    st.integers(2**62 - 2**20, 2**62 + 2**20),
+)
+
+
+def _as_span(t):
+    """An int value as a Python int or as a float with a fractional part."""
+    v, frac = t
+    return v if frac is None else float(v) + frac
+
+
+_FRACS = st.sampled_from([None, 0.0, 0.25, 0.999])
+
+
+class TestBatchedFold:
+    """``record_stage``/``record_core`` buffer raw spans and fold them in
+    batches; the payload must equal one ``LatencyHistogram.record`` call
+    per value, across several folds and a mid-batch pickle round-trip."""
+
+    STAGES = [(st_, c, cls) for st_ in ("gro", "vxlan", "tcp_rcv") for c in (1, 2, 3)
+              for cls in ("tcp", "udp")]
+    TAGS = [(tag, c) for tag in ("irq:pnic", "softirq:net_rx") for c in (1, 2)]
+
+    @given(
+        small=st.lists(st.tuples(_FOLD_SMALL, _FRACS), min_size=1, max_size=64),
+        huge=st.lists(st.tuples(_FOLD_HUGE, _FRACS), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        n_ops=st.integers(5_000, 9_000),
+        pickle_at=st.floats(0.05, 0.95),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_fold_matches_per_value_record(self, small, huge, seed, n_ops, pickle_at):
+        import pickle
+        import random
+
+        rng = random.Random(seed)
+        small = [_as_span(t) for t in small]
+        huge = [_as_span(t) for t in huge]
+        # a huge value sends its whole fold through the reference path:
+        # keep them to a few ops so most folds stay vectorised
+        huge_at = {rng.randrange(n_ops): v for v in huge}
+        hist = StageHistograms()
+        ref_stages = {key: (LatencyHistogram(), LatencyHistogram()) for key in self.STAGES}
+        ref_cores = {key: LatencyHistogram() for key in self.TAGS}
+        pickled = False
+        for op in range(n_ops):
+            a = huge_at.get(op, rng.choice(small))
+            b = rng.choice(small)
+            if rng.random() < 0.8:
+                key = rng.choice(self.STAGES)
+                hist.record_stage(*key, a, b)
+                ref_stages[key][0].record(a)
+                ref_stages[key][1].record(b)
+            else:
+                key = rng.choice(self.TAGS)
+                hist.record_core(*key, a)
+                ref_cores[key].record(a)
+            if not pickled and op >= pickle_at * n_ops:
+                assert any(hist._pending)
+                hist = pickle.loads(pickle.dumps(hist))
+                pickled = True
+        assert pickled
+        payload = hist.to_dict()
+        expected_stages = {}
+        for (stage, core, cls), (q, sv) in ref_stages.items():
+            if q.count:
+                expected_stages.setdefault(stage, {}).setdefault(str(core), {})[cls] = {
+                    "queue": q.to_dict(), "service": sv.to_dict(),
+                }
+        expected_cores = {}
+        for (tag, core), h in ref_cores.items():
+            if h.count:
+                expected_cores.setdefault(tag, {})[str(core)] = h.to_dict()
+        assert payload["stages"] == expected_stages
+        assert payload["cores"] == expected_cores
+        assert json.dumps(payload) == json.dumps(hist.to_dict())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float(2**63)])
+    def test_rejected_span_raises_at_fold_and_keeps_the_batch(self, bad):
+        hist = StageHistograms()
+        hist.record_stage("gro", 1, "tcp", 5.0, 7.0)
+        folded = hist.to_dict()["stages"]["gro"]["1"]["tcp"]["queue"]
+        hist.record_stage("gro", 1, "tcp", 40.0, 3.0)
+        hist.record_stage("vxlan", 2, "tcp", bad, 9.0)
+        for _ in range(2):  # every fold meets it again: the batch is kept
+            with pytest.raises((ValueError, IndexError)):
+                hist.to_dict()
+        assert [len(p) for p in hist._pending] == [1, 1, 1, 1]
+        assert hist._series_dict(0) == folded
+        hist._pending[2][0] = 11.0  # replace the bad span
+        payload = hist.to_dict()
+        ref = LatencyHistogram()
+        ref.record(5.0)
+        ref.record(40.0)
+        assert payload["stages"]["gro"]["1"]["tcp"]["queue"] == ref.to_dict()
+        assert payload["stages"]["vxlan"]["2"]["tcp"]["queue"]["sum_ns"] == 11
+
+    def test_checkpoint_carries_used_rows_only(self):
+        import pickle
+
+        hist = StageHistograms()
+        for core in range(3):
+            hist.record_stage("gro", core, "tcp", 100.0 + core, 2.0**40)
+        hist.record_core("irq:pnic", 1, 17.0)
+        blob = pickle.dumps(hist)
+        assert len(blob) < N_BUCKETS * 8  # less than one dense int64 row
+        restored = pickle.loads(blob)
+        assert restored.to_dict() == hist.to_dict()
+        # recording continues, new series grow the matrix past the restored rows
+        for core in range(3, 100):
+            restored.record_stage("gro", core, "udp", 1.0, 2.0)
+            hist.record_stage("gro", core, "udp", 1.0, 2.0)
+        assert restored.to_dict() == hist.to_dict()
 
 
 class TestHistogramAlgebra:

@@ -792,16 +792,16 @@ class _WheelRecorder:
 
 class TestWheelPopulatedKillResume:
     """Engine-level kill/resume: a snapshot taken while the timer wheel
-    has entries on every level (active heap, L0, L1, overflow) plus a
-    primed event pool and a cancelled handle must restore and finish
-    exactly like an uninterrupted run."""
+    has entries of both kinds (no-handle and handle) on every level
+    (active heap, L0, L1, overflow) plus a cancelled handle must restore
+    and finish exactly like an uninterrupted run."""
 
     EXPECTED = ["warm", "mid", "l0", "l1", "pooled", "far"]
 
     def _build(self):
         sim = Simulator()
         rec = _WheelRecorder()
-        sim.sched_in(10.0, rec.hit, "warm")          # fires early, primes pool
+        sim.sched_in(10.0, rec.hit, "warm")          # fires early
         sim.call_at(900.0, rec.hit, "mid")
         sim.call_at(5_000.0, rec.hit, "l0")
         sim.call_at(1_000_000.0, rec.hit, "l1")
@@ -827,7 +827,7 @@ class TestWheelPopulatedKillResume:
             sim.run()
         _restore_save(monkeypatch, orig)
         # the kill landed after "warm" and "mid" but with L0/L1/overflow
-        # entries, the pool, and the cancelled handle all still on the wheel
+        # entries and the cancelled handle all still on the wheel
         assert rec.log == ["warm", "mid"]
 
         header, root = load_checkpoint(path)
@@ -836,7 +836,7 @@ class TestWheelPopulatedKillResume:
         assert rrec.log == ["warm", "mid"]
         assert rsim.pending == sim.pending
         assert rsim.live_pending == sim.live_pending
-        assert len(rsim._pool) == len(sim._pool)
+        assert rsim._seq == sim._seq
         rsim.checkpointer = None
         rsim.run()
         assert rrec.log == self.EXPECTED

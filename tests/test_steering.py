@@ -5,8 +5,14 @@ import pytest
 from helpers import TEST_FLOW, make_skb
 from repro.cpu.topology import CpuSet
 from repro.netstack.packet import FlowKey
+from repro.overlay.topology import DatapathKind, build_datapath_stages
 from repro.sim.engine import Simulator
-from repro.steering.base import PoolAllocator, StaticRolePolicy, stable_flow_hash
+from repro.steering.base import (
+    DELIVERY_STAGES,
+    PoolAllocator,
+    StaticRolePolicy,
+    stable_flow_hash,
+)
 from repro.steering.falcon import FalconDevPolicy, FalconFunPolicy
 from repro.steering.rps import RpsPolicy
 from repro.steering.rss import RssPolicy
@@ -171,3 +177,66 @@ class TestPoolAllocator:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             PoolAllocator([])
+
+
+class TestRouteCache:
+    """``SteeringPolicy.core_for`` caches every policy's answer per
+    (flow, stage, branch); the cached answer must equal the uncached one
+    a twin policy computes for the same queries in the same order."""
+
+    POLICIES = [VanillaPolicy, RssPolicy, RpsPolicy, FalconDevPolicy, FalconFunPolicy]
+    FLOWS = [FlowKey(i, 2, proto, 1000 + i, 5001) for i in range(5) for proto in ("tcp", "udp")]
+    STAGES = sorted({
+        s.name
+        for kind in (DatapathKind.OVERLAY, DatapathKind.NATIVE)
+        for proto in ("tcp", "udp")
+        for s in build_datapath_stages(kind, proto)
+    })
+
+    def test_every_static_role_policy_is_covered(self):
+        assert set(StaticRolePolicy.__subclasses__()) <= set(self.POLICIES)
+
+    #: RSS hashes flows over a pool; it has no fixed mode
+    CASES = [
+        (cls, mode) for cls in POLICIES for mode in ("fixed", "pool")
+        if not (cls is RssPolicy and mode == "fixed")
+    ]
+
+    @staticmethod
+    def _make(cls, mode, placement):
+        kw = {"app_core": [0, 1], "placement": placement}
+        if mode == "pool":
+            kw["core_pool"] = list(range(4, 14))
+        else:
+            kw["role_cores"] = {role: 4 + i for i, role in enumerate(cls.roles)}
+        return cls(cpus(), **kw)
+
+    @staticmethod
+    def _uncached(policy, stage, skb):
+        if stage in DELIVERY_STAGES:
+            return policy.cpus[policy.app_core_idx_for(skb.flow)]
+        return policy.kernel_core_for(stage, skb, None)
+
+    @pytest.mark.parametrize("placement", ["least-loaded", "hash", "round-robin"])
+    @pytest.mark.parametrize(
+        "cls,mode", CASES, ids=[f"{c.__name__}-{m}" for c, m in CASES]
+    )
+    def test_cached_equals_uncached(self, cls, mode, placement):
+        cached = self._make(cls, mode, placement)
+        twin = self._make(cls, mode, placement)
+        for rnd in range(2):
+            for flow in self.FLOWS:
+                skb = make_skb(flow=flow)
+                for branch in (None, 0, 1):
+                    skb.branch = branch
+                    for stage in self.STAGES:
+                        got = cached.core_for(stage, skb, None)
+                        assert got is cached.core_for(stage, skb, None)
+                        want = self._uncached(twin, stage, skb)
+                        assert got.id == want.id, (rnd, flow, branch, stage)
+        assert set(cached._routes) == set(self.FLOWS)
+        assert not cached.retire_flow(self.FLOWS[0])
+        assert self.FLOWS[0] not in cached._routes
+        skb = make_skb(flow=self.FLOWS[0])
+        for stage in self.STAGES:
+            assert cached.core_for(stage, skb, None).id == self._uncached(twin, stage, skb).id

@@ -1,10 +1,11 @@
-"""Tests for the hierarchical timer wheel and the event/skb pools.
+"""Tests for the hierarchical timer wheel and the skb pool.
 
 Exercises the paths a single sorted heap never had: same-timestamp FIFO
 for entries that lived in *different* wheel levels, overflow-heap
 promotion when the window jumps, cancel bookkeeping after a slot has
-been collected into the active heap, recycled-handle poisoning, and
-checkpoint round-trips with every level populated.
+been collected into the active heap, no-handle ``sched_*`` entries
+mixed with cancellable handles, recycled-skb poisoning, and checkpoint
+round-trips with every level populated.
 """
 
 import pickle
@@ -14,6 +15,7 @@ import pytest
 from helpers import Harness, make_skb
 from repro.netstack.stages import CountingSink, PassthroughStage
 from repro.perf.selfprof import SelfProfiler
+from repro.sim import engine
 from repro.sim.engine import SimulationError, Simulator
 
 #: one L0 slot is 1024 ns; one L1 slot is 256 L0 slots (262144 ns); the
@@ -158,9 +160,9 @@ class TestZeroDelaySelfReschedule:
         sim.run()
         assert rec.log == ["first", "second", "resched"]
 
-    def test_pooled_zero_delay_self_reschedule(self):
-        """The pooled no-handle path supports the same pattern; the event
-        recycled by the firing is immediately reused for the reschedule."""
+    def test_sched_zero_delay_self_reschedule(self):
+        """The no-handle path supports the same pattern, firing in the
+        same order, and never creates an event object."""
         sim = Simulator()
         rec = Recorder()
 
@@ -170,9 +172,119 @@ class TestZeroDelaySelfReschedule:
                 sim.sched_in(0.0, tick, n - 1)
 
         sim.sched_soon(tick, 3)
+        assert all(not isinstance(e[2], engine._Event) for e in sim._active)
         sim.run()
         assert rec.log == [3, 2, 1, 0]
-        assert len(sim._pool) == 1, "one pooled event, recycled each hop"
+
+
+class TestMixedEntries:
+    """``sched_*`` files bare ``(time, seq, fn, args)`` entries; ``call_*``
+    files ``(time, seq, handle, None)``.  One wheel holds both."""
+
+    def _entries(self, sim):
+        out = list(sim._active) + list(sim._far)
+        for slots in (sim._slot0, sim._slot1):
+            for s in slots:
+                out.extend(s)
+        return out
+
+    def test_sched_creates_no_event(self, monkeypatch):
+        made = []
+
+        class CountingEvent(engine._Event):
+            __slots__ = ()
+
+            def __init__(self, *a, **kw):
+                made.append(1)
+                super().__init__(*a, **kw)
+
+        monkeypatch.setattr(engine, "_Event", CountingEvent)
+        sim = Simulator()
+        rec = Recorder()
+        for t in (0.0, 10.0, 5_000.0, 1_000_000.0, 200_000_000.0):
+            sim.sched_at(t, rec.hit, t)
+        sim.sched_in(3.0, rec.hit, "in")
+        sim.sched_soon(rec.hit, "soon")
+        assert made == []
+        assert all(e[3] is not None for e in self._entries(sim))
+        handle = sim.call_in(1.0, rec.hit, "handle")
+        assert made == [1] and isinstance(handle, CountingEvent)
+        sim.run()
+        assert made == [1]
+        assert len(rec.log) == 8
+
+    def test_mixed_entries_fire_in_time_seq_order(self):
+        sim = Simulator()
+        rec = Recorder()
+        times = [0.0, 7.0, 7.0, 2_048.0, 2_048.0, 300_000.0, 300_000.0,
+                 HORIZON_NS * 2, HORIZON_NS * 2, 7.0]
+        expected = []
+        for i, t in enumerate(times):
+            label = (t, i)
+            expected.append(label)
+            if i % 2:
+                sim.call_at(t, rec.hit, label)
+            else:
+                sim.sched_at(t, rec.hit, label)
+        sim.run()
+        assert rec.log == sorted(expected)
+
+    def test_compaction_drops_only_cancelled_handles(self):
+        sim = Simulator()
+        rec = Recorder()
+        n = Simulator.COMPACT_MIN_EVENTS
+        kept, dead = [], []
+        for i in range(n):
+            t = 100.0 + i * 3_000.0 * (1 + i % 3) ** 4
+            if i % 2 == 0:
+                sim.sched_at(t, rec.hit, ("sched", i))
+                kept.append(("sched", i))
+            h = sim.call_at(t + 1.0, rec.hit, ("handle", i))
+            if i % 8 == 0:
+                kept.append(("handle", i))
+            else:
+                dead.append(h)
+        snapshots = []
+        compact = sim._compact
+
+        def spy():
+            compact()
+            entries = self._entries(sim)
+            snapshots.append((
+                len(entries) - sim.pending,
+                sum(e[3] is None and e[2].cancelled for e in entries),
+                sum(e[3] is not None for e in entries),
+            ))
+
+        sim._compact = spy
+        for h in dead:
+            h.cancel()
+        assert snapshots, "more than half the wheel died: it compacted"
+        # right after each compaction: the pending count is exact, no
+        # cancelled handle is left and every no-handle entry survived
+        assert snapshots == [(0, 0, n // 2)] * len(snapshots)
+        assert sim.live_pending == len(kept)
+        sim.run()
+        assert sorted(rec.log) == sorted(kept)
+
+    def test_live_pending_exact_with_both_kinds(self):
+        sim = Simulator()
+        rec = Recorder()
+        sim.sched_in(10.0, rec.hit, "a")
+        h1 = sim.call_in(20.0, rec.hit, "b")
+        sim.sched_in(600_000.0, rec.hit, "c")
+        h2 = sim.call_in(HORIZON_NS * 3, rec.hit, "d")
+        assert sim.pending == 4 and sim.live_pending == 4
+        h1.cancel()
+        assert sim.pending == 4 and sim.live_pending == 3
+        sim.run(until_ns=15.0)
+        assert sim.pending == 3 and sim.live_pending == 2
+        h2.cancel()
+        h2.cancel()
+        assert sim.live_pending == 1
+        sim.run()
+        assert rec.log == ["a", "c"]
+        assert sim.pending == 0 and sim.live_pending == 0
 
 
 class TestCancelAfterSlotCollected:
@@ -219,17 +331,19 @@ class TestCancelAfterSlotCollected:
 
 
 class TestRecycleSafety:
-    def test_stale_pooled_event_handle_raises(self):
-        """Reaching into the free list and cancelling a recycled event is
-        a loud error, not a silent cancellation of the next reuse."""
+    def test_fired_handle_cancel_is_inert(self):
+        """A fired handle's cancel() is a no-op: it neither raises nor
+        touches the bookkeeping of entries scheduled after it."""
         sim = Simulator()
-        sim.sched_in(100.0, _noop)
+        rec = Recorder()
+        ev = sim.call_in(100.0, rec.hit, "first")
         sim.run()
-        assert len(sim._pool) == 1
-        stale = sim._pool[0]
-        assert stale.gen == 1
-        with pytest.raises(SimulationError, match="stale event handle"):
-            stale.cancel()
+        sim.sched_in(10.0, rec.hit, "later")
+        ev.cancel()
+        assert not ev.cancelled
+        assert sim.pending == 1 and sim.live_pending == 1
+        sim.run()
+        assert rec.log == ["first", "later"]
 
     def test_public_handles_survive_forever(self):
         """call_* events are never recycled: a handle cancelled long
@@ -237,11 +351,11 @@ class TestRecycleSafety:
         sim = Simulator()
         rec = Recorder()
         ev = sim.call_in(50.0, rec.hit, "x")
-        sim.sched_in(60.0, _noop)  # pooled traffic alongside
+        sim.sched_in(60.0, _noop)  # no-handle traffic alongside
         sim.run()
         assert rec.log == ["x"]
         ev.cancel()  # fired: nothing to undo, never raises
-        assert ev.gen == 0 and not ev.pooled
+        assert not ev.cancelled and ev.fn == rec.hit
 
     def test_recycled_skb_reinjection_raises(self):
         h = Harness([PassthroughStage("s1", "ip_rcv_ns"), CountingSink()])
@@ -266,18 +380,18 @@ class TestRecycleSafety:
 
 class TestWheelCheckpointRoundTrip:
     def _populate(self):
-        """A simulator with live entries on every level, a primed event
-        pool, and a cancelled entry — the worst case for a snapshot."""
+        """A simulator with live entries of both kinds on every level and
+        a cancelled entry — the worst case for a snapshot."""
         sim = Simulator()
         rec = Recorder()
-        sim.sched_in(10.0, rec.hit, "warm")  # fires pre-snapshot, primes pool
+        sim.sched_in(10.0, rec.hit, "warm")  # fires pre-snapshot
         sim.call_at(100.0, rec.hit, "active-ish")
         sim.call_at(5_000.0, rec.hit, "l0")
         sim.call_at(1_000_000.0, rec.hit, "l1")
         sim.call_at(200_000_000.0, rec.hit, "far")
         dead = sim.call_at(7_000.0, rec.hit, "dead")
         dead.cancel()
-        sim.sched_in(2_000_000.0, rec.hit, "pooled-l1")
+        sim.sched_in(2_000_000.0, rec.hit, "sched-l1")
         sim.run(until_ns=50.0)  # past the warmup event only
         assert rec.log == ["warm"]
         return sim, rec
@@ -291,7 +405,7 @@ class TestWheelCheckpointRoundTrip:
         assert isinstance(crec, Recorder) and crec is not rec
         sim.run()
         clone.run()
-        expected = ["active-ish", "l0", "l1", "pooled-l1", "far"]
+        expected = ["active-ish", "l0", "l1", "sched-l1", "far"]
         assert rec.log[1:] == expected
         assert crec.log[1:] == expected
         assert clone.now == sim.now
@@ -305,7 +419,6 @@ class TestWheelCheckpointRoundTrip:
         for attr in ("_npending", "_cancelled", "_cur0", "_cur1", "_n1",
                      "_seq", "_now", "events_executed"):
             assert getattr(clone, attr) == getattr(sim, attr), attr
-        assert len(clone._pool) == len(sim._pool)
         assert len(clone._far) == len(sim._far)
 
 
