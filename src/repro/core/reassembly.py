@@ -269,7 +269,7 @@ class ReassemblyStage(Stage):
         self._timer_armed[flow] = True
         # the timer callback is a bound method (not a closure) so a live
         # event heap stays picklable for checkpoints
-        ctx.sim.sched_in(
+        ctx.sim.call_in(
             self.timeout_ns,
             self._progress_check, flow, ctx.pipeline, ctx.node, ctx.core,
         )
@@ -294,7 +294,7 @@ class ReassemblyStage(Stage):
             fake_ctx = StageContext(pipeline, node, core)
             for skb in self._drain(state, fake_ctx):
                 pipeline.inject(node.next, skb, core)
-        sim.sched_in(self.timeout_ns, self._progress_check, flow, pipeline, node, core)
+        sim.call_in(self.timeout_ns, self._progress_check, flow, pipeline, node, core)
 
     def parked_total(self) -> int:
         return sum(st.parked for st in self._flows.values())

@@ -9,10 +9,9 @@ micro-flows finish out of order (paper §III-B, Fig. 7).
 Busy time is accounted per tag, so experiments can report utilization
 breakdowns per processing stage.
 
-Hot-path notes: work items submitted via the ``*_call`` shorthands are
-drawn from a per-core free list and recycled on completion (items passed
-to :meth:`Core.submit` directly are caller-owned and never recycled);
-completions schedule through the engine's no-handle
+Hot-path notes: every work item is drawn from a per-core free list by
+:meth:`Core.submit_call` / :meth:`Core.submit_front_call` and returns to
+it on completion; completions schedule through the engine's
 :meth:`~repro.sim.engine.Simulator._sched` with a bound ``_complete``
 cached once per core.  Jitter normals are popped
 inline from a :class:`~repro.sim.rng.BufferedNormals` block buffer.
@@ -40,7 +39,7 @@ _exp = math.exp
 class WorkItem:
     """One unit of CPU work: charge ``cost_ns`` then invoke ``fn(*args)``."""
 
-    __slots__ = ("tag", "cost_ns", "fn", "args", "pooled")
+    __slots__ = ("tag", "cost_ns", "fn", "args")
 
     def __init__(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any):
         if cost_ns < 0:
@@ -49,8 +48,6 @@ class WorkItem:
         self.cost_ns = cost_ns
         self.fn = fn
         self.args = args
-        #: free-list items recycle on completion; caller-made ones never do
-        self.pooled = False
 
 
 class Core:
@@ -97,27 +94,17 @@ class Core:
         self.obs = None
         #: optional StageHistograms (repro.obs.hist) — exact latency counts
         self.hist = None
-        #: (start_ns, end_ns) of the work item currently completing; only
-        #: maintained while obs is attached (read by the journey tracker)
-        self.last_span = None
-        #: scalar twins of last_span, maintained while hist is attached
-        #: (read by the pipeline's record path; scalars, so the per-item
+        #: (start, end) ns of the work item currently completing; only
+        #: maintained while hist or obs is attached (read by the pipeline's
+        #: record path and the journey tracker; scalars, so the per-item
         #: bookkeeping allocates nothing)
         self.span_start = 0.0
         self.span_end = 0.0
 
     # --------------------------------------------------------------- submit
-    def submit(self, item: WorkItem) -> None:
-        """Enqueue a work item; starts immediately if the core is idle."""
-        q = self._queue
-        q.append(item)
-        if len(q) > self._queue_len_max:
-            self._queue_len_max = len(q)
-        if not self._busy:
-            self._start_next()
-
     def submit_call(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Pooled shorthand for ``submit(WorkItem(tag, cost_ns, fn, *args))``."""
+        """Enqueue work that charges ``cost_ns`` then calls ``fn(*args)``;
+        starts immediately if the core is idle."""
         if cost_ns < 0:
             raise ValueError(f"negative work cost: {cost_ns}")
         pool = self._item_pool
@@ -129,31 +116,22 @@ class Core:
             item.args = args
         else:
             item = WorkItem(tag, cost_ns, fn, *args)
-            item.pooled = True
         q = self._queue
         q.append(item)
-        if len(q) > self._queue_len_max:
-            self._queue_len_max = len(q)
-        if not self._busy:
-            self._start_next()
-
-    def submit_front(self, item: WorkItem) -> None:
-        """Enqueue at the *head* of the run queue (run-to-completion
-        continuation: the next processing stage of the packet currently
-        finishing runs before other queued work, as in a real softirq).
-
-        Note: multiple front submissions stack LIFO; callers submitting
-        several continuations must iterate them in reverse.
-        """
-        q = self._queue
-        q.appendleft(item)
         if len(q) > self._queue_len_max:
             self._queue_len_max = len(q)
         if not self._busy:
             self._start_next()
 
     def submit_front_call(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Pooled shorthand for ``submit_front(WorkItem(tag, cost_ns, fn, *args))``."""
+        """Like :meth:`submit_call`, but at the *head* of the run queue
+        (run-to-completion continuation: the next processing stage of the
+        packet currently finishing runs before other queued work, as in a
+        real softirq).
+
+        Note: multiple front submissions stack LIFO; callers submitting
+        several continuations must iterate them in reverse.
+        """
         if cost_ns < 0:
             raise ValueError(f"negative work cost: {cost_ns}")
         pool = self._item_pool
@@ -165,7 +143,6 @@ class Core:
             item.args = args
         else:
             item = WorkItem(tag, cost_ns, fn, *args)
-            item.pooled = True
         q = self._queue
         q.appendleft(item)
         if len(q) > self._queue_len_max:
@@ -193,30 +170,24 @@ class Core:
         busy[tag] = busy.get(tag, 0.0) + duration
         self.items_executed += 1
         hist = self.hist
-        if hist is not None:
+        obs = self.obs
+        if hist is not None or obs is not None:
             now = self.sim._now
             start = now - duration
             self.span_start = start
             self.span_end = now
-            if tag not in hist.stage_names:
+            if hist is not None and tag not in hist.stage_names:
                 # system work (irq/driver_poll/softirq/ipi/steer_dispatch);
                 # datapath stages are recorded by the pipeline instead,
                 # with queue delay and flow class attached
                 hist.record_core(tag, self.id, duration)
-            if self.obs is not None:
-                self.last_span = (start, now)
-                self.obs.span(tag, start, now, core=self.id)
-        elif self.obs is not None:
-            now = self.sim._now
-            start = now - duration
-            self.last_span = (start, now)
-            self.obs.span(tag, start, now, core=self.id)
+            if obs is not None:
+                obs.span(tag, start, now, core=self.id)
         fn = item.fn
         args = item.args
-        if item.pooled:
-            item.fn = None
-            item.args = None
-            self._item_pool.append(item)
+        item.fn = None
+        item.args = None
+        self._item_pool.append(item)
         fn(*args)
         # the completion may have submitted more work to this core
         q = self._queue

@@ -83,7 +83,7 @@ class Softirq:
                 )
             from_core.submit_call(self._ipi_tag, IPI_COST_NS, _noop)
         if remote and self.ipi_delay_ns > 0.0:
-            to_core.sim.sched_in(self.ipi_delay_ns, self.raise_on, to_core)
+            to_core.sim.call_in(self.ipi_delay_ns, self.raise_on, to_core)
         else:
             self.raise_on(to_core)
 

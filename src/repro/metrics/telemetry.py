@@ -107,10 +107,6 @@ class Telemetry:
         self._sample_rng = random.Random(self.sample_seed ^ 0xC0FFEE)
 
     @property
-    def window_open(self) -> bool:
-        return self._window_start is not None
-
-    @property
     def window_elapsed_ns(self) -> float:
         if self._window_start is None:
             return 0.0

@@ -78,7 +78,7 @@ class MigrationController:
     # ------------------------------------------------------------------ arm
     def arm(self) -> None:
         """Schedule the cutover (call once, before the run starts)."""
-        self.sim.sched_at(self.plan.start_ns, self._begin_drain)
+        self.sim.call_at(self.plan.start_ns, self._begin_drain)
 
     def _container_flows(self) -> List[FlowKey]:
         """Every flow served by the migrating container (deterministic
@@ -93,7 +93,7 @@ class MigrationController:
         self._merge_skips_at_drain = merge.merge_skips if merge is not None else 0
         self.balancer.begin_drain(self.plan.source)
         self.telemetry.count("migration_drain_started")
-        self.sim.sched_in(self.plan.drain_ns, self._freeze)
+        self.sim.call_in(self.plan.drain_ns, self._freeze)
 
     def _freeze(self) -> None:
         sc = self.scenario
@@ -138,7 +138,7 @@ class MigrationController:
             self.plan.min_downtime_ns
             + self.snapshot_bytes * 8.0 / self.plan.transfer_gbps
         )
-        self.sim.sched_in(self.blackout_ns, self._restore)
+        self.sim.call_in(self.blackout_ns, self._restore)
 
     def _restore(self) -> None:
         sc = self.scenario
@@ -169,7 +169,7 @@ class MigrationController:
         self.telemetry.count("migration_restored")
         self.telemetry.count("migration_replayed_skbs", len(replayed))
         self._pending_recovery = set(self._container_flows())
-        self.sim.sched_in(self.plan.probe_interval_ns, self._probe_recovery)
+        self.sim.call_in(self.plan.probe_interval_ns, self._probe_recovery)
 
     # -------------------------------------------------------------- recovery
     def _flow_recovered(self, flow: FlowKey) -> bool:
@@ -186,7 +186,7 @@ class MigrationController:
                 self.recovery_ns[flow_label(flow)] = now - self.restore_ns
                 self.telemetry.count("migration_flows_recovered")
         if self._pending_recovery:
-            self.sim.sched_in(self.plan.probe_interval_ns, self._probe_recovery)
+            self.sim.call_in(self.plan.probe_interval_ns, self._probe_recovery)
 
     # --------------------------------------------------------------- summary
     def connection_drops(self) -> int:

@@ -70,7 +70,7 @@ class _RxQueue:
             if delay > 0.0:
                 # fault injection: the interrupt is held back (moderation
                 # gone wrong / a hypervisor absorbing the vector)
-                self.nic.sim.sched_in(delay, self._fire_irq)
+                self.nic.sim.call_in(delay, self._fire_irq)
             else:
                 self._fire_irq()
 
@@ -205,7 +205,7 @@ class Wire:
             for frame, extra_ns in fates:
                 # duplicates ride the same serialization slot: an in-network
                 # copy does not consume sender line time twice
-                self.sim.sched_at(base + extra_ns, self.dst.receive, frame)
+                self.sim.call_at(base + extra_ns, self.dst.receive, frame)
             return
         self._transmit(pkt, 0.0)
 
@@ -222,4 +222,4 @@ class Wire:
 
     def _transmit(self, pkt: Packet, extra_ns: float) -> None:
         arrival = self._occupy(pkt) + extra_ns
-        self.sim.sched_at(arrival, self.dst.receive, pkt)
+        self.sim.call_at(arrival, self.dst.receive, pkt)

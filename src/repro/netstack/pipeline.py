@@ -225,8 +225,8 @@ class Pipeline:
                 core.span_start - skb.q_ts, core.span_end - core.span_start,
             )
         journeys = self.journeys
-        if journeys is not None and core.last_span is not None:
-            journeys.on_execute(skb, node.stage.name, *core.last_span)
+        if journeys is not None:
+            journeys.on_execute(skb, node.stage.name, core.span_start, core.span_end)
         ctx = self._ctx
         ctx.node = node
         ctx.core = core

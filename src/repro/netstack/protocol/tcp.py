@@ -54,9 +54,6 @@ class TcpReceiverStage(Stage):
         self._ack_fn = ack_fn
         self.total_ooo_events = 0
 
-    def set_ack_fn(self, fn: Callable[[FlowKey, int], None]) -> None:
-        self._ack_fn = fn
-
     def flow_state(self, flow: FlowKey) -> _TcpFlowState:
         st = self._flows.get(flow)
         if st is None:
@@ -317,7 +314,7 @@ class TcpSender:
             if t <= now:
                 self.wire.send(pkt)
             else:
-                self.sim.sched_at(t, self.wire.send, pkt)
+                self.sim.call_at(t, self.wire.send, pkt)
             t += pkt.wire_bytes * gap_per_byte
         self._pace_next_ns = t
         if self.rto_ns is not None:
@@ -331,7 +328,7 @@ class TcpSender:
             # rate-limited mode (latency measurements below saturation);
             # the interval is measured from send start
             elapsed = self.sim.now - self._send_start_ns
-            self.sim.sched_in(max(0.0, self.interval_ns - elapsed), self._unblock)
+            self.sim.call_in(max(0.0, self.interval_ns - elapsed), self._unblock)
         else:
             self._sending = False
             self._pump()
@@ -347,7 +344,7 @@ class TcpSender:
         self._rto_armed = True
         self._acked_at_arm = self.acked_seq
         # bound method, not a closure: a live event heap stays picklable
-        self.sim.sched_in(self.rto_ns, self._rto_check)
+        self.sim.call_in(self.rto_ns, self._rto_check)
 
     def _rto_check(self) -> None:
         self._rto_armed = False
@@ -373,7 +370,7 @@ class TcpSender:
             if t <= self.sim.now:
                 self.wire.send(copy)
             else:
-                self.sim.sched_at(t, self.wire.send, copy)
+                self.sim.call_at(t, self.wire.send, copy)
             t += copy.wire_bytes * gap_per_byte
         self._pace_next_ns = t
         self.retransmit_segments += len(self._retx_queue)

@@ -209,6 +209,6 @@ class UdpSender:
             # so the configured message rate is met regardless of how long
             # the fragmentation work took
             elapsed = self.sim.now - self._send_start_ns
-            self.sim.sched_in(max(0.0, self.interval_ns - elapsed), self._send_next)
+            self.sim.call_in(max(0.0, self.interval_ns - elapsed), self._send_next)
         else:
             self._send_next()

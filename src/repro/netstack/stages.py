@@ -169,7 +169,7 @@ class GroStage(Stage):
         self._timer_armed[key] = True
         # the timer callback is a bound method (not a closure) so a live
         # event heap stays picklable for checkpoints
-        ctx.sim.sched_in(
+        ctx.sim.call_in(
             ctx.costs.gro_flush_timeout_ns,
             self._flush_check, key, ctx.pipeline, ctx.node, ctx.core,
         )
@@ -187,7 +187,7 @@ class GroStage(Stage):
             self._timer_armed.pop(key, None)
             pipeline.inject(node.next, self._take(key), core)
         else:
-            sim.sched_in(
+            sim.call_in(
                 max(timeout - idle, 1.0), self._flush_check, key, pipeline, node, core
             )
 

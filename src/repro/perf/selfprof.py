@@ -9,8 +9,8 @@ which
 
 * times the callback with :func:`time.perf_counter` and attributes the
   cost to the owning component (``Nic._do_poll``, ``Core._run_next``, …),
-* counts heap traffic (pushes, pops, cancelled-event skips, compactions)
-  and tracks the peak heap size,
+* counts heap traffic (pushes, pops, per-level pushes, cascades) and
+  tracks the peak heap size,
 * derives executed-events-per-wall-second, the harness's headline
   throughput number.
 
@@ -48,8 +48,6 @@ class SelfProfiler:
     __slots__ = (
         "heap_pushes",
         "heap_pops",
-        "cancelled_skips",
-        "compactions",
         "peak_heap",
         "level_pushes",
         "wheel_cascades",
@@ -65,8 +63,6 @@ class SelfProfiler:
     def __init__(self) -> None:
         self.heap_pushes = 0
         self.heap_pops = 0
-        self.cancelled_skips = 0
-        self.compactions = 0
         self.peak_heap = 0
         #: pushes per wheel level: [active heap, L0 slot, L1 slot, overflow]
         self.level_pushes = [0, 0, 0, 0]
@@ -100,11 +96,6 @@ class SelfProfiler:
         fn(*args)
         self.note_callback(fn, perf_counter() - started)
 
-    def note_skip(self) -> None:
-        """A popped entry was a cancelled event."""
-        self.heap_pops += 1
-        self.cancelled_skips += 1
-
     def note_requeue(self, heap_len: int) -> None:
         """A popped entry lay past ``until_ns`` and went back on the wheel."""
         self.heap_pops += 1
@@ -124,9 +115,6 @@ class SelfProfiler:
             self.wheel_jumps += 1
         else:
             self.wheel_cascades += 1
-
-    def note_compaction(self) -> None:
-        self.compactions += 1
 
     def note_callback(self, fn: Callable[..., Any], elapsed_s: float) -> None:
         """Attribute one executed event's wall time to its cost center."""
@@ -174,8 +162,6 @@ class SelfProfiler:
             "heap": {
                 "pushes": self.heap_pushes,
                 "pops": self.heap_pops,
-                "cancelled_skips": self.cancelled_skips,
-                "compactions": self.compactions,
                 "peak_size": self.peak_heap,
                 "level_pushes": {
                     "active": self.level_pushes[0],
@@ -200,7 +186,6 @@ class SelfProfiler:
             f"engine overhead : {self.engine_overhead_s * 1e3:.1f} ms "
             f"(heap ops, dispatch; rest is callbacks)",
             f"heap            : {self.heap_pushes} pushes, {self.heap_pops} pops, "
-            f"{self.cancelled_skips} cancelled skips, {self.compactions} compactions, "
             f"peak {self.peak_heap}",
             f"wheel           : pushes active/l0/l1/far "
             f"{self.level_pushes[0]}/{self.level_pushes[1]}/"

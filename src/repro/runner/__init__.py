@@ -29,7 +29,6 @@ from repro.runner.executors import (
 )
 from repro.runner.records import (
     RunRecord,
-    index_by_tags,
     scenario_result_from_dict,
     scenario_result_to_dict,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "canonical_params",
     "code_version",
     "execute_spec",
-    "index_by_tags",
     "register",
     "resolve",
     "run_specs",

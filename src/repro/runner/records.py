@@ -201,7 +201,3 @@ class RunRecord:
             code_version=code_version,
         )
 
-
-def index_by_tags(records: List[RunRecord]) -> Dict[tuple, RunRecord]:
-    """Look-up table from a record's tag tuple to the record."""
-    return {tuple(r.tags): r for r in records}

@@ -1,20 +1,16 @@
 """Discrete-event simulation substrate.
 
 Everything in this reproduction runs on the :class:`~repro.sim.engine.Simulator`:
-a classic event-heap discrete-event engine with simulated time in nanoseconds.
-Two programming styles are supported and freely mixed:
-
-* **callback style** — ``sim.call_in(delay_ns, fn, *args)``; used by the
-  packet-processing pipeline where millions of small events must be cheap.
-* **process style** — Python generators wrapped by
-  :class:`~repro.sim.process.Process` that ``yield`` :class:`Timeout` /
-  :class:`WaitEvent` / queue operations; used by workload generators and
-  application models where sequential logic reads better.
+a timer-wheel discrete-event engine with simulated time in nanoseconds.
+There is one programming style, callbacks: ``sim.call_in(delay_ns, fn,
+*args)`` files a bare wheel entry, and CPU work is a chain of
+:class:`~repro.cpu.core.Core` work items whose completions call the next
+stage.  Millions of such small events must be cheap, so an event is a
+tuple, never an object with a handle.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, Timeout, WaitEvent, SimEvent
-from repro.sim.queues import FifoQueue, RingBuffer, QueueFullError
+from repro.sim.queues import RingBuffer
 from repro.sim.rng import RngStreams
 from repro.sim.units import (
     GBPS,
@@ -30,13 +26,7 @@ from repro.sim.units import (
 
 __all__ = [
     "Simulator",
-    "Process",
-    "Timeout",
-    "WaitEvent",
-    "SimEvent",
-    "FifoQueue",
     "RingBuffer",
-    "QueueFullError",
     "RngStreams",
     "GBPS",
     "KIB",

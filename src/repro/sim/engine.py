@@ -5,9 +5,7 @@ hierarchical timer wheel.  Entries are ``(time, seq, fn, args)`` tuples;
 ``seq`` is a monotone tiebreaker so same-timestamp events fire in
 schedule order, which keeps runs fully deterministic.  Tuples (not event
 objects) are what the wheel stores and the heaps compare, so every
-ordering operation runs at C speed.  A cancellable handle is filed as
-``(time, seq, event, None)``: ``args is None`` tells the run loop to
-look inside the handle.
+ordering operation runs at C speed.
 
 Wheel layout (see docs/ENGINE.md for the full invariants):
 
@@ -26,23 +24,15 @@ Every level orders identically by ``(time, seq)``: slot lists are
 heapified when they become active, so the global fire order is exactly
 the order a single sorted heap would produce, bit for bit.
 
-Hot-path producers (cores, wires, softirq timers) schedule through the
-no-handle :meth:`Simulator._sched` family, whose entry is the only
-object a hop allocates — no event object at all.  The public ``call_*``
-API returns cancellable :class:`_Event` handles; a held handle stays
-valid forever.
+Every producer files through :meth:`Simulator._sched`, whose entry is
+the only object an event allocates: there are no event objects and no
+handles, so a scheduled callback always fires.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
-
-#: _Event.state machine: PENDING -> FIRED (terminal)
-#:                       PENDING -> CANCELLED (terminal; skipped by run)
-_PENDING = 0
-_FIRED = 1
-_CANCELLED = 2
 
 # Wheel geometry.  L0 slot width is 2**10 ns so ``time * _INV_SLOT_NS``
 # is an exact binary scaling (no float rounding can ever disagree with
@@ -54,65 +44,18 @@ _SLOT_NS = 1024.0
 _INV_SLOT_NS = 1.0 / _SLOT_NS
 
 
-def _live(entry: tuple) -> bool:
-    """False only for a cancelled handle (no-handle entries never die)."""
-    return entry[3] is not None or not entry[2].state
-
-
 class SimulationError(RuntimeError):
     """Raised for illegal engine operations (e.g. scheduling in the past)."""
-
-
-class _Event:
-    """A cancellable scheduled callback (returned by :meth:`Simulator.call_in`)."""
-
-    __slots__ = ("time", "seq", "fn", "args", "state", "sim")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., Any],
-        args: Tuple,
-        sim: Optional["Simulator"] = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.state = _PENDING
-        self.sim = sim
-
-    @property
-    def cancelled(self) -> bool:
-        return self.state == _CANCELLED
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent; cancelling an
-        already-fired event is a harmless no-op."""
-        if self.state == _PENDING:
-            self.state = _CANCELLED
-            if self.sim is not None:
-                self.sim._note_cancelled()
-        # _CANCELLED: idempotent; _FIRED: too late, nothing left to undo
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        names = {0: "", 1: " fired", 2: " cancelled"}
-        return f"<Event t={self.time} seq={self.seq} {self.fn!r}{names[self.state]}>"
 
 
 class Simulator:
     """Timer-wheel discrete-event simulator with a nanosecond clock."""
 
-    #: compaction only kicks in past this pending count (tiny wheels never pay it)
-    COMPACT_MIN_EVENTS = 64
-
     def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
         self._running = False
-        self._cancelled: int = 0
-        #: total entries across every wheel level (including cancelled)
+        #: total entries across every wheel level
         self._npending: int = 0
         #: heap draining the cursor slot; also takes at-or-before-cursor inserts
         self._active: List[tuple] = []
@@ -174,39 +117,30 @@ class Simulator:
         return 3
 
     # ------------------------------------------------------------- scheduling
-    def call_in(self, delay_ns: float, fn: Callable[..., Any], *args: Any) -> _Event:
+    def call_in(self, delay_ns: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay_ns`` from now."""
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns} ns in the past")
-        return self.call_at(self._now + delay_ns, fn, *args)
+        self._sched(self._now + delay_ns, fn, args)
 
-    def call_at(self, time_ns: float, fn: Callable[..., Any], *args: Any) -> _Event:
+    def call_at(self, time_ns: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at an absolute simulated time."""
         if time_ns < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} (now={self._now})"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        ev = _Event(time_ns, seq, fn, args, sim=self)
-        level = self._place((time_ns, seq, ev, None))
-        self._npending += 1
-        if self.profiler is not None:
-            self.profiler.note_push(self._npending, level)
-        return ev
+        self._sched(time_ns, fn, args)
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> _Event:
+    def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current time (after pending same-time events)."""
-        return self.call_at(self._now, fn, *args)
+        self._sched(self._now, fn, args)
 
-    # ------------------------------------------------- no-handle hot-path variants
     def _sched(self, time_ns: float, fn: Callable[..., Any], args: Tuple) -> None:
-        """No-handle scheduling for trusted internal producers.
+        """File one ``(time, seq, fn, args)`` entry; the entry *is* the event.
 
-        The wheel entry *is* the event, so the packet hot path (core
-        completions, wire deliveries, softirq timers) allocates one tuple
-        per event.  No past-time validation and no handle is returned —
-        callers that might cancel must use :meth:`call_at`.
+        No past-time validation: the ``call_*`` front doors check, and
+        :class:`~repro.cpu.core.Core` calls this directly with
+        ``now + duration`` for a non-negative duration.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -232,65 +166,6 @@ class Simulator:
         prof = self.profiler
         if prof is not None:
             prof.note_push(self._npending, level)
-
-    def sched_in(self, delay_ns: float, fn: Callable[..., Any], *args: Any) -> None:
-        """No-handle :meth:`call_in` for internal timers."""
-        self._sched(self._now + delay_ns, fn, args)
-
-    def sched_at(self, time_ns: float, fn: Callable[..., Any], *args: Any) -> None:
-        """No-handle :meth:`call_at` for internal timers."""
-        self._sched(time_ns, fn, args)
-
-    def sched_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """No-handle :meth:`call_soon` for internal wakeups."""
-        self._sched(self._now, fn, args)
-
-    # ------------------------------------------------------ cancelled events
-    def _note_cancelled(self) -> None:
-        self._cancelled += 1
-        if (
-            self._npending >= self.COMPACT_MIN_EVENTS
-            and self._cancelled * 2 > self._npending
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from every wheel level once more than
-        half the pending set is dead.
-
-        Long runs with many cancelled timers (e.g. per-packet timeouts that
-        almost always get cancelled) would otherwise bloat the wheel and slow
-        every slot drain; compaction keeps it proportional to *live* events.
-        The active heap is rebuilt in place so the run() loop's local
-        reference stays valid.
-        """
-        active = self._active
-        active[:] = [e for e in active if _live(e)]
-        heapify(active)
-        live = len(active)
-        slot0 = self._slot0
-        for i in range(_L1_SLOTS):
-            s = slot0[i]
-            if s:
-                slot0[i] = s = [e for e in s if _live(e)]
-                live += len(s)
-        n1 = 0
-        slot1 = self._slot1
-        for i in range(_L1_SLOTS):
-            s = slot1[i]
-            if s:
-                slot1[i] = s = [e for e in s if _live(e)]
-                n1 += len(s)
-        live += n1
-        far = [e for e in self._far if _live(e)]
-        heapify(far)
-        self._far = far
-        live += len(far)
-        self._n1 = n1
-        self._npending = live
-        self._cancelled = 0
-        if self.profiler is not None:
-            self.profiler.note_compaction()
 
     # ------------------------------------------------------- wheel advancement
     def _refill(self) -> bool:
@@ -391,15 +266,6 @@ class Simulator:
                             prof.note_requeue(self._npending)
                         break
                     self._npending -= 1
-                    if args is None:  # a cancellable handle
-                        if fn.state:  # cancelled
-                            self._cancelled -= 1
-                            if prof is not None:
-                                prof.note_skip()
-                            continue
-                        fn.state = _FIRED
-                        args = fn.args
-                        fn = fn.fn
                     self._now = t
                     self.events_executed += 1
                     if prof is None:
@@ -421,14 +287,5 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still on the wheel (including cancelled ones).
-
-        Prefer :attr:`live_pending` when deciding whether real work remains;
-        this raw count over-reports whenever cancelled timers linger.
-        """
+        """Number of events still on the wheel."""
         return self._npending
-
-    @property
-    def live_pending(self) -> int:
-        """Number of not-yet-cancelled events still on the wheel."""
-        return self._npending - self._cancelled

@@ -1,10 +1,4 @@
-"""Bounded FIFO queues and fixed-size ring buffers.
-
-:class:`FifoQueue` is the general packet queue used between processing
-stages (per-core backlogs, socket queues, MFLOW buffer queues).  It is
-callback-reactive: a consumer registers ``on_put`` to be poked when the
-queue transitions from empty to non-empty, which is how softirq handlers
-get (re)armed.
+"""Fixed-size ring buffers.
 
 :class:`RingBuffer` models a NIC descriptor ring: fixed capacity,
 drop-on-full semantics, drop counting.
@@ -13,104 +7,9 @@ drop-on-full semantics, drop counting.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Generic, Iterator, List, Optional, TypeVar
+from typing import Deque, Generic, List, TypeVar
 
 T = TypeVar("T")
-
-
-class QueueFullError(RuntimeError):
-    """Raised by :meth:`FifoQueue.put` when the queue is at capacity."""
-
-
-class FifoQueue(Generic[T]):
-    """Unbounded-or-bounded FIFO with drop accounting and wakeup callback."""
-
-    __slots__ = ("name", "capacity", "_items", "drops", "puts", "gets", "_on_first_put")
-
-    def __init__(
-        self,
-        name: str = "queue",
-        capacity: Optional[int] = None,
-        on_first_put: Optional[Callable[["FifoQueue[T]"], None]] = None,
-    ):
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.name = name
-        self.capacity = capacity
-        self._items: Deque[T] = deque()
-        self.drops = 0
-        self.puts = 0
-        self.gets = 0
-        self._on_first_put = on_first_put
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self._items)
-
-    @property
-    def full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    def put(self, item: T) -> None:
-        """Enqueue, raising :class:`QueueFullError` at capacity."""
-        if self.full:
-            self.drops += 1
-            raise QueueFullError(f"{self.name} full (capacity={self.capacity})")
-        was_empty = not self._items
-        self._items.append(item)
-        self.puts += 1
-        if was_empty and self._on_first_put is not None:
-            self._on_first_put(self)
-
-    def try_put(self, item: T) -> bool:
-        """Enqueue unless full; returns False (and counts a drop) when full."""
-        if self.full:
-            self.drops += 1
-            return False
-        was_empty = not self._items
-        self._items.append(item)
-        self.puts += 1
-        if was_empty and self._on_first_put is not None:
-            self._on_first_put(self)
-        return True
-
-    def get(self) -> T:
-        """Dequeue the head item; raises IndexError when empty."""
-        item = self._items.popleft()
-        self.gets += 1
-        return item
-
-    def peek(self) -> Optional[T]:
-        """Head item without removing it, or None when empty."""
-        return self._items[0] if self._items else None
-
-    def drain(self, max_items: Optional[int] = None) -> List[T]:
-        """Dequeue up to ``max_items`` (all, when None) as a list."""
-        n = len(self._items) if max_items is None else min(max_items, len(self._items))
-        out = [self._items.popleft() for _ in range(n)]
-        self.gets += n
-        return out
-
-    def set_wakeup(self, cb: Optional[Callable[["FifoQueue[T]"], None]]) -> None:
-        """Install/replace the empty→non-empty transition callback."""
-        self._on_first_put = cb
-
-    def stats(self) -> dict:
-        """Traffic snapshot (consumed by the self-profiler's queue report)."""
-        return {
-            "name": self.name,
-            "kind": "fifo",
-            "depth": len(self._items),
-            "capacity": self.capacity,
-            "puts": self.puts,
-            "gets": self.gets,
-            "drops": self.drops,
-        }
 
 
 class RingBuffer(Generic[T]):

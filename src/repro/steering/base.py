@@ -63,11 +63,6 @@ class SteeringPolicy:
         #: route cache: flow -> stage name -> skb.branch -> core
         self._routes: Dict[FlowKey, Dict[str, Dict[Optional[int], Core]]] = {}
 
-    @property
-    def app_core_idx(self) -> int:
-        """First application core (the only one in single-flow setups)."""
-        return self.app_cores[0]
-
     def app_core_idx_for(self, flow: FlowKey) -> int:
         """The application core serving ``flow``.
 

@@ -368,7 +368,7 @@ class Scenario:
     def _route_ack(self, flow: FlowKey, ack_seq: int) -> None:
         sender = self._senders.get(flow)
         if sender is not None:
-            self.sim.sched_in(self.costs.wire_delay_ns, sender.on_ack, flow, ack_seq)
+            self.sim.call_in(self.costs.wire_delay_ns, sender.on_ack, flow, ack_seq)
 
     # ------------------------------------------------------------- teardown
     def retire_flow(self, flow: FlowKey) -> None:

@@ -136,9 +136,8 @@ class TestCoreAccounting:
         sim, core = make_core()
 
         def fan_out():
-            for _ in range(3):
+            for _ in range(4):
                 core.submit_front_call("cont", 10.0, lambda: None)
-            core.submit_front(WorkItem("cont", 10.0, lambda: None))
 
         core.submit_call("a", 10.0, fan_out)
         core.submit_call("b", 10.0, lambda: None)
@@ -146,6 +145,23 @@ class TestCoreAccounting:
         sim.run()
         # "b" plus four continuations queued at once
         assert core.max_queue_depth == 5
+
+    def test_every_item_returns_to_the_free_list(self):
+        """Both submission paths draw from the free list and every
+        completion returns its item, holding no callback references."""
+        sim, core = make_core()
+        for _ in range(3):
+            core.submit_call("t", 10.0, lambda: None)
+            core.submit_front_call("t", 10.0, lambda: None)
+        sim.run()
+        pool = core._item_pool
+        assert len(pool) == 6 and core.items_executed == 6
+        assert all(item.fn is None and item.args is None for item in pool)
+        for _ in range(6):
+            core.submit_call("t", 10.0, lambda: None)
+        assert not pool, "warm submissions reuse pooled items"
+        sim.run()
+        assert len(pool) == 6
 
     def test_snapshot_is_a_copy(self):
         sim, core = make_core()

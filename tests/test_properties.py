@@ -9,7 +9,7 @@ from repro.core.splitting import MicroflowSplitStage
 from repro.netstack.packet import FlowKey, Skb, fragment_message
 from repro.netstack.stages import CountingSink
 from repro.sim.engine import Simulator
-from repro.sim.queues import FifoQueue, RingBuffer
+from repro.sim.queues import RingBuffer
 from repro.steering.base import stable_flow_hash
 
 flows = st.builds(
@@ -59,14 +59,6 @@ class TestHashProperties:
 
 
 class TestQueueProperties:
-    @given(items=st.lists(st.integers(), max_size=60))
-    @settings(max_examples=60)
-    def test_fifo_preserves_order(self, items):
-        q = FifoQueue("q")
-        for x in items:
-            q.put(x)
-        assert q.drain() == items
-
     @given(items=st.lists(st.integers(), min_size=1, max_size=60), cap=st.integers(1, 20))
     @settings(max_examples=60)
     def test_ring_never_exceeds_capacity(self, items, cap):

@@ -792,23 +792,21 @@ class _WheelRecorder:
 
 class TestWheelPopulatedKillResume:
     """Engine-level kill/resume: a snapshot taken while the timer wheel
-    has entries of both kinds (no-handle and handle) on every level
-    (active heap, L0, L1, overflow) plus a cancelled handle must restore
-    and finish exactly like an uninterrupted run."""
+    has entries on every level (active heap, L0, L1, overflow) must
+    restore and finish exactly like an uninterrupted run."""
 
-    EXPECTED = ["warm", "mid", "l0", "l1", "pooled", "far"]
+    EXPECTED = ["warm", "mid", "l0", "l1", "l1-late", "far"]
 
     def _build(self):
         sim = Simulator()
         rec = _WheelRecorder()
-        sim.sched_in(10.0, rec.hit, "warm")          # fires early
+        sim.call_in(10.0, rec.hit, "warm")           # fires early
         sim.call_at(900.0, rec.hit, "mid")
         sim.call_at(5_000.0, rec.hit, "l0")
         sim.call_at(1_000_000.0, rec.hit, "l1")
-        sim.sched_in(3_000_000.0, rec.hit, "pooled")
+        sim.call_in(3_000_000.0, rec.hit, "l1-late")
         sim.call_at(200_000_000.0, rec.hit, "far")   # beyond the ~67 ms horizon
-        dead = sim.call_at(7_500.0, rec.hit, "dead")
-        dead.cancel()
+        assert sim._active and any(sim._slot0) and sim._n1 == 2 and sim._far
         return sim, rec
 
     def test_golden_uninterrupted(self):
@@ -827,20 +825,19 @@ class TestWheelPopulatedKillResume:
             sim.run()
         _restore_save(monkeypatch, orig)
         # the kill landed after "warm" and "mid" but with L0/L1/overflow
-        # entries and the cancelled handle all still on the wheel
+        # entries all still on the wheel
         assert rec.log == ["warm", "mid"]
 
         header, root = load_checkpoint(path)
         rsim, rrec = root["sim"], root["rec"]
         assert header["sim_ns"] == rsim.now
         assert rrec.log == ["warm", "mid"]
-        assert rsim.pending == sim.pending
-        assert rsim.live_pending == sim.live_pending
+        assert rsim.pending == sim.pending == 4
         assert rsim._seq == sim._seq
         rsim.checkpointer = None
         rsim.run()
         assert rrec.log == self.EXPECTED
-        assert rsim.pending == 0 and rsim.live_pending == 0
+        assert rsim.pending == 0
 
     def test_snapshot_mid_run_does_not_perturb(self, tmp_path):
         """Checkpointing on (no kill) fires the same sequence at the same

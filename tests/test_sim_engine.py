@@ -79,23 +79,6 @@ def test_run_until_with_no_events_advances_clock():
     assert sim.now == 1000.0
 
 
-def test_cancel_prevents_execution():
-    sim = Simulator()
-    seen = []
-    ev = sim.call_in(10.0, seen.append, "x")
-    ev.cancel()
-    sim.run()
-    assert seen == []
-
-
-def test_cancel_is_idempotent():
-    sim = Simulator()
-    ev = sim.call_in(10.0, lambda: None)
-    ev.cancel()
-    ev.cancel()
-    sim.run()
-
-
 def test_events_scheduled_during_run_execute():
     sim = Simulator()
     seen = []
@@ -116,49 +99,20 @@ def test_events_executed_counter():
     assert sim.events_executed == 5
 
 
-def test_live_pending_excludes_cancelled():
-    sim = Simulator()
-    events = [sim.call_in(float(i + 1), lambda: None) for i in range(10)]
-    events[0].cancel()
-    events[1].cancel()
-    assert sim.pending == 10  # over-reports by design (lazy deletion)
-    assert sim.live_pending == 8
-
-
-def test_heap_compacts_when_mostly_cancelled():
-    sim = Simulator()
-    n = Simulator.COMPACT_MIN_EVENTS + 36
-    events = [sim.call_in(float(i + 1), lambda: None) for i in range(n)]
-    to_cancel = n // 2 + 1
-    for ev in events[:to_cancel]:
-        ev.cancel()
-    # more than half the heap is dead -> it was rebuilt in place
-    assert sim.pending == n - to_cancel
-    assert sim.live_pending == sim.pending
-
-
-def test_small_heaps_are_not_compacted():
-    sim = Simulator()
-    events = [sim.call_in(float(i + 1), lambda: None) for i in range(8)]
-    for ev in events:
-        ev.cancel()
-    assert sim.pending == 8  # below COMPACT_MIN_EVENTS: lazy deletion only
-    assert sim.live_pending == 0
-
-
-def test_events_survive_compaction():
+def test_call_family_returns_no_handle():
+    """Events are bare wheel entries: scheduling hands back nothing to
+    hold, and ``pending`` counts exactly the entries still to fire."""
     sim = Simulator()
     seen = []
-    n = Simulator.COMPACT_MIN_EVENTS + 36
-    events = [sim.call_in(float(i + 1), seen.append, i) for i in range(n)]
-    for ev in events[: n // 2 + 1]:
-        ev.cancel()
-    # events scheduled after the rebuild must land in the same heap
-    sim.call_in(0.5, seen.append, "early")
+    assert sim.call_in(10.0, seen.append, "in") is None
+    assert sim.call_at(5.0, seen.append, "at") is None
+    assert sim.call_soon(seen.append, "soon") is None
+    assert sim.pending == 3
+    sim.run(until_ns=7.0)
+    assert sim.pending == 1
     sim.run()
-    assert seen[0] == "early"
-    assert seen[1:] == list(range(n // 2 + 1, n))
-    assert sim.live_pending == 0
+    assert seen == ["soon", "at", "in"]
+    assert sim.pending == 0
 
 
 def test_not_reentrant():

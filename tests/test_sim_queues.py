@@ -1,102 +1,8 @@
-"""Unit tests for FIFO queues and ring buffers."""
+"""Unit tests for ring buffers."""
 
 import pytest
 
-from repro.sim.queues import FifoQueue, QueueFullError, RingBuffer
-
-
-class TestFifoQueue:
-    def test_fifo_order(self):
-        q = FifoQueue("q")
-        for i in range(5):
-            q.put(i)
-        assert [q.get() for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_len_and_bool(self):
-        q = FifoQueue("q")
-        assert not q
-        assert len(q) == 0
-        q.put("x")
-        assert q
-        assert len(q) == 1
-
-    def test_capacity_enforced(self):
-        q = FifoQueue("q", capacity=2)
-        q.put(1)
-        q.put(2)
-        with pytest.raises(QueueFullError):
-            q.put(3)
-        assert q.drops == 1
-
-    def test_try_put_counts_drops(self):
-        q = FifoQueue("q", capacity=1)
-        assert q.try_put(1) is True
-        assert q.try_put(2) is False
-        assert q.drops == 1
-        assert len(q) == 1
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FifoQueue("q", capacity=0)
-
-    def test_peek_does_not_remove(self):
-        q = FifoQueue("q")
-        q.put("a")
-        assert q.peek() == "a"
-        assert len(q) == 1
-
-    def test_peek_empty_returns_none(self):
-        assert FifoQueue("q").peek() is None
-
-    def test_get_empty_raises(self):
-        with pytest.raises(IndexError):
-            FifoQueue("q").get()
-
-    def test_drain_all(self):
-        q = FifoQueue("q")
-        for i in range(4):
-            q.put(i)
-        assert q.drain() == [0, 1, 2, 3]
-        assert len(q) == 0
-
-    def test_drain_limited(self):
-        q = FifoQueue("q")
-        for i in range(4):
-            q.put(i)
-        assert q.drain(2) == [0, 1]
-        assert len(q) == 2
-
-    def test_wakeup_fires_on_empty_to_nonempty_only(self):
-        wakes = []
-        q = FifoQueue("q", on_first_put=lambda queue: wakes.append(len(queue)))
-        q.put(1)
-        q.put(2)
-        assert wakes == [1]
-        q.get()
-        q.get()
-        q.put(3)
-        assert wakes == [1, 1]
-
-    def test_set_wakeup_replaces(self):
-        q = FifoQueue("q")
-        seen = []
-        q.set_wakeup(lambda queue: seen.append("new"))
-        q.put(1)
-        assert seen == ["new"]
-
-    def test_put_get_counters(self):
-        q = FifoQueue("q")
-        q.put(1)
-        q.put(2)
-        q.get()
-        assert q.puts == 2
-        assert q.gets == 1
-
-    def test_iteration_preserves_order(self):
-        q = FifoQueue("q")
-        for i in range(3):
-            q.put(i)
-        assert list(q) == [0, 1, 2]
+from repro.sim.queues import RingBuffer
 
 
 class TestRingBuffer:

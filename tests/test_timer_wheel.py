@@ -2,10 +2,9 @@
 
 Exercises the paths a single sorted heap never had: same-timestamp FIFO
 for entries that lived in *different* wheel levels, overflow-heap
-promotion when the window jumps, cancel bookkeeping after a slot has
-been collected into the active heap, no-handle ``sched_*`` entries
-mixed with cancellable handles, recycled-skb poisoning, and checkpoint
-round-trips with every level populated.
+promotion when the window jumps, the bare ``(time, seq, fn, args)``
+entry layout every scheduling call files, recycled-skb poisoning, and
+checkpoint round-trips with every level populated.
 """
 
 import pickle
@@ -15,7 +14,6 @@ import pytest
 from helpers import Harness, make_skb
 from repro.netstack.stages import CountingSink, PassthroughStage
 from repro.perf.selfprof import SelfProfiler
-from repro.sim import engine
 from repro.sim.engine import SimulationError, Simulator
 
 #: one L0 slot is 1024 ns; one L1 slot is 256 L0 slots (262144 ns); the
@@ -161,25 +159,26 @@ class TestZeroDelaySelfReschedule:
         assert rec.log == ["first", "second", "resched"]
 
     def test_sched_zero_delay_self_reschedule(self):
-        """The no-handle path supports the same pattern, firing in the
-        same order, and never creates an event object."""
+        """The zero-delay pattern fires in the same order and keeps only
+        bare entry tuples on the active heap."""
         sim = Simulator()
         rec = Recorder()
 
         def tick(n):
             rec.hit(n)
             if n > 0:
-                sim.sched_in(0.0, tick, n - 1)
+                sim.call_in(0.0, tick, n - 1)
+                assert sim._active == [(sim.now, sim._seq - 1, tick, (n - 1,))]
 
-        sim.sched_soon(tick, 3)
-        assert all(not isinstance(e[2], engine._Event) for e in sim._active)
+        sim.call_soon(tick, 3)
+        assert sim._active == [(0.0, 0, tick, (3,))]
         sim.run()
         assert rec.log == [3, 2, 1, 0]
 
 
 class TestMixedEntries:
-    """``sched_*`` files bare ``(time, seq, fn, args)`` entries; ``call_*``
-    files ``(time, seq, handle, None)``.  One wheel holds both."""
+    """Every scheduling call, whatever its front door, files the same bare
+    ``(time, seq, fn, args)`` entry on one wheel."""
 
     def _entries(self, sim):
         out = list(sim._active) + list(sim._far)
@@ -188,32 +187,31 @@ class TestMixedEntries:
                 out.extend(s)
         return out
 
-    def test_sched_creates_no_event(self, monkeypatch):
-        made = []
-
-        class CountingEvent(engine._Event):
-            __slots__ = ()
-
-            def __init__(self, *a, **kw):
-                made.append(1)
-                super().__init__(*a, **kw)
-
-        monkeypatch.setattr(engine, "_Event", CountingEvent)
+    def test_sched_creates_no_event(self):
+        """No scheduling call allocates anything but the entry tuple: the
+        wheel holds exactly ``(time, seq, fn, args)`` with the caller's
+        own callback, and the call hands nothing back."""
         sim = Simulator()
         rec = Recorder()
+        hit = rec.hit
+        expected = []
         for t in (0.0, 10.0, 5_000.0, 1_000_000.0, 200_000_000.0):
-            sim.sched_at(t, rec.hit, t)
-        sim.sched_in(3.0, rec.hit, "in")
-        sim.sched_soon(rec.hit, "soon")
-        assert made == []
-        assert all(e[3] is not None for e in self._entries(sim))
-        handle = sim.call_in(1.0, rec.hit, "handle")
-        assert made == [1] and isinstance(handle, CountingEvent)
+            assert sim.call_at(t, hit, t) is None
+            expected.append((t, len(expected), hit, (t,)))
+        assert sim.call_in(3.0, hit, "in") is None
+        expected.append((3.0, len(expected), hit, ("in",)))
+        assert sim.call_soon(hit, "soon") is None
+        expected.append((0.0, len(expected), hit, ("soon",)))
+        entries = self._entries(sim)
+        assert all(type(e) is tuple and len(e) == 4 for e in entries)
+        assert sorted(entries) == sorted(expected)
+        assert sim.pending == len(expected)
         sim.run()
-        assert made == [1]
-        assert len(rec.log) == 8
+        assert len(rec.log) == 7 and sim.pending == 0
 
     def test_mixed_entries_fire_in_time_seq_order(self):
+        """Entries filed through different front doors onto every level
+        fire in global ``(time, seq)`` order."""
         sim = Simulator()
         rec = Recorder()
         times = [0.0, 7.0, 7.0, 2_048.0, 2_048.0, 300_000.0, 300_000.0,
@@ -225,138 +223,12 @@ class TestMixedEntries:
             if i % 2:
                 sim.call_at(t, rec.hit, label)
             else:
-                sim.sched_at(t, rec.hit, label)
+                sim.call_in(t, rec.hit, label)
         sim.run()
         assert rec.log == sorted(expected)
 
-    def test_compaction_drops_only_cancelled_handles(self):
-        sim = Simulator()
-        rec = Recorder()
-        n = Simulator.COMPACT_MIN_EVENTS
-        kept, dead = [], []
-        for i in range(n):
-            t = 100.0 + i * 3_000.0 * (1 + i % 3) ** 4
-            if i % 2 == 0:
-                sim.sched_at(t, rec.hit, ("sched", i))
-                kept.append(("sched", i))
-            h = sim.call_at(t + 1.0, rec.hit, ("handle", i))
-            if i % 8 == 0:
-                kept.append(("handle", i))
-            else:
-                dead.append(h)
-        snapshots = []
-        compact = sim._compact
-
-        def spy():
-            compact()
-            entries = self._entries(sim)
-            snapshots.append((
-                len(entries) - sim.pending,
-                sum(e[3] is None and e[2].cancelled for e in entries),
-                sum(e[3] is not None for e in entries),
-            ))
-
-        sim._compact = spy
-        for h in dead:
-            h.cancel()
-        assert snapshots, "more than half the wheel died: it compacted"
-        # right after each compaction: the pending count is exact, no
-        # cancelled handle is left and every no-handle entry survived
-        assert snapshots == [(0, 0, n // 2)] * len(snapshots)
-        assert sim.live_pending == len(kept)
-        sim.run()
-        assert sorted(rec.log) == sorted(kept)
-
-    def test_live_pending_exact_with_both_kinds(self):
-        sim = Simulator()
-        rec = Recorder()
-        sim.sched_in(10.0, rec.hit, "a")
-        h1 = sim.call_in(20.0, rec.hit, "b")
-        sim.sched_in(600_000.0, rec.hit, "c")
-        h2 = sim.call_in(HORIZON_NS * 3, rec.hit, "d")
-        assert sim.pending == 4 and sim.live_pending == 4
-        h1.cancel()
-        assert sim.pending == 4 and sim.live_pending == 3
-        sim.run(until_ns=15.0)
-        assert sim.pending == 3 and sim.live_pending == 2
-        h2.cancel()
-        h2.cancel()
-        assert sim.live_pending == 1
-        sim.run()
-        assert rec.log == ["a", "c"]
-        assert sim.pending == 0 and sim.live_pending == 0
-
-
-class TestCancelAfterSlotCollected:
-    def test_cancel_after_slot_loaded_into_active_heap(self):
-        """run(until) can leave an event's L0 slot already collected into
-        the active heap; cancelling it afterwards must keep the pending
-        bookkeeping exact."""
-        sim = Simulator()
-        rec = Recorder()
-        ev = sim.call_at(5_000.0, rec.hit, "x")
-        sim.run(until_ns=4_999.0)  # collects the slot, reinserts the entry
-        assert sim.pending == 1 and sim.live_pending == 1
-        ev.cancel()
-        assert sim.pending == 1 and sim.live_pending == 0
-        ev.cancel()  # idempotent, does not double-count
-        assert sim.live_pending == 0
-        sim.run()
-        assert rec.log == []
-        assert sim.pending == 0 and sim.live_pending == 0
-
-    def test_cancel_then_more_scheduling_stays_consistent(self):
-        """After a skipped cancelled entry, later schedules and runs see
-        clean counters (no drift from the collected-slot path)."""
-        sim = Simulator()
-        rec = Recorder()
-        ev = sim.call_at(2_000.0, rec.hit, "dead")
-        sim.run(until_ns=1_999.0)
-        ev.cancel()
-        sim.call_at(3_000.0, rec.hit, "live")
-        sim.run()
-        assert rec.log == ["live"]
-        assert sim.pending == 0 and sim.live_pending == 0
-
-    def test_cancelled_in_unloaded_slot_also_consistent(self):
-        sim = Simulator()
-        rec = Recorder()
-        keep = sim.call_at(10_000.0, rec.hit, "keep")
-        dead = sim.call_at(500_000.0, rec.hit, "dead")  # L1 slot
-        dead.cancel()
-        assert sim.pending == 2 and sim.live_pending == 1
-        sim.run()
-        assert rec.log == ["keep"]
-        assert keep.state and sim.pending == 0 and sim.live_pending == 0
-
 
 class TestRecycleSafety:
-    def test_fired_handle_cancel_is_inert(self):
-        """A fired handle's cancel() is a no-op: it neither raises nor
-        touches the bookkeeping of entries scheduled after it."""
-        sim = Simulator()
-        rec = Recorder()
-        ev = sim.call_in(100.0, rec.hit, "first")
-        sim.run()
-        sim.sched_in(10.0, rec.hit, "later")
-        ev.cancel()
-        assert not ev.cancelled
-        assert sim.pending == 1 and sim.live_pending == 1
-        sim.run()
-        assert rec.log == ["first", "later"]
-
-    def test_public_handles_survive_forever(self):
-        """call_* events are never recycled: a handle cancelled long
-        after firing stays a harmless no-op."""
-        sim = Simulator()
-        rec = Recorder()
-        ev = sim.call_in(50.0, rec.hit, "x")
-        sim.sched_in(60.0, _noop)  # no-handle traffic alongside
-        sim.run()
-        assert rec.log == ["x"]
-        ev.cancel()  # fired: nothing to undo, never raises
-        assert not ev.cancelled and ev.fn == rec.hit
-
     def test_recycled_skb_reinjection_raises(self):
         h = Harness([PassthroughStage("s1", "ip_rcv_ns"), CountingSink()])
         skb = h.pipeline.alloc_skb(make_skb().packets[0])
@@ -380,18 +252,16 @@ class TestRecycleSafety:
 
 class TestWheelCheckpointRoundTrip:
     def _populate(self):
-        """A simulator with live entries of both kinds on every level and
-        a cancelled entry — the worst case for a snapshot."""
+        """A simulator with live entries on every level — the worst case
+        for a snapshot."""
         sim = Simulator()
         rec = Recorder()
-        sim.sched_in(10.0, rec.hit, "warm")  # fires pre-snapshot
+        sim.call_in(10.0, rec.hit, "warm")  # fires pre-snapshot
         sim.call_at(100.0, rec.hit, "active-ish")
         sim.call_at(5_000.0, rec.hit, "l0")
         sim.call_at(1_000_000.0, rec.hit, "l1")
         sim.call_at(200_000_000.0, rec.hit, "far")
-        dead = sim.call_at(7_000.0, rec.hit, "dead")
-        dead.cancel()
-        sim.sched_in(2_000_000.0, rec.hit, "sched-l1")
+        sim.call_in(2_000_000.0, rec.hit, "l1-in")
         sim.run(until_ns=50.0)  # past the warmup event only
         assert rec.log == ["warm"]
         return sim, rec
@@ -401,26 +271,21 @@ class TestWheelCheckpointRoundTrip:
         clone = pickle.loads(pickle.dumps(sim))
         # the clone's callbacks target the *cloned* recorder: fish it out
         # of a still-pending overflow entry before running
-        crec = clone._far[0][2].fn.__self__
+        crec = clone._far[0][2].__self__
         assert isinstance(crec, Recorder) and crec is not rec
         sim.run()
         clone.run()
-        expected = ["active-ish", "l0", "l1", "sched-l1", "far"]
+        expected = ["active-ish", "l0", "l1", "l1-in", "far"]
         assert rec.log[1:] == expected
         assert crec.log[1:] == expected
         assert clone.now == sim.now
         assert clone.events_executed == sim.events_executed
         assert clone.pending == sim.pending == 0
-        assert clone.live_pending == sim.live_pending == 0
 
     def test_snapshot_preserves_counters_exactly(self):
         sim, _ = self._populate()
         clone = pickle.loads(pickle.dumps(sim))
-        for attr in ("_npending", "_cancelled", "_cur0", "_cur1", "_n1",
+        for attr in ("_npending", "_cur0", "_cur1", "_n1",
                      "_seq", "_now", "events_executed"):
             assert getattr(clone, attr) == getattr(sim, attr), attr
         assert len(clone._far) == len(sim._far)
-
-
-def _noop():
-    return None
