@@ -20,11 +20,24 @@ machines reuse ``core0.jitter``/``core1.jitter``), so the buffer belongs
 to the *stream*, not the core: every sharer pops from the same buffer
 and the interleaved draw sequence is exactly that of scalar draws.
 Per-core buffers would reorder it and change the timeline.
+
+Fused runs: :meth:`Core.submit_run` charges a run of pipeline stages
+that stay on this core as one :class:`FusedRun` queue entry and one
+wheel event.  It draws one jitter normal per sub-stage and adds the
+durations to the start time one by one, so every sub-stage boundary is
+the float the per-stage path computes, and accrues ``busy_ns`` per tag.
+A sub-stage whose start would check the backlog (a *guard*) is covered
+only while that check provably passes: the queue only grows while the
+run holds the core, so a run is cut at its next guard as soon as a
+submission fills the backlog, and its completion moves there.  See
+docs/ENGINE.md for the full invariant.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Union
 
@@ -34,11 +47,14 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import BufferedNormals
 
 _exp = math.exp
+#: cut depth while no fused run has a pending guard (never reached)
+_NO_CUT = sys.maxsize
 
 
 class WorkItem:
     """One unit of CPU work: charge ``cost_ns`` then invoke ``fn(*args)``."""
 
+    fused = False
     __slots__ = ("tag", "cost_ns", "fn", "args")
 
     def __init__(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any):
@@ -48,6 +64,25 @@ class WorkItem:
         self.cost_ns = cost_ns
         self.fn = fn
         self.args = args
+
+
+class FusedRun:
+    """Sub-stages charged back to back as one work item (see
+    :meth:`Core.submit_run`).
+
+    ``shape`` is the static part, shared by every run of one plan: its
+    ``tags`` (one per sub-stage), its ``guards`` (the ascending indices,
+    from 1, of sub-stages whose start checks the run queue against its
+    ``limit``) and ``finish``, called with the run when it completes.
+    ``costs`` has one entry per sub-stage and ``item`` is the caller's
+    payload.  Once started, ``durs`` holds the duration of each
+    *covered* sub-stage (the prefix that completes in this run's one
+    event), and ``bounds`` the start time followed by each covered
+    sub-stage's end time.
+    """
+
+    fused = True
+    __slots__ = ("shape", "costs", "item", "durs", "bounds")
 
 
 class Core:
@@ -76,6 +111,8 @@ class Core:
             rng = BufferedNormals(rng)
         #: jitter normal source, shared by every core on the same stream
         self._normals = rng
+        if rng is not None:
+            rng.consumers += 1
         #: its pending draws (refills extend this same list in place)
         self._zbuf = rng.buf if rng is not None else None
         # lognormal(mu, sigma) has mean exp(mu + sigma^2/2); choose mu so the
@@ -85,11 +122,18 @@ class Core:
         self._busy = False
         #: bound once: every completion entry shares this method object
         self._on_complete = self._complete
+        self._on_run_complete = self._complete_run
         self.busy_ns: Dict[str, float] = {}
+        #: logical items: a fused run counts one per covered sub-stage
         self.items_executed = 0
-        self._queue_len_max = 0
+        #: while a fused run holding the core has a guard ahead: that run,
+        #: and the queue depth at which a submission cuts it
+        self._run = None
+        self._cut_depth = _NO_CUT
         #: recycled WorkItems for the *_call submission paths
         self._item_pool: list = []
+        #: recycled FusedRuns for submit_run
+        self._run_pool: list = []
         #: optional FlightRecorder — None (the default) disables all probes
         self.obs = None
         #: optional StageHistograms (repro.obs.hist) — exact latency counts
@@ -118,10 +162,10 @@ class Core:
             item = WorkItem(tag, cost_ns, fn, *args)
         q = self._queue
         q.append(item)
-        if len(q) > self._queue_len_max:
-            self._queue_len_max = len(q)
         if not self._busy:
             self._start_next()
+        elif len(q) >= self._cut_depth:
+            self._cut_run()
 
     def submit_front_call(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any) -> None:
         """Like :meth:`submit_call`, but at the *head* of the run queue
@@ -145,14 +189,47 @@ class Core:
             item = WorkItem(tag, cost_ns, fn, *args)
         q = self._queue
         q.appendleft(item)
-        if len(q) > self._queue_len_max:
-            self._queue_len_max = len(q)
         if not self._busy:
             self._start_next()
+        elif len(q) >= self._cut_depth:
+            self._cut_run()
+
+    def submit_run(self, shape: Any, costs: list, item: Any, front: bool) -> None:
+        """Enqueue a fused run of ``len(costs)`` sub-stages (at the head when
+        ``front``, as a run-to-completion continuation); starts
+        immediately if the core is idle.  ``shape.finish(run)`` is called
+        when it completes, with the :class:`FusedRun`'s boundary times.
+
+        The caller guarantees that nothing can observe the run between its
+        sub-stages: every sub-stage but the last is pure, this core's
+        jitter stream has no other consumer and its jitter is nonzero (so
+        no boundary ties an unrelated event), and no recorder is attached.
+        """
+        for cost in costs:
+            if cost < 0:
+                raise ValueError(f"negative work cost: {cost}")
+        pool = self._run_pool
+        run = pool.pop() if pool else FusedRun()
+        run.shape = shape
+        run.costs = costs
+        run.item = item
+        if not self._busy:
+            self._start_run(run)  # an idle core has an empty queue
+            return
+        q = self._queue
+        if front:
+            q.appendleft(run)
+        else:
+            q.append(run)
+        if len(q) >= self._cut_depth:
+            self._cut_run()
 
     # ------------------------------------------------------------ execution
     def _start_next(self) -> None:
         item = self._queue.popleft()
+        if item.fused:
+            self._start_run(item)
+            return
         sigma = self.jitter_sigma
         if sigma == 0.0:
             duration = item.cost_ns / self.speed
@@ -193,6 +270,9 @@ class Core:
         q = self._queue
         if q:
             nxt = q.popleft()
+            if nxt.fused:
+                self._start_run(nxt)
+                return
             sigma = self.jitter_sigma
             if sigma == 0.0:
                 duration = nxt.cost_ns / self.speed
@@ -205,7 +285,128 @@ class Core:
         else:
             self._busy = False
 
+    # ------------------------------------------------------------ fused runs
+    def _start_run(self, run: FusedRun) -> None:
+        """Compute the run's boundaries and file one completion at the end
+        of the covered prefix.
+
+        The draws are read in place (``buf[-1]``, ``buf[-2]``, ...) and
+        popped only at completion, so a sub-stage left uncovered leaves
+        its draw pending for the stage-by-stage dispatch that follows.
+        The prefix stops before the first sub-stage that would end past
+        the ``run(until_ns)`` horizon: a window boundary then sees exactly
+        the completions the per-stage path made.
+        """
+        costs = run.costs
+        zbuf = self._zbuf
+        if len(zbuf) < len(costs):
+            self._normals.reserve(len(costs))
+        speed = self.speed
+        mu = self._jitter_mu
+        sigma = self.jitter_sigma
+        sim = self.sim
+        t = sim._now
+        durs = []
+        bounds = [t]
+        i = len(zbuf)
+        for cost in costs:
+            i -= 1
+            # the per-item expression, and one addition per boundary in
+            # order, so every boundary is the float the per-stage path makes
+            duration = cost / speed * _exp(mu + sigma * zbuf[i])
+            durs.append(duration)
+            t += duration
+            bounds.append(t)
+        if t > sim._horizon:
+            n = max(1, bisect_right(bounds, sim._horizon) - 1)
+            del durs[n:]
+            del bounds[n + 1:]
+        run.durs = durs
+        run.bounds = bounds
+        self._busy = True
+        shape = run.shape
+        guards = shape.guards
+        if guards and guards[0] < len(durs):
+            if len(self._queue) >= shape.limit:
+                # already full: the first guarded dispatch will drop
+                del durs[guards[0]:]
+                del bounds[guards[0] + 1:]
+            else:
+                self._run = run
+                self._cut_depth = shape.limit
+        sim._sched(bounds[-1], self._on_run_complete, (run,))
+
+    def _cut_run(self) -> None:
+        """A submission filled the backlog while ``_run`` holds the core.
+
+        Guards whose boundary has passed saw a shorter queue and passed;
+        the first one still ahead fails, so the run now ends there and
+        its completion entry moves to that boundary.
+        """
+        self._cut_depth = _NO_CUT
+        run = self._run
+        self._run = None
+        bounds = run.bounds
+        now = self.sim._now
+        for g in run.shape.guards:
+            if g >= len(run.durs):
+                return
+            if bounds[g] >= now:
+                break
+        else:
+            return
+        sim = self.sim
+        sim._unsched(bounds[-1], self._on_run_complete)
+        del run.durs[g:]
+        del bounds[g + 1:]
+        sim._sched(bounds[g], self._on_run_complete, (run,))
+
+    def _complete_run(self, run: FusedRun) -> None:
+        durs = run.durs
+        n = len(durs)
+        del self._zbuf[-n:]  # the covered sub-stages' draws, read at start
+        busy = self.busy_ns
+        shape = run.shape
+        for tag, duration in zip(shape.tags, durs):
+            busy[tag] = busy.get(tag, 0.0) + duration
+        self.items_executed += n
+        sim = self.sim
+        # the sub-stage completions this one event stands for still count
+        sim.events_executed += n - 1
+        if sim.profiler is not None:
+            sim.profiler.note_folded(n - 1)
+        self._run = None
+        self._cut_depth = _NO_CUT
+        # the last sub-stage's window (every fused tag is a pipeline stage,
+        # so there is no core-level histogram to record)
+        now = sim._now
+        self.span_start = now - durs[-1]
+        self.span_end = now
+        shape.finish(run)
+        run.shape = run.costs = run.item = None
+        self._run_pool.append(run)
+        q = self._queue
+        if q:
+            nxt = q.popleft()
+            if nxt.fused:
+                self._start_run(nxt)
+                return
+            # a core that fuses is jittered
+            zbuf = self._zbuf
+            z = zbuf.pop() if zbuf else self._normals.refill()
+            duration = nxt.cost_ns / self.speed * _exp(self._jitter_mu + self.jitter_sigma * z)
+            sim._sched(sim._now + duration, self._on_complete, (nxt, duration))
+        else:
+            self._busy = False
+
     # ------------------------------------------------------------ accounting
+    @property
+    def fuses(self) -> bool:
+        """Whether fused runs may start here: the core is jittered, no
+        other consumer draws from its jitter stream, and no flight
+        recorder is attached (see docs/ENGINE.md)."""
+        return self.obs is None and self.jitter_sigma > 0.0 and self._normals.consumers == 1
+
     @property
     def busy(self) -> bool:
         return self._busy
@@ -213,10 +414,6 @@ class Core:
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
-
-    @property
-    def max_queue_depth(self) -> int:
-        return self._queue_len_max
 
     def total_busy_ns(self) -> float:
         """Total busy time across all tags since construction."""

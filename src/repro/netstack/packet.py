@@ -118,7 +118,6 @@ class Skb:
         "microflow_id",
         "branch",
         "flow_serial",
-        "alloc_ts",
         "q_ts",
         "trace_id",
         "gen",
@@ -132,7 +131,6 @@ class Skb:
         self.microflow_id: Optional[int] = None
         self.branch: Optional[int] = None
         self.flow_serial: Optional[int] = None
-        self.alloc_ts: float = 0.0
         #: dispatch timestamp of the hop currently charging this skb; the
         #: stage-histogram queue delay is (execution start - q_ts)
         self.q_ts: float = 0.0

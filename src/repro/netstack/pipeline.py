@@ -18,17 +18,26 @@ single reused instance (stages must read, not retain, it — every
 in-tree stage extracts what it needs); and datapath skbs come from a
 free list with poisoned recycling (:meth:`alloc_skb` /
 :meth:`recycle_skb`).
+
+Fused runs: when a pure stage (see :class:`~repro.netstack.stages.Stage`)
+is dispatched, the pure stages after it that the route cache places on
+the same core, plus at most one final stage of any kind, are charged as
+one :class:`~repro.cpu.core.FusedRun`.  Its plan is cached in the
+steering policy beside the routes it was built from.  On completion the
+pure prefix is recorded and processed in order, and the last stage goes
+through the ordinary :meth:`Pipeline._run_stage`; docs/ENGINE.md lists
+when a run falls back to one item per stage.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.cpu.core import Core
+from repro.cpu.core import Core, FusedRun
 from repro.metrics.telemetry import Telemetry
 from repro.netstack.costs import CostModel
 from repro.netstack.packet import Packet, Skb
-from repro.netstack.stages import Stage, StageContext
+from repro.netstack.stages import PassthroughStage, Stage, StageContext
 from repro.sim.engine import SimulationError, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,6 +56,49 @@ class StageNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nxt = self.next.stage.name if self.next else None
         return f"<StageNode {self.stage.name} -> {nxt}>"
+
+
+#: the shortest run worth fusing (see :meth:`Pipeline._plan_run`)
+_MIN_RUN = 3
+
+
+class RunPlan:
+    """The static shape of a fused run (see :class:`~repro.cpu.core.FusedRun`):
+    ``nodes`` from its first stage to its last, all on ``core``.
+    ``guards`` are the indices of the stages whose dispatch checks the
+    backlog against ``limit`` (the droppable ones after the first, whose
+    check :meth:`Pipeline._dispatch` makes itself), and ``effects`` those
+    whose ``process`` does more than return ``[skb]``.  ``tail_costs``
+    holds the costs after the first that pass-through stages fix (None
+    where the cost depends on the skb); ``dynamic`` pairs each None's
+    index with its stage."""
+
+    __slots__ = ("nodes", "tags", "guards", "effects", "tail_costs", "dynamic",
+                 "core", "limit", "finish")
+
+    def __init__(self, nodes: List[StageNode], core: Core, pipeline: "Pipeline"):
+        self.nodes = tuple(nodes)
+        self.tags = tuple(n.stage.name for n in nodes)
+        costs = pipeline.costs
+        self.tail_costs = [
+            getattr(costs, n.stage.cost_attr)
+            if type(n.stage).cost is PassthroughStage.cost else None
+            for n in nodes[1:]
+        ]
+        self.dynamic = tuple(
+            (i, n.stage) for i, n in enumerate(nodes)
+            if i > 0 and self.tail_costs[i - 1] is None
+        )
+        self.guards = tuple(
+            i for i, n in enumerate(nodes) if i > 0 and n.stage.droppable
+        )
+        self.effects = tuple(
+            i for i, n in enumerate(nodes)
+            if type(n.stage).process is not PassthroughStage.process
+        )
+        self.core = core
+        self.limit = costs.backlog_limit
+        self.finish = pipeline._finish_run
 
 
 def link_nodes(stages: List[Stage]) -> StageNode:
@@ -83,6 +135,12 @@ class Pipeline:
         #: optional StageHistograms — exact per-hop latency counts
         #: (see repro.obs.hist; recording never perturbs the timeline)
         self.hist = None
+        #: optional FaultInjectors and MigrationController.  Either can
+        #: re-route a flow (quarantine, readmission) or read counters
+        #: mid-run (the conservation watchdog), so while one is attached
+        #: no stage runs are fused.
+        self.faults = None
+        self.migration = None
         #: reused execution context handed to every Stage.process call
         self._ctx = StageContext(self, None, None)
         #: recycled datapath skbs (see alloc_skb/recycle_skb)
@@ -102,7 +160,6 @@ class Pipeline:
             skb.microflow_id = None
             skb.branch = None
             skb.flow_serial = None
-            skb.alloc_ts = 0.0
             skb.q_ts = 0.0
             skb.trace_id = None
             return skb
@@ -193,7 +250,9 @@ class Pipeline:
             front = False
         # Overload protection: model bounded per-core backlogs by dropping
         # when the target core's run queue is past the configured limit.
-        # Drop-eligible stages only (TCP is window-limited and never drops).
+        # Droppable stages only: the TCP receive and delivery stages are
+        # exempt (the sender window bounds them), the stages before them
+        # are not.
         if stage.droppable and len(core._queue) >= costs.backlog_limit:
             self.drops[stage.name] = self.drops.get(stage.name, 0) + 1
             self.telemetry.count("backlog_drops")
@@ -210,10 +269,95 @@ class Pipeline:
         if self.journeys is not None:
             self.journeys.on_enqueue(skb, stage.name, core.id, self.sim.now)
         skb.q_ts = self.sim._now
+        if stage.pure:
+            try:
+                plan = self.policy.run_plans[skb.flow][stage.name][skb.branch]
+            except KeyError:
+                plan = self._plan_run(node, skb, core)
+            if plan is not None:
+                run_costs = [cost, *plan.tail_costs]
+                for i, later in plan.dynamic:
+                    run_costs[i] = later.cost(skb, costs)
+                core.submit_run(plan, run_costs, skb, front)
+                return
         if front:
             core.submit_front_call(stage.name, cost, self._run_stage, node, skb, core)
         else:
             core.submit_call(stage.name, cost, self._run_stage, node, skb, core)
+
+    def _plan_run(self, node: StageNode, skb: Skb, core: Core) -> Optional[RunPlan]:
+        """Build and cache the fused run that starts at pure ``node`` for
+        ``skb``'s flow and branch on ``core``; None when there is none.
+
+        Nothing is cached while a hop the run would cover is unresolved:
+        the first packet of a flow goes stage by stage and fills the
+        route cache, and a later packet builds the plan from it.
+        """
+        policy = self.policy
+        plan = None
+        if (
+            policy.per_flow_routes
+            and self.obs is None
+            and self.journeys is None
+            and self.faults is None
+            and self.migration is None
+            and core.fuses
+        ):
+            nodes = [node]
+            nxt = node.next
+            while nxt is not None:
+                hop = policy.known_route(nxt.stage.name, skb)
+                if hop is None:
+                    return None
+                if hop is not core:
+                    break
+                nodes.append(nxt)
+                if not nxt.stage.pure:
+                    break
+                nxt = nxt.next
+            # a two-stage run saves one event but spends about as much host
+            # time on run bookkeeping as that event cost, so runs start at
+            # three stages (see docs/ENGINE.md)
+            if len(nodes) >= _MIN_RUN:
+                plan = RunPlan(nodes, core, self)
+        by_stage = policy.run_plans.setdefault(skb.flow, {})
+        by_stage.setdefault(node.stage.name, {})[skb.branch] = plan
+        return plan
+
+    def _finish_run(self, run: FusedRun) -> None:
+        """A fused run completed: record its pure prefix from the boundary
+        times the core computed and run the prefix's effects in order,
+        then hand the last covered stage to :meth:`_run_stage`."""
+        plan = run.shape
+        skb = run.item
+        core = plan.core
+        durs = run.durs
+        last = len(durs) - 1
+        if last:
+            bounds = run.bounds
+            hist = self.hist
+            if hist is not None:
+                tags = plan.tags
+                core_id = core.id
+                proto = skb.flow.proto
+                q_ts = skb.q_ts
+                for i in range(last):
+                    # the per-hop expressions: start = completion - duration
+                    end = bounds[i + 1]
+                    start = end - durs[i]
+                    hist.record_stage(tags[i], core_id, proto, start - q_ts, end - start)
+                    q_ts = end  # the next stage was dispatched as this one completed
+            ctx = self._ctx
+            ctx.core = core
+            nodes = plan.nodes
+            for i in plan.effects:
+                if i >= last:
+                    break
+                node = nodes[i]
+                ctx.node = node
+                node.stage.process(skb, ctx)
+            skb.q_ts = bounds[last]
+        self._run_stage(plan.nodes[last], skb, core)
 
     def _run_stage(self, node: StageNode, skb: Skb, core: Core) -> None:
         hist = self.hist

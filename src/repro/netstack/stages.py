@@ -46,13 +46,23 @@ class Stage:
     the skb (socket delivery) or forwards asynchronously itself (MFLOW
     merge) returns an empty list.
 
-    ``droppable`` marks stages whose input queue tail-drops under
-    overload (everything on the UDP path; TCP segments are protected by
-    the sender window instead).
+    ``droppable`` marks stages whose dispatch tail-drops the skb when the
+    target core's run queue is at the backlog limit.  That is every
+    stage on the UDP path and every stage before ``tcp_rcv`` on the TCP
+    path; the TCP receive and delivery stages (and MFLOW's merge) are
+    exempt, because the sender window bounds what reaches them.
+
+    ``cost`` must depend only on the skb and the cost model.  ``pure``
+    marks a stage whose ``process`` touches only its own skb and
+    telemetry counters, never reads the clock or schedules, returns
+    ``[skb]``, and changes nothing any stage's ``cost`` reads.  The
+    pipeline charges a run of pure stages on one core (plus the stage
+    after them) as one fused work item; see docs/ENGINE.md.
     """
 
     name: str = "stage"
     droppable: bool = True
+    pure: bool = False
 
     def cost(self, skb: Skb, costs: CostModel) -> float:
         raise NotImplementedError
@@ -65,15 +75,21 @@ class Stage:
 
 
 class PassthroughStage(Stage):
-    """A stage that charges a flat per-skb cost and forwards unchanged."""
+    """A stage that charges a flat per-skb cost and forwards unchanged.
+
+    The cost is the cost-model field ``cost_attr``, whatever the skb, so
+    a fused run reads it once when it is planned.
+    """
+
+    pure = True
 
     def __init__(self, name: str, cost_attr: str, droppable: bool = True):
         self.name = name
-        self._cost_attr = cost_attr
+        self.cost_attr = cost_attr
         self.droppable = droppable
 
     def cost(self, skb: Skb, costs: CostModel) -> float:
-        return getattr(costs, self._cost_attr)
+        return getattr(costs, self.cost_attr)
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
         return [skb]
@@ -88,12 +104,12 @@ class SkbAllocStage(Stage):
     """
 
     name = "skb_alloc"
+    pure = True
 
     def cost(self, skb: Skb, costs: CostModel) -> float:
         return costs.skb_alloc_ns * len(skb.packets)
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
-        skb.alloc_ts = ctx.sim.now
         ctx.telemetry.count("skb_allocated", len(skb.packets))
         return [skb]
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.netstack.costs import CostModel
 from repro.netstack.packet import Skb
-from repro.netstack.stages import PassthroughStage, Stage, StageContext
+from repro.netstack.stages import PassthroughStage, StageContext
 
 
 class OuterUdpDemuxStage(PassthroughStage):
@@ -23,19 +22,18 @@ class OuterUdpDemuxStage(PassthroughStage):
         super().__init__("udp_outer", "udp_rcv_outer_ns")
 
 
-class VxlanDecapStage(Stage):
+class VxlanDecapStage(PassthroughStage):
     """VxLAN decapsulation — the heavyweight overlay device.
 
     Strips the outer headers: downstream stages see the inner (decapped)
     packet.  MFLOW's *device scaling* configuration targets exactly this
     stage (split before it, so multiple cores decapsulate in parallel).
+    Still pure: it clears ``encap`` on its own packets, which no stage
+    cost reads.
     """
 
-    name = "vxlan"
-    droppable = True
-
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.vxlan_decap_ns
+    def __init__(self) -> None:
+        super().__init__("vxlan", "vxlan_decap_ns")
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
         for pkt in skb.packets:

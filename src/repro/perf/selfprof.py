@@ -14,6 +14,11 @@ which
 * derives executed-events-per-wall-second, the harness's headline
   throughput number.
 
+Events count *logical* completions, like ``Simulator.events_executed``:
+a fused run of pipeline stages fires one callback for several stage
+completions and reports the extra ones through :meth:`SelfProfiler.note_folded`,
+so ``pops - requeues + folded == events_executed`` holds exactly.
+
 Every wall-clock read of the profiler lives in this module.  Profiling
 only *reads* clocks, so the event schedule and simulated measurements
 are bit-identical with or without a profiler, and it composes with a
@@ -48,6 +53,8 @@ class SelfProfiler:
     __slots__ = (
         "heap_pushes",
         "heap_pops",
+        "requeues",
+        "folded",
         "peak_heap",
         "level_pushes",
         "wheel_cascades",
@@ -63,6 +70,10 @@ class SelfProfiler:
     def __init__(self) -> None:
         self.heap_pushes = 0
         self.heap_pops = 0
+        #: pops that lay past ``until_ns`` and went back on the wheel
+        self.requeues = 0
+        #: stage completions folded into fused runs' single events
+        self.folded = 0
         self.peak_heap = 0
         #: pushes per wheel level: [active heap, L0 slot, L1 slot, overflow]
         self.level_pushes = [0, 0, 0, 0]
@@ -99,7 +110,14 @@ class SelfProfiler:
     def note_requeue(self, heap_len: int) -> None:
         """A popped entry lay past ``until_ns`` and went back on the wheel."""
         self.heap_pops += 1
+        self.requeues += 1
         self.note_push(heap_len, 0)
+
+    def note_folded(self, n: int) -> None:
+        """One fired callback completed ``n`` more stages than its one event
+        (a fused run); they count as executed events."""
+        self.folded += n
+        self.events_executed += n
 
     # ------------------------------------------------------------ heap hooks
     def note_push(self, heap_len: int, level: int = 0) -> None:
@@ -155,6 +173,7 @@ class SelfProfiler:
         """JSON-safe payload embedded in :class:`ScenarioResult.selfprof`."""
         return {
             "events_executed": self.events_executed,
+            "folded": self.folded,
             "run_wall_s": self.run_wall_s,
             "events_per_sec": self.events_per_sec,
             "callback_wall_s": self.callback_wall_s,
@@ -162,6 +181,7 @@ class SelfProfiler:
             "heap": {
                 "pushes": self.heap_pushes,
                 "pops": self.heap_pops,
+                "requeues": self.requeues,
                 "peak_size": self.peak_heap,
                 "level_pushes": {
                     "active": self.level_pushes[0],
@@ -180,7 +200,8 @@ class SelfProfiler:
     def report(self, top_k: int = 10) -> str:
         """Human-readable profile, the body of ``repro prof``."""
         lines = [
-            f"events executed : {self.events_executed}",
+            f"events executed : {self.events_executed} "
+            f"({self.folded} folded into fused runs)",
             f"wall time       : {self.run_wall_s * 1e3:.1f} ms "
             f"({self.events_per_sec / 1e3:.0f}k events/s)",
             f"engine overhead : {self.engine_overhead_s * 1e3:.1f} ms "

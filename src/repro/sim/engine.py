@@ -26,7 +26,9 @@ the order a single sorted heap would produce, bit for bit.
 
 Every producer files through :meth:`Simulator._sched`, whose entry is
 the only object an event allocates: there are no event objects and no
-handles, so a scheduled callback always fires.
+handles, so a scheduled callback always fires.  The one exception is
+:meth:`Simulator._unsched`, with which a :class:`~repro.cpu.core.Core`
+moves a fused run's completion earlier when the run must be cut.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ _L0_MASK = (1 << _L0_BITS) - 1
 _L1_SLOTS = 1 << _L0_BITS
 _SLOT_NS = 1024.0
 _INV_SLOT_NS = 1.0 / _SLOT_NS
+_NO_HORIZON = float("-inf")
 
 
 class SimulationError(RuntimeError):
@@ -69,7 +72,12 @@ class Simulator:
         self._cur1: int = 0
         #: entries resident in _slot1 (skips the scan when zero)
         self._n1: int = 0
+        #: logical completions: one per fired callback, plus the stage
+        #: completions a fused run folds into its one event
         self.events_executed: int = 0
+        #: the running ``run(until_ns)`` bound (``inf`` without one);
+        #: ``-inf`` outside :meth:`run`, so work started there never fuses
+        self._horizon: float = _NO_HORIZON
         #: optional :class:`repro.perf.selfprof.SelfProfiler` that wraps
         #: every callback :meth:`run` fires (attach or detach by assignment)
         self.profiler: Optional[Any] = None
@@ -83,6 +91,7 @@ class Simulator:
         instance must be re-enterable, so the running flag is cleared."""
         state = self.__dict__.copy()
         state["_running"] = False
+        state["_horizon"] = _NO_HORIZON
         return state
 
     # ------------------------------------------------------------------ time
@@ -166,6 +175,40 @@ class Simulator:
         prof = self.profiler
         if prof is not None:
             prof.note_push(self._npending, level)
+
+    def _unsched(self, time_ns: float, fn: Callable[..., Any]) -> None:
+        """Remove the pending entry that calls ``fn`` at ``time_ns``.
+
+        The rare path of a fused-run cut (see :class:`repro.cpu.core.Core`,
+        which has at most one such entry per core, so ``(time, fn)``
+        names it), so a linear scan is fine.  An entry always sits where
+        :meth:`_place` would file it now: cascades and promotions keep
+        every level consistent with the cursors.
+        """
+        idx0 = int(time_ns * _INV_SLOT_NS)
+        idx1 = idx0 >> _L0_BITS
+        in_l1 = False
+        if idx0 <= self._cur0:
+            level = self._active
+        elif idx1 == self._cur1:
+            level = self._slot0[idx0 & _L0_MASK]
+        elif idx1 - self._cur1 < _L1_SLOTS:
+            level = self._slot1[idx1 & _L0_MASK]
+            in_l1 = True
+        else:
+            level = self._far
+        for i, entry in enumerate(level):
+            if entry[2] is fn and entry[0] == time_ns:
+                break
+        else:
+            raise SimulationError(f"no pending entry for {fn!r} at t={time_ns}")
+        level[i] = level[-1]
+        level.pop()
+        if level is self._active or level is self._far:
+            heapify(level)  # in place: run()'s alias of the active heap stays valid
+        if in_l1:
+            self._n1 -= 1
+        self._npending -= 1
 
     # ------------------------------------------------------- wheel advancement
     def _refill(self) -> bool:
@@ -253,6 +296,7 @@ class Simulator:
             if ckpt is not None:
                 ckpt.begin(self)
             until = float("inf") if until_ns is None else until_ns
+            self._horizon = until
             pop = heappop
             active = self._active
             while True:
@@ -282,6 +326,7 @@ class Simulator:
                 self._now = until_ns
         finally:
             self._running = False
+            self._horizon = _NO_HORIZON
             if prof is not None:
                 prof.end_run()
 

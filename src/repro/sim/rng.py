@@ -32,13 +32,19 @@ class BufferedNormals:
     so consumers may keep a reference to ``buf`` across refills.  The
     generator must not be drawn from directly while a buffer is live:
     that would interleave differently from scalar draws.
+
+    A fused run (:class:`~repro.cpu.core.Core`) reads its draws before
+    popping them, which is only exact while it is the buffer's sole
+    consumer; ``consumers`` (counted by each core that attaches) lets it
+    check.
     """
 
-    __slots__ = ("gen", "buf")
+    __slots__ = ("gen", "buf", "consumers")
 
     def __init__(self, gen: np.random.Generator):
         self.gen = gen
         self.buf: List[float] = []
+        self.consumers = 0
 
     def refill(self) -> float:
         """Draw the next block into ``buf`` and return its first value."""
@@ -47,6 +53,17 @@ class BufferedNormals:
         buf = self.buf
         buf.extend(block)
         return buf.pop()
+
+    def reserve(self, n: int) -> None:
+        """Make at least ``n`` draws pending, so a consumer may read
+        ``buf[-1]``, ``buf[-2]``, ... before popping them.  New blocks go
+        *behind* the pending draws; the generator has no other reader, so
+        drawing a block early changes no value."""
+        buf = self.buf
+        while len(buf) < n:
+            block = self.gen.standard_normal(NORMAL_BLOCK).tolist()
+            block.reverse()
+            buf[:0] = block
 
 
 class RngStreams:

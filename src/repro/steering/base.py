@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.cpu.core import Core
 from repro.cpu.topology import CpuSet
@@ -62,6 +62,14 @@ class SteeringPolicy:
         self._app_assignment: Dict[FlowKey, int] = {}
         #: route cache: flow -> stage name -> skb.branch -> core
         self._routes: Dict[FlowKey, Dict[str, Dict[Optional[int], Core]]] = {}
+        #: the pipeline's fused-run plans, built from the routes above and
+        #: kept beside them so :meth:`_forget_flow` drops both:
+        #: flow -> first stage name -> skb.branch -> plan (None: no run)
+        self.run_plans: Dict[FlowKey, Dict[str, Dict[Optional[int], Any]]] = {}
+        #: False when a subclass overrides :meth:`core_for` to route some
+        #: hop per packet: the cache is then not the whole answer, and the
+        #: pipeline fuses no runs
+        self.per_flow_routes = type(self).core_for is SteeringPolicy.core_for
 
     def app_core_idx_for(self, flow: FlowKey) -> int:
         """The application core serving ``flow``.
@@ -93,9 +101,22 @@ class SteeringPolicy:
         by_stage.setdefault(stage_name, {})[skb.branch] = core
         return core
 
+    def known_route(self, stage_name: str, skb: Skb) -> Optional[Core]:
+        """The cached core of a hop, or None while the hop is unresolved.
+
+        Never resolves: fused-run planning must not place a hop before a
+        packet reaches it (first-come placements such as the app-core
+        round robin would then change order)."""
+        try:
+            return self._routes[skb.flow][stage_name][skb.branch]
+        except KeyError:
+            return None
+
     def _forget_flow(self, flow: FlowKey) -> None:
-        """Drop ``flow``'s cached routes; its next hop re-resolves."""
+        """Drop ``flow``'s cached routes and the run plans built from them;
+        its next hop re-resolves."""
         self._routes.pop(flow, None)
+        self.run_plans.pop(flow, None)
 
     def nic_queue_core_idx(self, flow: FlowKey) -> Optional[int]:
         """Core index whose NIC RX queue should serve ``flow``.

@@ -204,6 +204,7 @@ class Scenario:
         self.wire = Wire(self.sim, self.costs, self.nic, faults=self.faults)
         if self.migration_plan is not None:
             self.migration = MigrationController(self, self.migration_plan)
+            self.pipeline.migration = self.migration
         # Observability: resolve like fault plans — a disabled config is
         # inert (None) and the run builds the exact same event schedule
         # and consumes the same randomness as an uninstrumented one.
@@ -229,6 +230,7 @@ class Scenario:
             self._attach_hist(self.hist_config)
         if self.faults is not None:
             self.nic.faults = self.faults
+            self.pipeline.faults = self.faults
             self.faults.apply_to_nic(self.nic)
             self.policy.attach_faults(self.faults)
             self.watchdog = ConservationWatchdog(

@@ -124,28 +124,6 @@ class TestCoreAccounting:
         assert not core.busy
         assert core.queue_depth == 0
 
-    def test_max_queue_depth_tracks_peak(self):
-        sim, core = make_core()
-        for _ in range(5):
-            core.submit_call("t", 10.0, lambda: None)
-        # first item started executing immediately; four remain queued
-        assert core.max_queue_depth == 4
-        sim.run()
-
-        # run-to-completion continuations can make the queue deepest
-        sim, core = make_core()
-
-        def fan_out():
-            for _ in range(4):
-                core.submit_front_call("cont", 10.0, lambda: None)
-
-        core.submit_call("a", 10.0, fan_out)
-        core.submit_call("b", 10.0, lambda: None)
-        assert core.max_queue_depth == 1
-        sim.run()
-        # "b" plus four continuations queued at once
-        assert core.max_queue_depth == 5
-
     def test_every_item_returns_to_the_free_list(self):
         """Both submission paths draw from the free list and every
         completion returns its item, holding no callback references."""

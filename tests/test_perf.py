@@ -89,7 +89,9 @@ class TestSelfprofInertness:
         # every pop drains a push; events still pending at the until_ns
         # bound were pushed but never popped
         assert heap["pushes"] >= heap["pops"]
-        assert heap["pops"] >= prof["events_executed"]
+        # every pop fires one callback except the requeues, and a fused
+        # run's one callback stands for `folded` more stage completions
+        assert heap["pops"] - heap["requeues"] + prof["folded"] == res.events_executed
         assert heap["peak_size"] >= 1
         centers = prof["cost_centers"]
         assert centers and centers[0]["wall_s"] >= centers[-1]["wall_s"]
@@ -102,15 +104,17 @@ class TestSelfprofInertness:
         # exact accounting for this seed-0 run: the loop must count every
         # pop and requeue, and attribute every callback
         assert prof["events_executed"] == 66963
+        assert prof["folded"] == 9107
         assert heap == {
-            "pushes": 66977, "pops": 66965, "peak_size": 57,
-            "level_pushes": {"active": 41437, "l0": 25296, "l1": 244, "overflow": 0},
+            "pushes": 57870, "pops": 57858, "requeues": 2, "peak_size": 57,
+            "level_pushes": {"active": 32956, "l0": 24670, "l1": 244, "overflow": 0},
             "cascades": 9, "window_jumps": 0,
         }
         assert {c["name"]: c["calls"] for c in centers} == {
-            "Core._complete": 52555,
+            "Core._complete": 41925,
             "Nic.receive": 5930,
             "Wire.send": 5804,
+            "Core._complete_run": 1523,
             "TcpSender.on_ack": 1513,
             "GroStage._flush_check": 1149,
             "ReassemblyStage._progress_check": 11,

@@ -214,7 +214,11 @@ class TestCheckpointer:
             full = run_single_flow("mflow", "tcp", 65536, seed=3, selfprof=True, **SHORT)
         _restore_save(monkeypatch, orig)
         assert saves, "the profiled run took no snapshot"
-        assert full.selfprof["events_executed"] == full.events_executed
+        heap = full.selfprof["heap"]
+        assert (
+            heap["pops"] - heap["requeues"] + full.selfprof["folded"]
+            == full.selfprof["events_executed"] == full.events_executed
+        )
         assert dataclasses.replace(full, selfprof=None) == golden
 
         _kill_after_first_save(monkeypatch)
@@ -227,7 +231,7 @@ class TestCheckpointer:
         assert ctx.restores == 1
         assert dataclasses.replace(resumed, selfprof=None) == golden
         # the profiler rides in the snapshot: pre-kill counts carry over
-        for key in ("events_executed", "heap", "n_cost_centers"):
+        for key in ("events_executed", "folded", "heap", "n_cost_centers"):
             assert resumed.selfprof[key] == full.selfprof[key], key
 
         def calls(prof):
@@ -463,7 +467,11 @@ class TestEngineSupervision:
         assert record.ok, record
         assert not engine.quarantined
         prof = record.measurements["selfprof"]
-        assert prof["events_executed"] == record.measurements["events_executed"] > 0
+        heap = prof["heap"]
+        assert (
+            heap["pops"] - heap["requeues"] + prof["folded"]
+            == prof["events_executed"] == record.measurements["events_executed"] > 0
+        )
 
     def test_quarantine_keeps_siblings_running(self, tmp_path):
         engine = RunEngine(
