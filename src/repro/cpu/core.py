@@ -31,6 +31,13 @@ only while that check provably passes: the queue only grows while the
 run holds the core, so a run is cut at its next guard as soon as a
 submission fills the backlog, and its completion moves there.  See
 docs/ENGINE.md for the full invariant.
+
+Stage histograms (:mod:`repro.obs.hist`) are recorded here, at
+completion, the one place that knows every span: a pipeline hop's item
+carries its series log and submit time and appends ``submit, end,
+duration``; system work appends its duration to a log resolved once per
+tag; a fused run appends one entry.  No span arithmetic runs per item:
+:meth:`~repro.obs.hist.StageHistograms.fold` does it, vectorised.
 """
 
 from __future__ import annotations
@@ -49,13 +56,20 @@ from repro.sim.rng import BufferedNormals
 _exp = math.exp
 #: cut depth while no fused run has a pending guard (never reached)
 _NO_CUT = sys.maxsize
+#: a core with histograms charges their shared fold budget once per this
+#: many completed items (a power of two), not per item
+_CHARGE_EVERY = 64
+_CHARGE_MASK = _CHARGE_EVERY - 1
 
 
 class WorkItem:
-    """One unit of CPU work: charge ``cost_ns`` then invoke ``fn(*args)``."""
+    """One unit of CPU work: charge ``cost_ns`` then invoke ``fn(*args)``.
+
+    A pipeline hop's item also carries its histogram ``series`` log (None
+    for system work) and, with it, its ``submit`` time."""
 
     fused = False
-    __slots__ = ("tag", "cost_ns", "fn", "args")
+    __slots__ = ("tag", "cost_ns", "fn", "args", "series", "submit")
 
     def __init__(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any):
         if cost_ns < 0:
@@ -64,6 +78,7 @@ class WorkItem:
         self.cost_ns = cost_ns
         self.fn = fn
         self.args = args
+        self.series = None
 
 
 class FusedRun:
@@ -73,16 +88,17 @@ class FusedRun:
     ``shape`` is the static part, shared by every run of one plan: its
     ``tags`` (one per sub-stage), its ``guards`` (the ascending indices,
     from 1, of sub-stages whose start checks the run queue against its
-    ``limit``) and ``finish``, called with the run when it completes.
-    ``costs`` has one entry per sub-stage and ``item`` is the caller's
-    payload.  Once started, ``durs`` holds the duration of each
-    *covered* sub-stage (the prefix that completes in this run's one
-    event), and ``bounds`` the start time followed by each covered
-    sub-stage's end time.
+    ``limit``), ``finish``, called with the run when it completes, and
+    ``series``, its histogram logs by covered length.  ``costs`` has one
+    entry per sub-stage, ``item`` is the caller's payload and ``submit``
+    the time it was submitted.  Once started, ``durs`` holds the
+    duration of each *covered* sub-stage (the prefix that completes in
+    this run's one event), and ``bounds`` the start time followed by
+    each covered sub-stage's end time.
     """
 
     fused = True
-    __slots__ = ("shape", "costs", "item", "durs", "bounds")
+    __slots__ = ("shape", "costs", "item", "submit", "durs", "bounds")
 
 
 class Core:
@@ -136,19 +152,26 @@ class Core:
         self._run_pool: list = []
         #: optional FlightRecorder — None (the default) disables all probes
         self.obs = None
-        #: optional StageHistograms (repro.obs.hist) — exact latency counts
+        #: optional StageHistograms (repro.obs.hist): every completion
+        #: appends its raw spans to its log
         self.hist = None
+        #: system-work tag -> its histogram series log, resolved once
+        self._tag_series: Dict[str, Any] = {}
         #: (start, end) ns of the work item currently completing; only
-        #: maintained while hist or obs is attached (read by the pipeline's
-        #: record path and the journey tracker; scalars, so the per-item
-        #: bookkeeping allocates nothing)
+        #: maintained while a flight recorder is attached (read by the
+        #: journey tracker)
         self.span_start = 0.0
         self.span_end = 0.0
 
     # --------------------------------------------------------------- submit
-    def submit_call(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any) -> None:
+    def submit_call(
+        self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any,
+        series: Any = None,
+    ) -> None:
         """Enqueue work that charges ``cost_ns`` then calls ``fn(*args)``;
-        starts immediately if the core is idle."""
+        starts immediately if the core is idle.  A pipeline hop passes its
+        histogram ``series`` log (see :mod:`repro.obs.hist`); other work
+        is recorded under its tag."""
         if cost_ns < 0:
             raise ValueError(f"negative work cost: {cost_ns}")
         pool = self._item_pool
@@ -160,6 +183,9 @@ class Core:
             item.args = args
         else:
             item = WorkItem(tag, cost_ns, fn, *args)
+        item.series = series
+        if series is not None:
+            item.submit = self.sim._now
         q = self._queue
         q.append(item)
         if not self._busy:
@@ -167,7 +193,10 @@ class Core:
         elif len(q) >= self._cut_depth:
             self._cut_run()
 
-    def submit_front_call(self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any) -> None:
+    def submit_front_call(
+        self, tag: str, cost_ns: float, fn: Callable[..., Any], *args: Any,
+        series: Any = None,
+    ) -> None:
         """Like :meth:`submit_call`, but at the *head* of the run queue
         (run-to-completion continuation: the next processing stage of the
         packet currently finishing runs before other queued work, as in a
@@ -187,6 +216,9 @@ class Core:
             item.args = args
         else:
             item = WorkItem(tag, cost_ns, fn, *args)
+        item.series = series
+        if series is not None:
+            item.submit = self.sim._now
         q = self._queue
         q.appendleft(item)
         if not self._busy:
@@ -213,6 +245,7 @@ class Core:
         run.shape = shape
         run.costs = costs
         run.item = item
+        run.submit = self.sim._now
         if not self._busy:
             self._start_run(run)  # an idle core has an empty queue
             return
@@ -245,21 +278,28 @@ class Core:
         tag = item.tag
         busy = self.busy_ns
         busy[tag] = busy.get(tag, 0.0) + duration
-        self.items_executed += 1
+        n = self.items_executed + 1
+        self.items_executed = n
         hist = self.hist
+        if hist is not None:
+            # raw spans only: StageHistograms.fold does the arithmetic
+            log = item.series
+            if log is not None:  # a pipeline hop
+                log.fromlist([item.submit, self.sim._now, duration])
+            else:  # system work: irq, driver_poll, softirq, ipi, app work
+                log = self._tag_series.get(tag)
+                if log is None:
+                    log = self._tag_series[tag] = hist.core_series(tag, self.id)
+                log.append(duration)
+            if not n & _CHARGE_MASK:
+                hist.charge(_CHARGE_EVERY)
         obs = self.obs
-        if hist is not None or obs is not None:
+        if obs is not None:
             now = self.sim._now
             start = now - duration
             self.span_start = start
             self.span_end = now
-            if hist is not None and tag not in hist.stage_names:
-                # system work (irq/driver_poll/softirq/ipi/steer_dispatch);
-                # datapath stages are recorded by the pipeline instead,
-                # with queue delay and flow class attached
-                hist.record_core(tag, self.id, duration)
-            if obs is not None:
-                obs.span(tag, start, now, core=self.id)
+            obs.span(tag, start, now, core=self.id)
         fn = item.fn
         args = item.args
         item.fn = None
@@ -369,7 +409,8 @@ class Core:
         shape = run.shape
         for tag, duration in zip(shape.tags, durs):
             busy[tag] = busy.get(tag, 0.0) + duration
-        self.items_executed += n
+        executed = self.items_executed + n
+        self.items_executed = executed
         sim = self.sim
         # the sub-stage completions this one event stands for still count
         sim.events_executed += n - 1
@@ -377,11 +418,15 @@ class Core:
             sim.profiler.note_folded(n - 1)
         self._run = None
         self._cut_depth = _NO_CUT
-        # the last sub-stage's window (every fused tag is a pipeline stage,
-        # so there is no core-level histogram to record)
-        now = sim._now
-        self.span_start = now - durs[-1]
-        self.span_end = now
+        hist = self.hist
+        if hist is not None:
+            # one entry per run, whatever its length; see StageHistograms.fold
+            log = shape.series[n]
+            log.append(run.submit)
+            log.fromlist(run.bounds)
+            log.fromlist(durs)
+            if (executed & _CHARGE_MASK) < n:  # passed a charge point
+                hist.charge(_CHARGE_EVERY)
         shape.finish(run)
         run.shape = run.costs = run.item = None
         self._run_pool.append(run)

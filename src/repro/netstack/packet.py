@@ -118,7 +118,6 @@ class Skb:
         "microflow_id",
         "branch",
         "flow_serial",
-        "q_ts",
         "trace_id",
         "gen",
     )
@@ -131,9 +130,6 @@ class Skb:
         self.microflow_id: Optional[int] = None
         self.branch: Optional[int] = None
         self.flow_serial: Optional[int] = None
-        #: dispatch timestamp of the hop currently charging this skb; the
-        #: stage-histogram queue delay is (execution start - q_ts)
-        self.q_ts: float = 0.0
         # observability identity: assigned monotonically on first touch by
         # JourneyTracker (never id(skb) — ids are reused)
         self.trace_id: Optional[int] = None

@@ -24,14 +24,20 @@ is dispatched, the pure stages after it that the route cache places on
 the same core, plus at most one final stage of any kind, are charged as
 one :class:`~repro.cpu.core.FusedRun`.  Its plan is cached in the
 steering policy beside the routes it was built from.  On completion the
-pure prefix is recorded and processed in order, and the last stage goes
-through the ordinary :meth:`Pipeline._run_stage`; docs/ENGINE.md lists
-when a run falls back to one item per stage.
+pure prefix is processed in order, and the last stage goes through the
+ordinary :meth:`Pipeline._run_stage`; docs/ENGINE.md lists when a run
+falls back to one item per stage.
+
+Stage histograms (:mod:`repro.obs.hist`) are recorded by the core that
+completes a hop, not here: the pipeline only resolves each hop's
+``(stage, core, flow-class)`` series, once per stage node and core (the
+:attr:`StageNode.series` cache) or once per run plan, and hands it to
+the core with the work.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.cpu.core import Core, FusedRun
 from repro.metrics.telemetry import Telemetry
@@ -45,13 +51,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class StageNode:
-    """One position in the datapath: a stage plus its successor."""
+    """One position in the datapath: a stage plus its successor.
 
-    __slots__ = ("stage", "next")
+    ``series`` caches the stage's histogram series logs while histograms
+    are attached: core -> flow class -> log."""
+
+    __slots__ = ("stage", "next", "series")
 
     def __init__(self, stage: Stage, next_node: Optional["StageNode"] = None):
         self.stage = stage
         self.next = next_node
+        self.series: Dict[Core, Dict[str, Any]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nxt = self.next.stage.name if self.next else None
@@ -71,14 +81,21 @@ class RunPlan:
     whose ``process`` does more than return ``[skb]``.  ``tail_costs``
     holds the costs after the first that pass-through stages fix (None
     where the cost depends on the skb); ``dynamic`` pairs each None's
-    index with its stage."""
+    index with its stage.  ``series`` holds the plan's stage-histogram
+    logs, one per covered length (None without histograms); the core logs
+    each run there."""
 
     __slots__ = ("nodes", "tags", "guards", "effects", "tail_costs", "dynamic",
-                 "core", "limit", "finish")
+                 "core", "limit", "finish", "series")
 
-    def __init__(self, nodes: List[StageNode], core: Core, pipeline: "Pipeline"):
+    def __init__(self, nodes: List[StageNode], core: Core, pipeline: "Pipeline",
+                 flow_class: str):
         self.nodes = tuple(nodes)
         self.tags = tuple(n.stage.name for n in nodes)
+        hist = pipeline.hist
+        self.series = (
+            None if hist is None else hist.plan_series(self.tags, core.id, flow_class)
+        )
         costs = pipeline.costs
         self.tail_costs = [
             getattr(costs, n.stage.cost_attr)
@@ -132,8 +149,9 @@ class Pipeline:
         self.obs = None
         #: optional JourneyTracker for latency decomposition (None = off)
         self.journeys = None
-        #: optional StageHistograms — exact per-hop latency counts
-        #: (see repro.obs.hist; recording never perturbs the timeline)
+        #: optional StageHistograms — exact per-hop latency counts, which
+        #: the cores record (see repro.obs.hist; recording never perturbs
+        #: the timeline)
         self.hist = None
         #: optional FaultInjectors and MigrationController.  Either can
         #: re-route a flow (quarantine, readmission) or read counters
@@ -160,7 +178,6 @@ class Pipeline:
             skb.microflow_id = None
             skb.branch = None
             skb.flow_serial = None
-            skb.q_ts = 0.0
             skb.trace_id = None
             return skb
         return Skb([pkt])
@@ -268,7 +285,6 @@ class Pipeline:
             return
         if self.journeys is not None:
             self.journeys.on_enqueue(skb, stage.name, core.id, self.sim.now)
-        skb.q_ts = self.sim._now
         if stage.pure:
             try:
                 plan = self.policy.run_plans[skb.flow][stage.name][skb.branch]
@@ -280,10 +296,21 @@ class Pipeline:
                     run_costs[i] = later.cost(skb, costs)
                 core.submit_run(plan, run_costs, skb, front)
                 return
+        series = None
+        if self.hist is not None:
+            proto = skb.flow.proto
+            try:
+                series = node.series[core][proto]
+            except KeyError:
+                series = node.series.setdefault(core, {})[proto] = (
+                    self.hist.stage_series(stage.name, core.id, proto)
+                )
         if front:
-            core.submit_front_call(stage.name, cost, self._run_stage, node, skb, core)
+            core.submit_front_call(stage.name, cost, self._run_stage, node, skb, core,
+                                   series=series)
         else:
-            core.submit_call(stage.name, cost, self._run_stage, node, skb, core)
+            core.submit_call(stage.name, cost, self._run_stage, node, skb, core,
+                             series=series)
 
     def _plan_run(self, node: StageNode, skb: Skb, core: Core) -> Optional[RunPlan]:
         """Build and cache the fused run that starts at pure ``node`` for
@@ -319,34 +346,19 @@ class Pipeline:
             # time on run bookkeeping as that event cost, so runs start at
             # three stages (see docs/ENGINE.md)
             if len(nodes) >= _MIN_RUN:
-                plan = RunPlan(nodes, core, self)
+                plan = RunPlan(nodes, core, self, skb.flow.proto)
         by_stage = policy.run_plans.setdefault(skb.flow, {})
         by_stage.setdefault(node.stage.name, {})[skb.branch] = plan
         return plan
 
     def _finish_run(self, run: FusedRun) -> None:
-        """A fused run completed: record its pure prefix from the boundary
-        times the core computed and run the prefix's effects in order,
+        """A fused run completed: run its pure prefix's effects in order,
         then hand the last covered stage to :meth:`_run_stage`."""
         plan = run.shape
         skb = run.item
         core = plan.core
-        durs = run.durs
-        last = len(durs) - 1
+        last = len(run.durs) - 1
         if last:
-            bounds = run.bounds
-            hist = self.hist
-            if hist is not None:
-                tags = plan.tags
-                core_id = core.id
-                proto = skb.flow.proto
-                q_ts = skb.q_ts
-                for i in range(last):
-                    # the per-hop expressions: start = completion - duration
-                    end = bounds[i + 1]
-                    start = end - durs[i]
-                    hist.record_stage(tags[i], core_id, proto, start - q_ts, end - start)
-                    q_ts = end  # the next stage was dispatched as this one completed
             ctx = self._ctx
             ctx.core = core
             nodes = plan.nodes
@@ -356,18 +368,9 @@ class Pipeline:
                 node = nodes[i]
                 ctx.node = node
                 node.stage.process(skb, ctx)
-            skb.q_ts = bounds[last]
         self._run_stage(plan.nodes[last], skb, core)
 
     def _run_stage(self, node: StageNode, skb: Skb, core: Core) -> None:
-        hist = self.hist
-        if hist is not None:
-            # the work item charging this stage just completed on `core`;
-            # its span scalars are the hop's execution window
-            hist.record_stage(
-                node.stage.name, core.id, skb.flow.proto,
-                core.span_start - skb.q_ts, core.span_end - core.span_start,
-            )
         journeys = self.journeys
         if journeys is not None:
             journeys.on_execute(skb, node.stage.name, core.span_start, core.span_end)

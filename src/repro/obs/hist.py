@@ -19,20 +19,29 @@ Design constraints, in order:
   ``sum_ns``, ``min_ns``, ``max_ns``) are integers — integer addition is
   associative and commutative, so merge order can never change a byte of
   the serialized result.
-* **Batched record path.**  A hop appends its raw spans to the pending
-  lists of its series (one nested lookup, two appends).  Once the
-  pending values of *all* series reach a shared budget
-  (``_FOLD_BUDGET``, 4096 values), one vectorised fold moves them into
-  an int64 bucket matrix (one 960-bucket row per series) and exact
-  per-series sum/min/max.  Buffering is bounded by the budget whatever
-  the series count: at most ~4096 pending floats (~130 KB) per run, and
-  a matrix row costs what a per-series count list did.  The fold is
+* **Recorded where the work completes.**  Only the core that finishes a
+  work item knows its spans, so :class:`~repro.cpu.core.Core` logs
+  them, raw, with no span arithmetic, into per-series float logs
+  (``array('d')``, converted as the values are logged): a pipeline
+  hop's item carries its ``(stage, core, flow-class)`` series log
+  (resolved once per stage node and core by the pipeline) and its
+  submit time, and its completion appends ``submit, end, duration``;
+  system work appends its duration to a log the core resolves once per
+  tag; a fused run appends its submit time, boundary times and
+  durations to its plan's log.  Once the logs hold a shared budget of
+  spans (``_FOLD_BUDGET``, 4096, charged by each core every 64
+  completions), one vectorised fold copies them into one array,
+  computes every span with the per-hop float expressions and moves it
+  into an int64 bucket matrix (one 960-bucket row per series) and exact
+  per-series sum/min/max.  The logs stay bounded by the budget (plus
+  one charge interval per core) whatever the series count, and a matrix
+  row costs what a per-series count list did.  The fold is
   integer-exact: it gives the same payload as calling
-  :meth:`LatencyHistogram.record` once per value, which stays as the
-  tested reference.  ``to_dict`` and pickling fold first; a checkpoint
-  carries only the matrix's nonzero cells.  A span the reference would
-  reject (not finite, or past the bucket range) raises at the fold, not
-  at the record call that buffered it.
+  :meth:`LatencyHistogram.record` once per span, which stays as the
+  tested reference.  ``to_dict`` folds first; a checkpoint carries the
+  logs unfolded and only the matrix's nonzero cells.  A span the
+  reference would reject (not finite, or past the bucket range) raises
+  at the fold, not at the completion that logged it.
 
 Bucket geometry (log-linear, HdrHistogram style)
 ------------------------------------------------
@@ -54,6 +63,7 @@ the counts so a reader can verify compatibility before merging.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -91,15 +101,16 @@ N_BUCKETS = 960
 
 _SENTINEL_MIN = (1 << 63) - 1
 
-#: pending values, summed over every series of one StageHistograms, that
-#: trigger a fold (a shared budget: per-series buffers would scale the
-#: buffered memory with the series count)
+#: logged spans, summed over every core of one StageHistograms, that
+#: trigger a fold (a shared budget: per-core or per-series buffers would
+#: scale the buffered memory with their count)
 _FOLD_BUDGET = 4096
 #: a fold holding a value at or beyond this magnitude goes through
 #: LatencyHistogram.record; below it float64 -> int64 is exact and a
-#: whole fold of them sums inside int64
+#: whole fold of them sums inside int64 (a fused run may log past the
+#: budget by its length, so twice the budget bounds one row's values)
 _VEC_LIMIT = 1 << 48
-assert (_FOLD_BUDGET + 1) * _VEC_LIMIT < 1 << 63
+assert 2 * _FOLD_BUDGET * _VEC_LIMIT < 1 << 63
 #: series rows added to the bucket matrix at a time
 _ROW_CHUNK = 64
 
@@ -231,11 +242,15 @@ class StageHistograms:
     * ``stages`` — per ``(stage, core, flow-class)``, a *queue* histogram
       (run-queue wait between dispatch and execution start) and a
       *service* histogram (the work item's execution span, jitter and
-      handoff penalty included), recorded by the pipeline on every hop;
+      handoff penalty included), one pair per executed pipeline hop;
     * ``cores`` — per ``(tag, core)`` service histograms for system work
       that is not a datapath stage (``irq:*``, ``driver_poll:*``,
-      ``softirq:*``, ``ipi:*``, ``steer_dispatch``), recorded by the
-      core's completion path.
+      ``softirq:*``, ``ipi:*``, ``steer_dispatch``, app work).
+
+    Both are recorded where the work completes, by
+    :class:`~repro.cpu.core.Core`, into the raw logs this object hands
+    out (:meth:`stage_series`, :meth:`core_series`, :meth:`plan_series`);
+    :meth:`fold` turns the logs into spans and counts.
 
     The object is pickled inside simulator checkpoints with the rest of
     the scenario graph, so a killed-and-resumed run carries its exact
@@ -244,34 +259,38 @@ class StageHistograms:
 
     def __init__(self, config: Optional[HistConfig] = None):
         self.config = config if config is not None else HistConfig()
-        #: stage-name set the pipeline claims; the core path skips these
-        #: so stage work is never double-counted into the core family
-        self.stage_names: frozenset = frozenset()
-        # Every histogram is a *series*: a row index into the bucket
-        # matrix and the exact aggregates below, plus a pending list of
-        # raw spans not yet folded into them.
-        # stage -> core_id -> flow_class ->
-        #     [queue_row, service_row, queue_pending, service_pending]
-        self._stages: Dict[str, Dict[int, Dict[str, list]]] = {}
-        # tag -> core_id -> [service_row, service_pending]
-        self._cores: Dict[str, Dict[int, list]] = {}
-        self._pending: List[list] = []
+        # Every histogram is a *row* of the bucket matrix and of the exact
+        # aggregates below.  A series is its row and its raw log (a float
+        # array the cores append to: converted as logged, while the values
+        # are fresh, so the fold only copies memory); a stage series' row
+        # is its service row, and its queue row is the one before.
+        # stage -> core_id -> flow_class -> (row, log of submit/end/duration)
+        self._stages: Dict[str, Dict[int, Dict[str, Tuple[int, array]]]] = {}
+        # tag -> core_id -> (row, log of durations)
+        self._cores: Dict[str, Dict[int, Tuple[int, array]]] = {}
+        #: the same series, in the order the fold reads them
+        self._hop_logs: List[Tuple[int, array]] = []
+        self._sys_logs: List[Tuple[int, array]] = []
+        #: fused-run plans: their sub-stages' rows -> one log per covered
+        #: length m (index 0 unused) of submit, bounds[0..m], durs[0..m-1]
+        self._plans: Dict[Tuple[int, ...], List[array]] = {}
+        #: system work logged without ``core_tags``: emptied, never folded
+        self._dropped = array("d")
+        #: logged spans still allowed before the next fold (see charge)
+        self.room = _FOLD_BUDGET
         #: per-row aggregates: exact Python-int sums, and int64 arrays
         #: grown _ROW_CHUNK rows at a time
         self._sums: List[int] = []
         self._buckets = np.zeros((0, N_BUCKETS), dtype=np.int64)
         self._mins = np.zeros(0, dtype=np.int64)
         self._maxs = np.zeros(0, dtype=np.int64)
-        #: values that may still be appended before the next fold
-        self._room = _FOLD_BUDGET
-        if not self.config.core_tags:
-            self.record_core = _skip_core  # type: ignore[method-assign]
 
     def __getstate__(self) -> dict:
-        """Checkpoints carry folded counts and empty pending lists: only
-        the rows in use (``_new_series`` regrows past them), and the
-        bucket matrix as its nonzero cells."""
-        self.fold()
+        """Checkpoints carry the counts folded so far, only for the rows in
+        use (``_new_rows`` regrows past them) and the bucket matrix as its
+        nonzero cells, and the logs as they are.  No fold here: queued
+        work items share the logs, and the pickler may already have
+        written a log through one of them."""
         state = self.__dict__.copy()
         used = len(self._sums)
         state["_mins"] = self._mins[:used]
@@ -288,44 +307,52 @@ class StageHistograms:
         state["_buckets"] = buckets
         self.__dict__.update(state)
 
-    # ------------------------------------------------------------ recording
-    def record_stage(
-        self, stage: str, core_id: int, flow_class: str,
-        queue_ns: float, service_ns: float,
-    ) -> None:
-        """One executed hop (hot path: one lookup and two appends)."""
-        try:
-            entry = self._stages[stage][core_id][flow_class]
-        except KeyError:
-            by_class = self._stages.setdefault(stage, {}).setdefault(core_id, {})
-            entry = by_class[flow_class] = self._new_series(2)
-        entry[2].append(queue_ns)
-        entry[3].append(service_ns)
-        room = self._room - 2
-        self._room = room
-        if room <= 0:
-            self.fold()
+    # ------------------------------------------------------ series resolution
+    def stage_series(self, stage: str, core_id: int, flow_class: str) -> array:
+        """The log of a ``(stage, core, flow-class)`` series: a completed
+        hop appends its ``submit, end, duration``.  Made on first use; a
+        series that never logs a span is left out of the payload."""
+        return self._stage_entry(stage, core_id, flow_class)[1]
 
-    def record_core(self, tag: str, core_id: int, service_ns: float) -> None:
-        """One completed non-stage work item (a no-op without ``core_tags``,
-        decided once at construction)."""
-        try:
-            entry = self._cores[tag][core_id]
-        except KeyError:
-            entry = self._cores.setdefault(tag, {})[core_id] = self._new_series(1)
-        entry[1].append(service_ns)
-        room = self._room - 1
-        self._room = room
-        if room <= 0:
-            self.fold()
+    def core_series(self, tag: str, core_id: int) -> array:
+        """The log of a ``(tag, core)`` system-work series: a completed
+        item appends its duration (to a log the fold discards without
+        ``core_tags``)."""
+        if not self.config.core_tags:
+            return self._dropped
+        by_core = self._cores.setdefault(tag, {})
+        entry = by_core.get(core_id)
+        if entry is None:
+            entry = by_core[core_id] = (self._new_rows(1), array("d"))
+            self._sys_logs.append(entry)
+        return entry[1]
 
-    def _new_series(self, n: int) -> list:
-        """``[row_1..row_n, pending_1..pending_n]`` for ``n`` new series."""
-        first = len(self._pending)
-        rows = list(range(first, first + n))
-        pending: List[list] = [[] for _ in rows]
-        self._pending.extend(pending)
-        self._sums.extend(0 for _ in rows)
+    def plan_series(
+        self, stages: Tuple[str, ...], core_id: int, flow_class: str
+    ) -> List[array]:
+        """The logs of a fused run of ``stages`` on one core, one per
+        covered length ``m``: a run appends its submit time, its ``m + 1``
+        boundary times and its ``m`` durations to log ``m``."""
+        rows = tuple(self._stage_entry(s, core_id, flow_class)[0] for s in stages)
+        logs = self._plans.get(rows)
+        if logs is None:
+            logs = self._plans[rows] = [array("d") for _ in range(len(rows) + 1)]
+        return logs
+
+    def _stage_entry(
+        self, stage: str, core_id: int, flow_class: str
+    ) -> Tuple[int, array]:
+        by_class = self._stages.setdefault(stage, {}).setdefault(core_id, {})
+        entry = by_class.get(flow_class)
+        if entry is None:
+            entry = by_class[flow_class] = (self._new_rows(2) + 1, array("d"))
+            self._hop_logs.append(entry)
+        return entry
+
+    def _new_rows(self, n: int) -> int:
+        """Add ``n`` rows; returns the first."""
+        first = len(self._sums)
+        self._sums.extend([0] * n)
         if first + n > len(self._mins):
             grow = ((first + n - len(self._mins)) // _ROW_CHUNK + 1) * _ROW_CHUNK
             self._buckets = np.concatenate(
@@ -335,105 +362,201 @@ class StageHistograms:
                 [self._mins, np.full(grow, _SENTINEL_MIN, dtype=np.int64)]
             )
             self._maxs = np.concatenate([self._maxs, np.zeros(grow, dtype=np.int64)])
-        return rows + pending
+        return first
 
     # ---------------------------------------------------------------- folding
+    def charge(self, spans: int) -> None:
+        """A core logged ``spans`` more spans: fold once the shared budget
+        is spent.  Cores charge in fixed intervals of completed items (see
+        :mod:`repro.cpu.core`), so the logs hold at most the budget plus
+        one interval and one fused run per core."""
+        self.room -= spans
+        if self.room <= 0:
+            self.fold()
+
     def fold(self) -> None:
-        """Move every pending value into its series' exact aggregates.
+        """Turn the logs into spans and move them into their series' exact
+        aggregates.
+
+        A hop logged ``(submit, end, duration)``; its spans are computed
+        here with the per-hop float expressions, vectorised: ``start =
+        end - duration``, queue ``start - submit`` and service ``end -
+        start``.  A fused run's sub-stage ``i`` ends at boundary ``i + 1``
+        and was submitted at boundary ``i`` (the first at the run's
+        submit time).  System work records its duration.
 
         Integer-exact, so the result equals one
-        :meth:`LatencyHistogram.record` call per value: ``astype(int64)``
+        :meth:`LatencyHistogram.record` call per span: ``astype(int64)``
         truncates toward zero like ``int()``, ``frexp``'s exponent is
         ``bit_length`` for integers below 2**53, and one fold's int64
         sums stay below 2**61 (see ``_VEC_LIMIT``) before they join the
         Python-int running sums.  A span the reference would reject (not
         finite, or past the bucket range) raises here, at the fold that
-        meets it — a later record call, ``to_dict`` or pickling — rather
-        than at the record call that buffered it; nothing of the batch is
-        folded and the pending lists are kept.
+        meets it — a later charge, ``to_dict`` or pickling — rather than
+        where it was logged; nothing of the batch is folded and the logs
+        are kept.
         """
-        pending = self._pending
-        lens = list(map(len, pending))  # row i's values follow row i-1's
-        values: list = []
-        for p in pending:
-            values += p
-        if values:
-            x = np.array(values, dtype=np.float64)
-            if not np.isfinite(x).all():
+        rows, x = self._spans()
+        if len(x):
+            top = np.abs(x).max()  # NaN if any span is NaN
+            if top < _VEC_LIMIT:
+                self._fold_vector(rows, x)
+            elif not np.isfinite(top):
                 raise ValueError("latency span is not finite")
-            if np.abs(x).max() < _VEC_LIMIT:
-                self._fold_vector(lens, x)
             else:  # huge values: the reference path is exact
-                self._fold_reference(lens, values)
-            for p in pending:
-                p.clear()
-        self._room = _FOLD_BUDGET
+                self._fold_reference(rows, x)
+        for _, log in self._hop_logs:
+            del log[:]
+        for _, log in self._sys_logs:
+            del log[:]
+        for logs in self._plans.values():
+            for log in logs:
+                del log[:]
+        del self._dropped[:]
+        self.room = _FOLD_BUDGET
 
-    def _fold_vector(self, lens: List[int], x: np.ndarray) -> None:
+    def _spans(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every logged span and its row, as two flat arrays.
+
+        All logs are copied into one float array first; the per-series
+        Python work is gathering them, never per span."""
+        flat = array("d")
+        hop_rows: List[int] = []
+        hops: List[int] = []
+        for row, log in self._hop_logs:
+            if log:
+                hop_rows.append(row)
+                hops.append(len(log) // 3)
+                flat += log
+        n_hop = len(flat)
+        sys_rows: List[int] = []
+        durs: List[int] = []
+        for row, log in self._sys_logs:
+            if log:
+                sys_rows.append(row)
+                durs.append(len(log))
+                flat += log
+        n_sys = len(flat) - n_hop
+        # fused runs, grouped by covered length m: one 2-D block each
+        blocks: List[Tuple[int, List[Tuple[int, ...]], List[int]]] = []
+        longest = max(map(len, self._plans), default=0)
+        for m in range(1, longest + 1):
+            plans: List[Tuple[int, ...]] = []
+            runs: List[int] = []
+            for plan, logs in self._plans.items():
+                if m < len(logs) and logs[m]:
+                    plans.append(plan[:m])
+                    runs.append(len(logs[m]) // (2 * m + 2))
+                    flat += logs[m]
+            if plans:
+                blocks.append((m, plans, runs))
+        if not flat:
+            return np.zeros(0, dtype=np.int64), np.zeros(0)
+        x = np.frombuffer(flat, dtype=np.float64)
+        hop = x[:n_hop].reshape(-1, 3)
+        rows = [np.repeat(np.array(hop_rows, dtype=np.int64), hops)]
+        submit = [hop[:, 0]]
+        end = [hop[:, 1]]
+        dur = [hop[:, 2]]
+        at = n_hop + n_sys
+        for m, plans, runs in blocks:
+            width = 2 * m + 2
+            # columns: submit, bounds[0..m], durs[0..m-1]
+            log = x[at:at + sum(runs) * width].reshape(-1, width)
+            at += len(log) * width
+            rows.append(np.repeat(np.array(plans, dtype=np.int64), runs, axis=0).ravel())
+            sub = log[:, 1:m + 1].copy()  # bounds[i]: sub-stage i's submit...
+            sub[:, 0] = log[:, 0]  # ...but the first was submitted with the run
+            submit.append(sub.ravel())
+            end.append(log[:, 2:m + 2].ravel())
+            dur.append(log[:, m + 2:].ravel())
+        s = np.concatenate(rows)
+        e = np.concatenate(end)
+        start = e - np.concatenate(dur)
+        return (
+            np.concatenate([s - 1, s, np.repeat(np.array(sys_rows, dtype=np.int64), durs)]),
+            np.concatenate([start - np.concatenate(submit), e - start, x[n_hop:n_hop + n_sys]]),
+        )
+
+    def _fold_vector(self, rows: np.ndarray, x: np.ndarray) -> None:
         v = x.astype(np.int64)
         np.maximum(v, 0, out=v)
         k = np.maximum(np.frexp(v)[1] - 5, 0).astype(np.int64)
         idx = (k << 4) + (v >> k)  # k == 0 below LINEAR_MAX: idx == v
-        seg = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        np.add.at(self._buckets.reshape(-1), seg * N_BUCKETS + idx, 1)
-        sums = np.zeros(len(lens), dtype=np.int64)
-        np.add.at(sums, seg, v)
+        np.add.at(self._buckets.reshape(-1), rows * N_BUCKETS + idx, 1)
+        sums = np.zeros(len(self._sums), dtype=np.int64)
+        np.add.at(sums, rows, v)
         self._sums = list(map(int.__add__, self._sums, sums.tolist()))
-        np.minimum.at(self._mins, seg, v)
-        np.maximum.at(self._maxs, seg, v)
+        np.minimum.at(self._mins, rows, v)
+        np.maximum.at(self._maxs, rows, v)
 
-    def _fold_reference(self, lens: List[int], values: list) -> None:
+    def _fold_reference(self, rows: np.ndarray, x: np.ndarray) -> None:
         # record every row before touching the aggregates, so a value the
         # reference rejects leaves them as they were
-        refs = []
-        i = 0
-        for row, n in enumerate(lens):
-            if n:
-                ref = LatencyHistogram()
-                for value in values[i:i + n]:
-                    ref.record(value)
-                refs.append((row, ref))
-                i += n
-        for row, ref in refs:
+        refs: Dict[int, LatencyHistogram] = {}
+        for row, value in zip(rows.tolist(), x.tolist()):
+            ref = refs.get(row)
+            if ref is None:
+                ref = refs[row] = LatencyHistogram()
+            ref.record(value)
+        for row, ref in refs.items():
             self._buckets[row] += np.array(ref.counts, dtype=np.int64)
             self._sums[row] += ref.sum_ns
             self._mins[row] = min(int(self._mins[row]), ref.min_ns)
             self._maxs[row] = max(int(self._maxs[row]), ref.max_ns)
 
-    def _series_dict(self, row: int) -> Dict[str, Any]:
-        hist = LatencyHistogram()
-        hist.counts = self._buckets[row].tolist()
-        hist.count = sum(hist.counts)
-        hist.sum_ns = self._sums[row]
-        hist.min_ns = int(self._mins[row])
-        hist.max_ns = int(self._maxs[row])
-        return hist.to_dict()
-
     # --------------------------------------------------------- serialization
     def to_dict(self) -> Dict[str, Any]:
-        """The run-record / checkpoint payload, keys sorted for stability."""
+        """The run-record / checkpoint payload, keys sorted for stability.
+
+        Series that never logged a span are left out."""
         self.fold()
-        series = self._series_dict
+        used = len(self._sums)
+        matrix = self._buckets[:used]
+        counts = matrix.sum(axis=1).tolist()
+        cells = np.flatnonzero(matrix)
+        # row r's nonzero buckets are cells[cuts[r]:cuts[r + 1]]
+        cuts = np.searchsorted(cells, np.arange(used + 1) * N_BUCKETS).tolist()
+        index = (cells % N_BUCKETS).tolist()
+        hits = matrix.reshape(-1)[cells].tolist()
+        sums = self._sums
+        mins = self._mins[:used].tolist()
+        maxs = self._maxs[:used].tolist()
+
+        def series(row: int) -> Dict[str, Any]:
+            lo, hi = cuts[row], cuts[row + 1]
+            return {
+                "count": counts[row],
+                "sum_ns": sums[row],
+                "min_ns": mins[row] if counts[row] else 0,
+                "max_ns": maxs[row],
+                "buckets": list(map(list, zip(index[lo:hi], hits[lo:hi]))),
+            }
+
         stages: Dict[str, Any] = {}
         for stage in sorted(self._stages):
             by_core = self._stages[stage]
-            stages[stage] = {
-                str(core_id): {
-                    flow_class: {
-                        "queue": series(entry[0]),
-                        "service": series(entry[1]),
-                    }
-                    for flow_class, entry in sorted(by_core[core_id].items())
+            out_core: Dict[str, Any] = {}
+            for core_id in sorted(by_core):
+                out_class = {
+                    flow_class: {"queue": series(row - 1), "service": series(row)}
+                    for flow_class, (row, _) in sorted(by_core[core_id].items())
+                    if counts[row]
                 }
-                for core_id in sorted(by_core)
-            }
+                if out_class:
+                    out_core[str(core_id)] = out_class
+            if out_core:
+                stages[stage] = out_core
         cores: Dict[str, Any] = {}
         for tag in sorted(self._cores):
             by_core = self._cores[tag]
-            cores[tag] = {
+            out = {
                 str(core_id): series(by_core[core_id][0])
                 for core_id in sorted(by_core)
+                if counts[by_core[core_id][0]]
             }
+            if out:
+                cores[tag] = out
         return {
             "schema": HIST_SCHEMA_VERSION,
             "geometry": {
@@ -445,10 +568,6 @@ class StageHistograms:
             "stages": stages,
             "cores": cores,
         }
-
-
-def _skip_core(tag: str, core_id: int, service_ns: float) -> None:
-    """``record_core`` of a histogram set without the core-tag family."""
 
 
 # ------------------------------------------------------- payload-level algebra

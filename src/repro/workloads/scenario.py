@@ -285,7 +285,6 @@ class Scenario:
         client-machine core ids would collide with receiver series.
         """
         hist = StageHistograms(cfg)
-        hist.stage_names = frozenset(self.pipeline.stage_names())
         self.pipeline.hist = hist
         for core in self.cpus:
             core.hist = hist

@@ -126,30 +126,83 @@ _RECORD_VALUES = st.tuples(_EDGE_INTS, st.sampled_from([0.0, 0.25, 0.999])).map(
 )
 
 
+def _log_hop(hist, key, queue, service):
+    """Log a hop the way a core does (``submit, end, duration``), chosen so
+    the per-hop expressions give exactly ``queue`` and ``service``: the
+    hop starts at 0.0, so it ends at ``service`` after ``service`` and
+    was submitted at ``-queue``."""
+    assert _hop_spans(-queue, service, service) == (queue, service)
+    hist.stage_series(*key).fromlist([-queue, service, service])
+
+
+def _hop_spans(submit, end, dur):
+    """The per-hop expressions: a hop's queue and service spans."""
+    start = end - dur
+    return start - submit, end - start
+
+
+def _run_spans(submit, bounds, durs):
+    """The per-hop expressions over a fused run's covered sub-stages: each
+    is dispatched as the one before it completes."""
+    spans = []
+    for end, dur in zip(bounds[1:], durs):
+        start = end - dur
+        spans.append((start - submit, end - start))
+        submit = end
+    return spans
+
+
+class _Reference:
+    """The expected payload: one ``LatencyHistogram.record`` per span."""
+
+    def __init__(self):
+        self.stages = {}
+        self.cores = {}
+
+    def hop(self, key, queue, service):
+        q, s = self.stages.setdefault(key, (LatencyHistogram(), LatencyHistogram()))
+        q.record(queue)
+        s.record(service)
+
+    def system(self, key, duration):
+        self.cores.setdefault(key, LatencyHistogram()).record(duration)
+
+    def assert_matches(self, payload):
+        # built in sorted key order, so the JSON comparison checks the
+        # payload's key order too
+        stages = {}
+        for (stage, core, cls), (q, s) in sorted(self.stages.items()):
+            stages.setdefault(stage, {}).setdefault(str(core), {})[cls] = {
+                "queue": q.to_dict(), "service": s.to_dict(),
+            }
+        cores = {}
+        for (tag, core), h in sorted(self.cores.items()):
+            cores.setdefault(tag, {})[str(core)] = h.to_dict()
+        assert payload["stages"] == stages
+        assert payload["cores"] == cores
+        assert json.dumps(payload["stages"]) == json.dumps(stages)
+        assert json.dumps(payload["cores"]) == json.dumps(cores)
+
+
 class TestInlinedRecordPaths:
-    """``record_stage``/``record_core`` (batched, folded by ``to_dict``)
-    and ``LatencyHistogram.record`` must bucket every value identically."""
+    """The logs the cores append to (folded by ``to_dict``) and
+    ``LatencyHistogram.record`` must bucket every span identically."""
 
     @given(st.lists(_RECORD_VALUES, min_size=1, max_size=40))
     @settings(max_examples=150, deadline=None)
     def test_inlined_paths_match_record_and_bucket_index(self, values):
         hist = StageHistograms()
-        queue, service, core = LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
+        ref = _Reference()
         for a, b in zip(values, reversed(values)):
-            hist.record_stage("gro", 1, "tcp", a, b)
-            hist.record_core("irq:pnic", 1, a)
-            queue.record(a)
-            service.record(b)
-            core.record(a)
-        payload = hist.to_dict()
-        kinds = payload["stages"]["gro"]["1"]["tcp"]
-        assert kinds["queue"] == queue.to_dict()
-        assert kinds["service"] == service.to_dict()
-        assert payload["cores"]["irq:pnic"]["1"] == core.to_dict()
+            _log_hop(hist, ("gro", 1, "tcp"), a, b)
+            hist.core_series("irq:pnic", 1).append(a)
+            ref.hop(("gro", 1, "tcp"), a, b)
+            ref.system(("irq:pnic", 1), a)
+        ref.assert_matches(hist.to_dict())
         expected = [0] * N_BUCKETS
         for v in values:
             expected[bucket_index(max(int(v), 0))] += 1
-        assert queue.counts == expected
+        assert ref.stages["gro", 1, "tcp"][0].counts == expected
 
 
 #: magnitudes the vectorised fold handles itself (below 2**48)
@@ -170,22 +223,23 @@ _FOLD_HUGE = st.one_of(
 
 
 def _as_span(t):
-    """An int value as a Python int or as a float with a fractional part."""
+    """An int value as a float, with or without a fractional part."""
     v, frac = t
-    return v if frac is None else float(v) + frac
+    return float(v) + frac
 
 
-_FRACS = st.sampled_from([None, 0.0, 0.25, 0.999])
+_FRACS = st.sampled_from([0.0, 0.25, 0.999])
 
 
 class TestBatchedFold:
-    """``record_stage``/``record_core`` buffer raw spans and fold them in
-    batches; the payload must equal one ``LatencyHistogram.record`` call
-    per value, across several folds and a mid-batch pickle round-trip."""
+    """The logs are folded in batches once the shared budget is charged;
+    the payload must equal one ``LatencyHistogram.record`` call per span,
+    across several folds and a pickle round-trip of an unfolded log."""
 
     STAGES = [(st_, c, cls) for st_ in ("gro", "vxlan", "tcp_rcv") for c in (1, 2, 3)
               for cls in ("tcp", "udp")]
     TAGS = [(tag, c) for tag in ("irq:pnic", "softirq:net_rx") for c in (1, 2)]
+    PLANS = [(("ip_outer", "vxlan", "ip_inner"), 1, "tcp"), (("veth", "tcp_rcv"), 2, "tcp")]
 
     @given(
         small=st.lists(st.tuples(_FOLD_SMALL, _FRACS), min_size=1, max_size=64),
@@ -206,58 +260,65 @@ class TestBatchedFold:
         # keep them to a few ops so most folds stay vectorised
         huge_at = {rng.randrange(n_ops): v for v in huge}
         hist = StageHistograms()
-        ref_stages = {key: (LatencyHistogram(), LatencyHistogram()) for key in self.STAGES}
-        ref_cores = {key: LatencyHistogram() for key in self.TAGS}
+        ref = _Reference()
         pickled = False
         for op in range(n_ops):
             a = huge_at.get(op, rng.choice(small))
             b = rng.choice(small)
-            if rng.random() < 0.8:
+            kind = rng.random()
+            if kind < 0.7:
                 key = rng.choice(self.STAGES)
-                hist.record_stage(*key, a, b)
-                ref_stages[key][0].record(a)
-                ref_stages[key][1].record(b)
-            else:
+                _log_hop(hist, key, a, b)
+                ref.hop(key, a, b)
+                logged, spans = hist.stage_series(*key), 1
+            elif kind < 0.9:
                 key = rng.choice(self.TAGS)
-                hist.record_core(*key, a)
-                ref_cores[key].record(a)
+                hist.core_series(*key).append(a)
+                ref.system(key, a)
+                logged, spans = hist.core_series(*key), 1
+            else:
+                # a fused run, maybe cut short: submit, bounds, durations
+                stages, core, cls = rng.choice(self.PLANS)
+                m = rng.randint(1, len(stages))
+                submit = abs(a) % 2**40
+                bounds = [submit + abs(rng.choice(small)) % 2**20]
+                durs = []
+                for _ in range(m):
+                    durs.append(abs(rng.choice(small)) % 2**20 + 0.5)
+                    bounds.append(bounds[-1] + durs[-1])
+                logged = hist.plan_series(stages, core, cls)[m]
+                logged.fromlist([submit, *bounds, *durs])
+                for stage, (queue, service) in zip(stages, _run_spans(submit, bounds, durs)):
+                    ref.hop((stage, core, cls), queue, service)
+                spans = m
             if not pickled and op >= pickle_at * n_ops:
-                assert any(hist._pending)
+                assert len(logged)  # the checkpoint carries an unfolded log
                 hist = pickle.loads(pickle.dumps(hist))
                 pickled = True
+            hist.charge(spans)
         assert pickled
         payload = hist.to_dict()
-        expected_stages = {}
-        for (stage, core, cls), (q, sv) in ref_stages.items():
-            if q.count:
-                expected_stages.setdefault(stage, {}).setdefault(str(core), {})[cls] = {
-                    "queue": q.to_dict(), "service": sv.to_dict(),
-                }
-        expected_cores = {}
-        for (tag, core), h in ref_cores.items():
-            if h.count:
-                expected_cores.setdefault(tag, {})[str(core)] = h.to_dict()
-        assert payload["stages"] == expected_stages
-        assert payload["cores"] == expected_cores
+        ref.assert_matches(payload)
         assert json.dumps(payload) == json.dumps(hist.to_dict())
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float(2**63)])
     def test_rejected_span_raises_at_fold_and_keeps_the_batch(self, bad):
         hist = StageHistograms()
-        hist.record_stage("gro", 1, "tcp", 5.0, 7.0)
-        folded = hist.to_dict()["stages"]["gro"]["1"]["tcp"]["queue"]
-        hist.record_stage("gro", 1, "tcp", 40.0, 3.0)
-        hist.record_stage("vxlan", 2, "tcp", bad, 9.0)
+        _log_hop(hist, ("gro", 1, "tcp"), 5.0, 7.0)
+        hist.to_dict()  # folded
+        _log_hop(hist, ("gro", 1, "tcp"), 40.0, 3.0)
+        bad_log = hist.stage_series("vxlan", 2, "tcp")
+        bad_log.fromlist([-bad, 9.0, 9.0])
         for _ in range(2):  # every fold meets it again: the batch is kept
             with pytest.raises((ValueError, IndexError)):
                 hist.to_dict()
-        assert [len(p) for p in hist._pending] == [1, 1, 1, 1]
-        assert hist._series_dict(0) == folded
-        hist._pending[2][0] = 11.0  # replace the bad span
+        assert len(hist.stage_series("gro", 1, "tcp")) == 3
+        assert len(bad_log) == 3
+        bad_log[0] = -11.0  # replace the bad span
         payload = hist.to_dict()
         ref = LatencyHistogram()
         ref.record(5.0)
-        ref.record(40.0)
+        ref.record(40.0)  # once: the failed folds moved nothing
         assert payload["stages"]["gro"]["1"]["tcp"]["queue"] == ref.to_dict()
         assert payload["stages"]["vxlan"]["2"]["tcp"]["queue"]["sum_ns"] == 11
 
@@ -266,17 +327,207 @@ class TestBatchedFold:
 
         hist = StageHistograms()
         for core in range(3):
-            hist.record_stage("gro", core, "tcp", 100.0 + core, 2.0**40)
-        hist.record_core("irq:pnic", 1, 17.0)
+            _log_hop(hist, ("gro", core, "tcp"), 100.0 + core, 2.0**40)
+        hist.core_series("irq:pnic", 1).append(17.0)
+        hist.to_dict()
         blob = pickle.dumps(hist)
         assert len(blob) < N_BUCKETS * 8  # less than one dense int64 row
         restored = pickle.loads(blob)
         assert restored.to_dict() == hist.to_dict()
         # recording continues, new series grow the matrix past the restored rows
         for core in range(3, 100):
-            restored.record_stage("gro", core, "udp", 1.0, 2.0)
-            hist.record_stage("gro", core, "udp", 1.0, 2.0)
+            _log_hop(restored, ("gro", core, "udp"), 1.0, 2.0)
+            _log_hop(hist, ("gro", core, "udp"), 1.0, 2.0)
         assert restored.to_dict() == hist.to_dict()
+
+
+# ------------------------------------------------ recording at the core: oracle
+def _token(*_):
+    """A work item's callback: the spy identifies items by their args."""
+
+
+class _RunShape:
+    """What a pipeline ``RunPlan`` hands :meth:`Core.submit_run`."""
+
+    def __init__(self, hist, tags, core, guarded):
+        self.tags = tags
+        self.guards = tuple(range(1, len(tags))) if guarded else ()
+        self.limit = 2
+        self.series = hist.plan_series(tags, core.id, "tcp")
+
+    def finish(self, run):
+        """The run's remaining sub-stages are simply not executed."""
+
+
+class _Spy:
+    """Wraps a core's completion callbacks to see each completion's
+    duration, or a fused run's covered boundaries and durations, and
+    feeds the reference the spans the per-hop expressions give."""
+
+    def __init__(self, core, ref, core_tags):
+        self.core = core
+        self.ref = ref
+        self.core_tags = core_tags
+        self.inner = core._on_complete
+        self.inner_run = core._on_run_complete
+        core._on_complete = self.complete
+        core._on_run_complete = self.complete_run
+
+    def complete(self, item, duration):
+        kind, key, submit = item.args
+        if kind == "stage":
+            self.ref.hop(key, *_hop_spans(submit, self.core.sim.now, duration))
+        elif self.core_tags:
+            self.ref.system(key, duration)
+        self.inner(item, duration)
+
+    def complete_run(self, run):
+        tags, submit = run.item
+        spans = _run_spans(submit, list(run.bounds), list(run.durs))
+        for tag, (queue, service) in zip(tags, spans):
+            self.ref.hop((tag, self.core.id, "tcp"), queue, service)
+        self.inner_run(run)
+
+
+_COSTS = st.floats(0.0, 3_000.0)
+_ORACLE_OPS = st.lists(
+    st.tuples(
+        st.floats(0.0, 20_000.0),  # submit time
+        st.integers(0, 1),  # core
+        st.one_of(
+            st.tuples(st.just("stage"), st.sampled_from(["gro", "vxlan", "tcp_rcv"]),
+                      _COSTS, st.booleans()),
+            st.tuples(st.just("system"), st.sampled_from(["irq:pnic", "softirq:net_rx"]),
+                      _COSTS),
+            st.tuples(st.just("run"), st.lists(_COSTS, min_size=1, max_size=5),
+                      st.booleans(), st.booleans()),
+        ),
+    ),
+    max_size=40,
+)
+_RUN_TAGS = ("skb_alloc", "ip_outer", "vxlan", "ip_inner", "tcp_rcv")
+
+
+def _oracle_rig(ops, core_tags=True, seed=7, base=0.0):
+    """Two jittered cores with histograms, and ``ops`` scheduled on them
+    from time ``base``."""
+    import numpy as np
+
+    from repro.cpu.core import Core
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+    hist = StageHistograms(HistConfig(core_tags=core_tags))
+    cores = [
+        Core(sim, i, jitter_sigma=0.4, rng=np.random.default_rng(seed + i)) for i in range(2)
+    ]
+    for core in cores:
+        core.hist = hist
+    for at, idx, op in ops:
+        sim.call_at(base + at, _submit, sim, hist, cores[idx], op)
+    return sim, hist, cores
+
+
+def _submit(sim, hist, core, op):
+    now = sim.now
+    if op[0] == "stage":
+        _, stage, cost, front = op
+        key = (stage, core.id, "tcp")
+        submit = core.submit_front_call if front else core.submit_call
+        submit(stage, cost, _token, "stage", key, now,
+               series=hist.stage_series(*key))
+    elif op[0] == "system":
+        _, tag, cost = op
+        core.submit_call(tag, cost, _token, "system", (tag, core.id), now)
+    else:
+        _, costs, front, guarded = op
+        tags = _RUN_TAGS[:len(costs)]
+        core.submit_run(_RunShape(hist, tags, core, guarded), list(costs), (tags, now), front)
+
+
+class TestCoreRecordingOracle:
+    """Cores log raw spans as work completes and the fold does the span
+    arithmetic: the payload must equal one ``LatencyHistogram.record`` per
+    span, each computed by the per-hop Python expressions, for any mix of
+    stage items, system items and fused runs, including runs truncated at
+    a ``run(until_ns)`` horizon and runs cut by a full backlog."""
+
+    @given(
+        ops=_ORACLE_OPS,
+        horizons=st.lists(st.floats(0.0, 40_000.0), max_size=3),
+        core_tags=st.booleans(),
+        # late clocks, where a span's float arithmetic rounds to whole ns
+        base=st.sampled_from([0.0, 2.0**44, 2.0**53]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_payload_equals_per_span_reference(self, ops, horizons, core_tags, base):
+        sim, hist, cores = _oracle_rig(ops, core_tags, base=base)
+        ref = _Reference()
+        for core in cores:
+            _Spy(core, ref, core_tags)
+        for horizon in sorted(horizons):
+            sim.run(until_ns=base + horizon)
+        sim.run()
+        payload = hist.to_dict()
+        ref.assert_matches(payload)
+        if not core_tags:
+            assert payload["cores"] == {}
+
+    def test_truncated_and_cut_runs_are_exercised(self):
+        """The oracle's inputs reach both ways a run ends early."""
+
+        def covered(hist):
+            logs = hist.plan_series(_RUN_TAGS, 0, "tcp")
+            return [m for m, log in enumerate(logs) if len(log)]
+
+        ops = [(0.0, 0, ("run", [500.0] * 5, False, False))]
+        sim, hist, _ = _oracle_rig(ops)
+        sim.run(until_ns=1_200.0)  # the horizon falls inside the run
+        assert covered(hist) == [2]
+        ops = [(0.0, 0, ("run", [500.0] * 5, False, True))] + [
+            (100.0, 0, ("system", "irq:pnic", 10.0))
+        ] * 2
+        sim, hist, _ = _oracle_rig(ops)
+        sim.run(until_ns=1_000.0)  # two queued items fill the backlog: cut at the first guard
+        assert covered(hist) == [1]
+
+    def test_non_finite_span_raises_at_fold_and_keeps_the_log(self):
+        ops = [(float(i * 300), i % 2, ("stage", "gro", 400.0, False)) for i in range(20)]
+        sim, hist, cores = _oracle_rig(ops)
+        ref = _Reference()
+        for core in cores:
+            _Spy(core, ref, True)
+        sim.run()
+        log = hist.stage_series("gro", 0, "tcp")
+        logged = len(log)
+        assert logged
+        log.fromlist([float("nan"), 1.0, 1.0])
+        with pytest.raises(ValueError):
+            hist.fold()
+        assert len(log) == logged + 3  # nothing folded, nothing dropped
+        del log[-3:]
+        ref.assert_matches(hist.to_dict())
+
+    def test_checkpoint_round_trip_with_a_live_log(self):
+        import pickle
+
+        ops = [
+            (float(i * 137), i % 2, op)
+            for i, op in enumerate(
+                [("stage", "gro", 900.0, False), ("system", "irq:pnic", 300.0),
+                 ("run", [400.0, 250.0, 300.0], False, True), ("stage", "vxlan", 700.0, True)] * 12
+            )
+        ]
+        golden, golden_hist, _ = _oracle_rig(ops)
+        golden.run()
+        sim, hist, cores = _oracle_rig(ops)
+        sim.run(until_ns=3_000.0)
+        # queued items and logged spans cross the snapshot together
+        assert any(core.queue_depth for core in cores)
+        assert len(hist.stage_series("gro", 0, "tcp"))
+        sim, hist, cores = pickle.loads(pickle.dumps((sim, hist, cores)))
+        sim.run()
+        assert json.dumps(hist.to_dict()) == json.dumps(golden_hist.to_dict())
 
 
 class TestHistogramAlgebra:
@@ -347,10 +598,9 @@ class TestHistogramAlgebra:
 
     def test_stage_rollup_includes_core_pseudo_stages(self):
         hist = StageHistograms()
-        hist.stage_names = frozenset({"gro"})
-        hist.record_stage("gro", 1, "tcp", 10.0, 20.0)
-        hist.record_stage("gro", 2, "tcp", 30.0, 40.0)
-        hist.record_core("softirq:x", 1, 5.0)
+        _log_hop(hist, ("gro", 1, "tcp"), 10.0, 20.0)
+        _log_hop(hist, ("gro", 2, "tcp"), 30.0, 40.0)
+        hist.core_series("softirq:x", 1).append(5.0)
         rollup = stage_rollup(hist.to_dict())
         assert rollup["gro"]["queue"]["count"] == 2
         assert rollup["gro"]["service"]["sum_ns"] == 60
@@ -359,8 +609,8 @@ class TestHistogramAlgebra:
 
     def test_core_tags_off_drops_system_work(self):
         hist = StageHistograms(HistConfig(core_tags=False))
-        hist.record_core("irq:pnic", 0, 5.0)
-        hist.record_stage("gro", 0, "tcp", 1.0, 2.0)
+        hist.core_series("irq:pnic", 0).append(5.0)
+        _log_hop(hist, ("gro", 0, "tcp"), 1.0, 2.0)
         payload = hist.to_dict()
         assert payload["cores"] == {}
         assert payload["stages"]["gro"]["0"]["tcp"]["service"]["count"] == 1
