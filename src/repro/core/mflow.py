@@ -30,7 +30,7 @@ from repro.cpu.core import Core
 from repro.cpu.topology import CpuSet
 from repro.netstack.packet import FlowKey, Skb
 from repro.netstack.stages import Stage
-from repro.steering.base import PoolAllocator, SteeringPolicy
+from repro.steering.base import PoolAllocator, SteeringPolicy, stable_flow_hash
 
 
 class MflowPolicy(SteeringPolicy):
@@ -155,8 +155,6 @@ class MflowPolicy(SteeringPolicy):
         plan = self._flow_plans.get(flow)
         if plan is None:
             if self.placement in ("hash", "round-robin"):
-                from repro.steering.base import stable_flow_hash
-
                 pool = self.core_pool
                 if self.placement == "hash":
                     base = stable_flow_hash(flow) % len(pool)

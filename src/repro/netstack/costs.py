@@ -114,9 +114,13 @@ class CostModel:
             "udp_rcv_ns",
             "copy_per_byte_ns",
             "link_gbps",
+            "tcp_pacing_gbps",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.wire_delay_ns < 0:
+            # senders and the wire file arrivals without a past-time check
+            raise ValueError("wire_delay_ns must be non-negative")
         if self.gro_max_segs_native < 1 or self.gro_max_segs_encap < 1:
             raise ValueError("GRO merge caps must be >= 1")
         if self.napi_budget < 1:

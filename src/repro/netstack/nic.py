@@ -30,6 +30,7 @@ from repro.netstack.packet import Packet
 from repro.netstack.pipeline import Pipeline
 from repro.sim.engine import Simulator
 from repro.sim.queues import RingBuffer
+from repro.steering.base import stable_flow_hash
 
 
 class _RxQueue:
@@ -131,6 +132,10 @@ class Nic:
         cores = rss_cores if rss_cores else [irq_core]
         self._queues = [_RxQueue(self, i, core) for i, core in enumerate(cores)]
         self._queue_by_core = {q.core.id: q for q in self._queues}
+        #: flow -> RX queue, memoised beside the steering policy's route
+        #: cache so a policy that re-places a flow (``_forget_flow``)
+        #: drops it with the routes
+        self._rx_queues = pipeline.policy.rx_queues
         self._wire_seq = 0
 
     @property
@@ -138,6 +143,8 @@ class Nic:
         return len(self._queues)
 
     def queue_for(self, pkt: Packet) -> _RxQueue:
+        """Resolve ``pkt``'s RX queue (uncached; :meth:`receive` memoises
+        the answer per flow)."""
         if len(self._queues) == 1:
             return self._queues[0]
         # Align RSS with the steering policy's per-flow placement when it
@@ -148,16 +155,18 @@ class Nic:
             queue = self._queue_by_core.get(core_idx)
             if queue is not None:
                 return queue
-        from repro.steering.base import stable_flow_hash
-
         return self._queues[stable_flow_hash(pkt.flow) % len(self._queues)]
 
     def receive(self, pkt: Packet) -> None:
         """A frame arrives from the wire (DMA into its queue's ring)."""
-        pkt.arrival_ts = self.sim.now
+        pkt.arrival_ts = self.sim._now
         pkt.wire_seq = self._wire_seq
         self._wire_seq += 1
-        self.queue_for(pkt).receive(pkt)
+        try:
+            queue = self._rx_queues[pkt.flow]
+        except KeyError:
+            queue = self._rx_queues[pkt.flow] = self.queue_for(pkt)
+        queue.receive(pkt)
 
     def ring_drops(self) -> int:
         return sum(q.ring.drops for q in self._queues)
@@ -207,19 +216,22 @@ class Wire:
                 # copy does not consume sender line time twice
                 self.sim.call_at(base + extra_ns, self.dst.receive, frame)
             return
-        self._transmit(pkt, 0.0)
+        # arrival >= now: CostModel.validate() rejects a negative wire delay
+        self.sim._sched(self._occupy(pkt), self.dst.receive, (pkt,))
 
     def _occupy(self, pkt: Packet) -> float:
-        """Serialize one frame onto the link; returns its base arrival time."""
+        """Serialize one frame onto the link; returns its base arrival time.
+
+        The one place a frame's link occupancy is computed, for delivered,
+        lost and duplicated frames alike (under a fault plan's bandwidth
+        clamp when one is in its window)."""
+        nbytes = pkt.wire_bytes
         gbps = self.costs.link_gbps
         if self.faults is not None:
             gbps = self.faults.link_gbps(gbps)
-        ser_ns = pkt.wire_bytes * 8.0 / gbps
-        start = max(self.sim.now, self._next_free_ns)
-        self._next_free_ns = start + ser_ns
-        self.bytes_carried += pkt.wire_bytes
-        return self._next_free_ns + self.costs.wire_delay_ns
-
-    def _transmit(self, pkt: Packet, extra_ns: float) -> None:
-        arrival = self._occupy(pkt) + extra_ns
-        self.sim.call_at(arrival, self.dst.receive, pkt)
+        start = self.sim._now
+        if self._next_free_ns > start:
+            start = self._next_free_ns
+        free = self._next_free_ns = start + nbytes * 8.0 / gbps
+        self.bytes_carried += nbytes
+        return free + self.costs.wire_delay_ns

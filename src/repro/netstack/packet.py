@@ -196,17 +196,9 @@ def fragment_message(
     offset = 0
     for i in range(n):
         payload = min(MAX_SEGMENT_PAYLOAD, size - offset)
+        # positional: keyword binding costs twice the constructor call
         frags.append(
-            Packet(
-                flow,
-                payload,
-                seq=start_seq + offset,
-                msg_id=msg_id,
-                frag_index=i,
-                frag_count=n,
-                encap=encap,
-                messages_completed=1 if i == n - 1 else 0,
-            )
+            Packet(flow, payload, start_seq + offset, msg_id, i, n, encap, 1 if i == n - 1 else 0)
         )
         offset += payload
     return frags

@@ -21,7 +21,13 @@ from typing import Callable, Dict, List, Optional
 from repro.cpu.core import Core
 from repro.metrics.telemetry import Telemetry
 from repro.netstack.costs import CostModel
-from repro.netstack.packet import FlowKey, Packet, Skb, fragment_message
+from repro.netstack.packet import (
+    MAX_SEGMENT_PAYLOAD,
+    FlowKey,
+    Packet,
+    Skb,
+    fragment_message,
+)
 from repro.netstack.stages import Stage, StageContext
 from repro.sim.engine import Simulator
 
@@ -259,8 +265,6 @@ class TcpSender:
         # coalesce into one MSS-sized segment (sockperf TCP at 16 B is
         # bound by per-message syscalls on the client, not the receiver —
         # paper §V-A).
-        from repro.netstack.packet import MAX_SEGMENT_PAYLOAD
-
         batch = 1
         if self.continuous and not self._pending_requests and nxt < MAX_SEGMENT_PAYLOAD:
             batch = max(1, MAX_SEGMENT_PAYLOAD // nxt)
@@ -306,15 +310,18 @@ class TcpSender:
         )
 
     def _transmit(self, frags: List[Packet], on_sent: Optional[Callable], batch: int = 1) -> None:
-        now = self.sim.now
+        sim = self.sim
+        now = sim._now
+        send = self.wire.send
         gap_per_byte = 8.0 / self.costs.tcp_pacing_gbps
         t = max(now, self._pace_next_ns)
         for pkt in frags:
             pkt.send_ts = now
             if t <= now:
-                self.wire.send(pkt)
+                send(pkt)
             else:
-                self.sim.call_at(t, self.wire.send, pkt)
+                # t > now on this branch: no past-time check needed
+                sim._sched(t, send, (pkt,))
             t += pkt.wire_bytes * gap_per_byte
         self._pace_next_ns = t
         if self.rto_ns is not None:

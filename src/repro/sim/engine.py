@@ -147,9 +147,13 @@ class Simulator:
     def _sched(self, time_ns: float, fn: Callable[..., Any], args: Tuple) -> None:
         """File one ``(time, seq, fn, args)`` entry; the entry *is* the event.
 
-        No past-time validation: the ``call_*`` front doors check, and
-        :class:`~repro.cpu.core.Core` calls this directly with
-        ``now + duration`` for a non-negative duration.
+        No past-time validation: the ``call_*`` front doors check.  Direct
+        callers file times they know are not in the past:
+        :class:`~repro.cpu.core.Core` (``now + duration`` for a
+        non-negative duration), the TCP sender's pacer (a slot after
+        now) and the wire (an arrival after now, since
+        :meth:`~repro.netstack.costs.CostModel.validate` rejects a
+        negative ``wire_delay_ns``).
         """
         seq = self._seq
         self._seq = seq + 1

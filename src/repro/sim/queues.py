@@ -39,10 +39,11 @@ class RingBuffer(Generic[T]):
 
     def push(self, item: T) -> bool:
         """Add a descriptor; returns False and counts a drop when full."""
-        if self.full:
+        items = self._items
+        if len(items) >= self.size:  # ``full``, without the property call
             self.drops += 1
             return False
-        self._items.append(item)
+        items.append(item)
         self.total_enqueued += 1
         return True
 

@@ -66,6 +66,10 @@ class SteeringPolicy:
         #: kept beside them so :meth:`_forget_flow` drops both:
         #: flow -> first stage name -> skb.branch -> plan (None: no run)
         self.run_plans: Dict[FlowKey, Dict[str, Dict[Optional[int], Any]]] = {}
+        #: the receiving NIC's RX queue per flow: :meth:`nic_queue_core_idx`
+        #: answers once per flow, and :meth:`_forget_flow` drops the queue
+        #: with the routes (filled by :meth:`repro.netstack.nic.Nic.receive`)
+        self.rx_queues: Dict[FlowKey, Any] = {}
         #: False when a subclass overrides :meth:`core_for` to route some
         #: hop per packet: the cache is then not the whole answer, and the
         #: pipeline fuses no runs
@@ -113,17 +117,20 @@ class SteeringPolicy:
             return None
 
     def _forget_flow(self, flow: FlowKey) -> None:
-        """Drop ``flow``'s cached routes and the run plans built from them;
-        its next hop re-resolves."""
+        """Drop ``flow``'s cached routes, the run plans built from them and
+        its RX queue; its next frame and hop re-resolve."""
         self._routes.pop(flow, None)
         self.run_plans.pop(flow, None)
+        self.rx_queues.pop(flow, None)
 
     def nic_queue_core_idx(self, flow: FlowKey) -> Optional[int]:
         """Core index whose NIC RX queue should serve ``flow``.
 
         Lets the testbed align hardware RSS with the policy's placement
         (as a tuned real deployment would via ethtool/IRQ affinity).
-        None means the NIC falls back to flow hashing.
+        None means the NIC falls back to flow hashing.  Asked once per
+        flow (the NIC memoises it in :attr:`rx_queues`), so an answer
+        that changes must go through :meth:`_forget_flow`.
         """
         return None
 

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.netstack.costs import CostModel, DEFAULT_COSTS
+from repro.workloads.sockperf import build_scenario
 
 
 class TestCostModel:
@@ -37,6 +38,29 @@ class TestCostModel:
     def test_nonpositive_cost_rejected(self, field):
         with pytest.raises(ValueError):
             DEFAULT_COSTS.with_overrides(**{field: 0.0}).validate()
+
+    def test_zero_pacing_rate_rejected(self):
+        # senders would divide by it when spacing frames
+        with pytest.raises(ValueError, match="tcp_pacing_gbps"):
+            DEFAULT_COSTS.with_overrides(tcp_pacing_gbps=0.0).validate()
+
+    def test_negative_pacing_rate_rejected(self):
+        # paced frames would be filed before the current time
+        with pytest.raises(ValueError, match="tcp_pacing_gbps"):
+            DEFAULT_COSTS.with_overrides(tcp_pacing_gbps=-1.0).validate()
+
+    def test_negative_wire_delay_rejected(self):
+        # arrivals would be filed before the frame was sent
+        with pytest.raises(ValueError, match="wire_delay_ns"):
+            DEFAULT_COSTS.with_overrides(wire_delay_ns=-5000.0).validate()
+
+    def test_zero_wire_delay_accepted(self):
+        DEFAULT_COSTS.with_overrides(wire_delay_ns=0.0).validate()
+
+    def test_scenario_rejects_edge_costs_before_running(self):
+        for bad in ({"tcp_pacing_gbps": 0.0}, {"wire_delay_ns": -5000.0}):
+            with pytest.raises(ValueError):
+                build_scenario("vanilla", "tcp", 4096, costs=DEFAULT_COSTS.with_overrides(**bad))
 
     def test_gro_cap_validation(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 """Unit tests for the NIC model and wire."""
 
+import json
+
 import pytest
 
 from helpers import Harness, MapPolicy, TEST_FLOW, make_skb
 from repro.netstack.costs import DEFAULT_COSTS
-from repro.netstack.nic import Nic, Wire
+from repro.netstack.nic import Nic, Wire, _RxQueue
 from repro.netstack.packet import FlowKey, Packet, fragment_message
 from repro.netstack.stages import CountingSink
+from repro.runner import scenario_result_to_dict
+from repro.workloads.multiflow import build_multiflow_scenario
 
 
 def nic_harness(costs=None, rss_indices=None):
@@ -94,6 +98,64 @@ class TestNic:
         nic = Nic(h.sim, h.costs, h.cpus[1], h.pipeline, h.telemetry,
                   rss_cores=[h.cpus[1], h.cpus[2]])
         assert nic.queue_for(Packet(TEST_FLOW, 100)).core.id == 2
+
+
+class _NoMemo(dict):
+    """An RX-queue memo that never remembers: every frame resolves anew."""
+
+    def __setitem__(self, flow, queue):
+        pass
+
+
+class TestRxQueueMemo:
+    """``Nic.receive`` memoises each flow's RX queue beside the policy's
+    routes.  Oracle: the uncached ``Nic.queue_for`` asked at the moment
+    each frame lands, on MFLOW's multi-queue pool layout (least-loaded
+    placement) with one flow retired mid-run while its frames keep
+    arriving, so the flow is placed a second time."""
+
+    RETIRE_AT_NS = 150_000.0
+    WINDOWS = {"warmup_ns": 100_000.0, "measure_ns": 300_000.0}
+
+    def _scenario(self):
+        sc = build_multiflow_scenario("mflow", 4, 65536, seed=3)
+        victim = next(iter(sc._senders))
+        sc.sim.call_at(self.RETIRE_AT_NS, sc.retire_flow, victim)
+        return sc, victim
+
+    def _payload(self, sc) -> str:
+        res = sc.run(**self.WINDOWS)
+        record = scenario_result_to_dict(res)
+        record["events_executed"] = res.events_executed
+        return json.dumps(record, sort_keys=True)
+
+    def test_every_frame_lands_on_the_uncached_queue(self, monkeypatch):
+        sc, victim = self._scenario()
+        assert sc.nic.n_queues > 1
+        landed = []
+        receive = _RxQueue.receive
+
+        def checked(queue, pkt):
+            want = sc.nic.queue_for(pkt)  # the flow is placed by now: no side effect
+            landed.append((sc.sim.now, pkt.flow, queue.core.id, want.core.id))
+            receive(queue, pkt)
+
+        monkeypatch.setattr(_RxQueue, "receive", checked)
+        sc.run(**self.WINDOWS)
+        wrong = [frame for frame in landed if frame[2] != frame[3]]
+        assert not wrong, f"{len(wrong)} of {len(landed)} frames on a stale queue: {wrong[:3]}"
+        # the retired flow came back on another queue, so a memo that
+        # outlived the retirement would have shown above
+        before = {q for t, flow, q, _ in landed if flow == victim and t < self.RETIRE_AT_NS}
+        after = {q for t, flow, q, _ in landed if flow == victim and t >= self.RETIRE_AT_NS}
+        assert len(before) == len(after) == 1 and before != after
+
+    def test_payload_matches_memo_bypassed(self):
+        memo, _ = self._scenario()
+        bypassed, _ = self._scenario()
+        bypassed.nic._rx_queues = _NoMemo()
+        assert self._payload(memo) == self._payload(bypassed)
+        assert memo.policy.rx_queues and not bypassed.nic._rx_queues
 
 
 class TestWire:
