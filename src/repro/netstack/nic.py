@@ -16,17 +16,31 @@ Each polled descriptor becomes a 1-segment :class:`Skb` injected into
 the receive pipeline — whose first stage is ``skb_alloc`` (or MFLOW's
 IRQ-split dispatch; the poll loop is a plain pipeline entry because
 splitting "relies little on a specific network device driver", §III-A).
+
+Lazy arrivals: only a frame that raises the IRQ changes anything at its
+arrival time.  So :meth:`Wire.send` stamps each frame with its arrival
+time and wire order, reserves the wheel seq its arrival entry would have
+had, and appends it to its RX queue's ``pending`` FIFO.  A queue files
+an entry (the *wake*) for its head frame only while its IRQ is armed;
+every other frame is landed, in order, by the next reader of the ring
+that runs after it (the NAPI poll, :meth:`Nic.ring_drops`, a re-placed
+flow's hand-back), or when :meth:`Simulator.run
+<repro.sim.engine.Simulator.run>` stops.  Each
+landed frame still counts as one executed event, so the timeline and
+every count match one entry per frame.  docs/ENGINE.md, "Lazy NIC
+arrivals", gives the invariants and the fallbacks.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import deque
+from typing import Deque, List, Optional, Tuple
 
 from repro.cpu.core import Core
 from repro.cpu.softirq import Softirq
 from repro.metrics.telemetry import Telemetry
 from repro.netstack.costs import CostModel
-from repro.netstack.packet import Packet
+from repro.netstack.packet import FlowKey, Packet
 from repro.netstack.pipeline import Pipeline
 from repro.sim.engine import Simulator
 from repro.sim.queues import RingBuffer
@@ -47,8 +61,16 @@ class _RxQueue:
         # hot-path work-item tags, built once instead of per submission
         self._irq_tag = f"irq:{nic.name}"
         self._poll_tag = f"driver_poll:{nic.name}"
+        #: frames on the wire to this ring, not landed yet, in arrival
+        #: order: ``(arrival, seq, pkt)`` with the wheel seq each reserved
+        self.pending: Deque[Tuple[float, int, Packet]] = deque()
+        #: whether the head pending frame's own entry is on the wheel;
+        #: invariant: ``irq_enabled and pending`` implies it is
+        self._woken = False
 
     def receive(self, pkt: Packet) -> None:
+        """Land one frame: DMA into the ring (or tail-drop); the first
+        frame into an idle ring raises the IRQ."""
         obs = self.nic.obs
         if not self.ring.push(pkt):
             self.nic.telemetry.count("nic_ring_drops")
@@ -84,14 +106,90 @@ class _RxQueue:
             self.core,
         )
 
+    # ------------------------------------------------------- lazy arrivals
+    def _settle(self) -> None:
+        """Land, in order, every pending frame that has arrived by now,
+        each as of its arrival time.
+
+        None of them raises the IRQ: while it is armed, the head frame's
+        own entry is on the wheel, so no frame waits here past the time
+        the IRQ would see it."""
+        pending = self.pending
+        sim = self.nic.sim
+        now = sim._now
+        landed = 0
+        while pending:
+            t, seq, pkt = pending[0]
+            if t > now or (t == now and seq >= sim._seq_now):
+                break
+            pending.popleft()
+            sim._now = t
+            self.receive(pkt)
+            landed += 1
+        if landed:
+            sim._now = now
+            # each landed frame is the arrival event it stands for
+            sim.events_executed += landed
+            if sim.profiler is not None:
+                sim.profiler.note_folded(landed)
+
+    def _head_arrived(self) -> bool:
+        """Whether the head pending frame has arrived by now."""
+        t, seq, _ = self.pending[0]
+        sim = self.nic.sim
+        return t < sim._now or (t == sim._now and seq < sim._seq_now)
+
+    def _wake(self) -> None:
+        """File the head pending frame's own arrival entry, with its
+        reserved seq: the IRQ is armed, so it must land on time."""
+        t, seq, pkt = self.pending[0]
+        self._woken = True
+        self.nic.sim._file((t, seq, self.nic._arrive, (pkt,)))
+
+    def _rearm(self) -> None:
+        """Arm the IRQ (NAPI drained the ring); the head pending frame
+        would raise it, so its entry goes on the wheel."""
+        self.irq_enabled = True
+        if self.pending and not self._woken:
+            self._wake()
+
+    def forget_flow(self, flow: FlowKey) -> None:
+        """``flow`` is being re-placed (its memo entry was dropped): land
+        what has arrived on this queue, then give each of its frames still
+        in flight its own arrival entry, so each resolves its RX queue
+        when it arrives."""
+        pending = self.pending
+        if not pending:
+            return
+        self._settle()
+        if not pending:
+            return
+        sim = self.nic.sim
+        arrive = self.nic._arrive
+        keep: Deque[Tuple[float, int, Packet]] = deque()
+        for i, frame in enumerate(pending):
+            pkt = frame[2]
+            if pkt.flow != flow:
+                keep.append(frame)
+            elif i == 0 and self._woken:
+                self._woken = False  # its entry is on the wheel already
+            else:
+                sim._file((frame[0], frame[1], arrive, (pkt,)))
+        self.pending = keep
+        if self.irq_enabled:
+            self._rearm()
+
+    # ---------------------------------------------------------------- NAPI
     def _poll(self, core: Core) -> bool:
+        if self.pending:
+            self._settle()
         batch = self.ring.pop_up_to(self.nic.costs.napi_budget)
         if batch:
             cost = self.nic.costs.driver_poll_per_pkt_ns * len(batch)
             core.submit_call(self._poll_tag, cost, self._emit, batch, core)
         if not self.ring.empty:
             return True  # NAPI re-polls while backlogged
-        self.irq_enabled = True
+        self._rearm()
         return False
 
     def _emit(self, batch: List[Packet], core: Core) -> None:
@@ -100,11 +198,12 @@ class _RxQueue:
         pipeline = self.nic.pipeline
         pipeline.inject_batch(pipeline.head, batch, core)
         # Frames may have landed while the poll work executed; NAPI keeps
-        # polling rather than waiting for a fresh IRQ.
-        if not self.ring.empty:
+        # polling rather than waiting for a fresh IRQ.  (Frames that have
+        # arrived land when that poll settles: nothing pops the ring before.)
+        if not self.ring.empty or (self.pending and self._head_arrived()):
             self.napi.raise_on(core)
         else:
-            self.irq_enabled = True
+            self._rearm()
 
 
 class Nic:
@@ -137,6 +236,7 @@ class Nic:
         #: drops it with the routes
         self._rx_queues = pipeline.policy.rx_queues
         self._wire_seq = 0
+        sim.settlers.append(self.settle)
 
     @property
     def n_queues(self) -> int:
@@ -158,17 +258,39 @@ class Nic:
         return self._queues[stable_flow_hash(pkt.flow) % len(self._queues)]
 
     def receive(self, pkt: Packet) -> None:
-        """A frame arrives from the wire (DMA into its queue's ring)."""
+        """A frame arrives from the wire now (DMA into its queue's ring)."""
         pkt.arrival_ts = self.sim._now
         pkt.wire_seq = self._wire_seq
         self._wire_seq += 1
+        self._arrive(pkt)
+
+    def _arrive(self, pkt: Packet) -> None:
+        """A stamped frame's own arrival entry fires: resolve its queue,
+        land what arrived there before it, then the frame itself."""
         try:
             queue = self._rx_queues[pkt.flow]
         except KeyError:
             queue = self._rx_queues[pkt.flow] = self.queue_for(pkt)
+        pending = queue.pending
+        if pending:
+            if pending[0][2] is pkt:  # the wake: nothing on this ring precedes it
+                pending.popleft()
+                queue._woken = False
+            else:  # an unplaced or re-placed flow's frame
+                queue._settle()
+        # if the IRQ is armed, the ring is empty: this push succeeds and
+        # disarms it, so no later frame needs a wake
         queue.receive(pkt)
 
+    def settle(self) -> None:
+        """Land every frame that has arrived by now (see :attr:`Simulator.settlers
+        <repro.sim.engine.Simulator.settlers>`)."""
+        for q in self._queues:
+            if q.pending:
+                q._settle()
+
     def ring_drops(self) -> int:
+        self.settle()
         return sum(q.ring.drops for q in self._queues)
 
 
@@ -216,8 +338,40 @@ class Wire:
                 # copy does not consume sender line time twice
                 self.sim.call_at(base + extra_ns, self.dst.receive, frame)
             return
-        # arrival >= now: CostModel.validate() rejects a negative wire delay
-        self.sim._sched(self._occupy(pkt), self.dst.receive, (pkt,))
+        # arrival > now: CostModel.validate() rejects a negative wire delay
+        arrival = self._occupy(pkt)
+        nic = self.dst
+        sim = self.sim
+        if (
+            faults is not None
+            or nic.obs is not None
+            or sim.profiler is not None
+            or nic.pipeline.migration is not None
+        ):
+            # a fault plan, flight recorder, self-profiler or live migration
+            # perturbs, records, times or re-routes frames one by one: one
+            # entry per frame (see docs/ENGINE.md, "Lazy NIC arrivals")
+            sim._sched(arrival, nic.receive, (pkt,))
+            return
+        # one wire per NIC: arrival order is send order
+        pkt.arrival_ts = arrival
+        pkt.wire_seq = nic._wire_seq
+        nic._wire_seq += 1
+        try:
+            queue = nic._rx_queues[pkt.flow]
+        except KeyError:
+            # an unplaced flow: the frame resolves its queue when it arrives
+            sim._sched(arrival, nic._arrive, (pkt,))
+            return
+        if queue.irq_enabled and not queue._woken:
+            # the ring is idle: the frame raises the IRQ, so it is the wake
+            queue.pending.append((arrival, sim._seq, pkt))  # the seq _sched takes
+            queue._woken = True
+            sim._sched(arrival, nic._arrive, (pkt,))
+        else:
+            seq = sim._seq  # reserved: the seq its own entry would take
+            sim._seq = seq + 1
+            queue.pending.append((arrival, seq, pkt))
 
     def _occupy(self, pkt: Packet) -> float:
         """Serialize one frame onto the link; returns its base arrival time.

@@ -16,8 +16,12 @@ which
 
 Events count *logical* completions, like ``Simulator.events_executed``:
 a fused run of pipeline stages fires one callback for several stage
-completions and reports the extra ones through :meth:`SelfProfiler.note_folded`,
-so ``pops - requeues + folded == events_executed`` holds exactly.
+completions, and a NIC frame landed lazily fires none; both report the
+extra completions through :meth:`SelfProfiler.note_folded`, so
+``pops - requeues + folded == events_executed`` holds exactly.  (While a
+profiler is attached, the wire files one entry per frame, so a profile
+sees every arrival as its own callback; only frames already in flight
+when it was attached land lazily.)
 
 Every wall-clock read of the profiler lives in this module.  Profiling
 only *reads* clocks, so the event schedule and simulated measurements
@@ -72,7 +76,8 @@ class SelfProfiler:
         self.heap_pops = 0
         #: pops that lay past ``until_ns`` and went back on the wheel
         self.requeues = 0
-        #: stage completions folded into fused runs' single events
+        #: completions without their own callback: stages folded into
+        #: fused runs' single events and lazily landed NIC frames
         self.folded = 0
         self.peak_heap = 0
         #: pushes per wheel level: [active heap, L0 slot, L1 slot, overflow]
@@ -114,8 +119,9 @@ class SelfProfiler:
         self.note_push(heap_len, 0)
 
     def note_folded(self, n: int) -> None:
-        """One fired callback completed ``n`` more stages than its one event
-        (a fused run); they count as executed events."""
+        """``n`` completions happened without a callback of their own (the
+        extra stages of a fused run, or NIC frames landed lazily); they
+        count as executed events."""
         self.folded += n
         self.events_executed += n
 

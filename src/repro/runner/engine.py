@@ -572,7 +572,7 @@ class RunEngine:
             "cached": record.cached,
             "attempts": record.attempts,
             "checkpoint_restores": record.checkpoint_restores,
-            "wall_time_s": round(record.wall_time_s, 4),
+            "wall_time_s": round(record.wall_time_s, 6),
             "progress": record.progress_payload(),
         }
         if record.runner is not None:
@@ -626,7 +626,7 @@ class RunEngine:
                     "retries": r.retries,
                     "checkpoint_restores": r.checkpoint_restores,
                     "runner": r.runner,
-                    "wall_time_s": round(r.wall_time_s, 4),
+                    "wall_time_s": round(r.wall_time_s, 6),
                     "events_per_sec": round(r.events_per_sec, 1),
                 }
                 for r in records

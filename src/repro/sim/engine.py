@@ -29,6 +29,13 @@ the only object an event allocates: there are no event objects and no
 handles, so a scheduled callback always fires.  The one exception is
 :meth:`Simulator._unsched`, with which a :class:`~repro.cpu.core.Core`
 moves a fused run's completion earlier when the run must be cut.
+
+Lazily evaluated events (the NIC's frame arrivals, see
+:mod:`repro.netstack.nic`) reserve their seq when they are created and
+file an entry with it (:meth:`Simulator._file`) only when something must
+happen at their time; every other one is landed, in ``(time, seq)``
+order, by the next reader that runs after it, or by one of
+:attr:`Simulator.settlers` when :meth:`Simulator.run` stops.
 """
 
 from __future__ import annotations
@@ -84,6 +91,13 @@ class Simulator:
         #: optional :class:`repro.resilience.checkpoint.Checkpointer` that
         #: :meth:`run` offers a snapshot after every callback
         self.checkpointer: Optional[Any] = None
+        #: seq of the entry firing now (outside :meth:`run`, one past every
+        #: seq handed out by its stop): a lazy event at ``(t, seq)`` has
+        #: happened by now when ``t < now`` or ``seq < _seq_now`` on a tie
+        self._seq_now: int = 0
+        #: called as :meth:`run` stops, after the clock reaches the stop
+        #: time: each lands the lazy events that have happened by then
+        self.settlers: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------ persistence
     def __getstate__(self) -> dict:
@@ -151,9 +165,9 @@ class Simulator:
         callers file times they know are not in the past:
         :class:`~repro.cpu.core.Core` (``now + duration`` for a
         non-negative duration), the TCP sender's pacer (a slot after
-        now) and the wire (an arrival after now, since
-        :meth:`~repro.netstack.costs.CostModel.validate` rejects a
-        negative ``wire_delay_ns``).
+        now), and the wire and the scenario's ACK leg (an arrival after
+        now, since :meth:`~repro.netstack.costs.CostModel.validate`
+        rejects a negative ``wire_delay_ns``).
         """
         seq = self._seq
         self._seq = seq + 1
@@ -175,6 +189,18 @@ class Simulator:
             else:
                 heappush(self._far, entry)
                 level = 3
+        self._npending += 1
+        prof = self.profiler
+        if prof is not None:
+            prof.note_push(self._npending, level)
+
+    def _file(self, entry: tuple) -> None:
+        """File a ready-made ``(time, seq, fn, args)`` entry whose seq was
+        reserved when its event was created (``seq = sim._seq``, then
+        ``sim._seq = seq + 1``), so it fires exactly where an entry filed
+        then would have.  ``(time, seq)`` must lie after the entry firing
+        now."""
+        level = self._place(entry)
         self._npending += 1
         prof = self.profiler
         if prof is not None:
@@ -282,6 +308,10 @@ class Simulator:
         (events scheduled later stay on the wheel), matching the convention of
         measurement windows: ``sim.run(until_ns=window_end)``.
 
+        Before it returns, every lazy event that has happened by the stop
+        is landed (:attr:`settlers`), so a window boundary sees the state
+        the per-event path leaves.
+
         This is the only loop that fires events.  An attached
         :attr:`profiler` wraps each callback (it times and attributes the
         call and counts pops); an attached :attr:`checkpointer` is offered
@@ -315,6 +345,7 @@ class Simulator:
                         break
                     self._npending -= 1
                     self._now = t
+                    self._seq_now = seq
                     self.events_executed += 1
                     if prof is None:
                         fn(*args)
@@ -328,6 +359,9 @@ class Simulator:
                     active = self._active
             if until_ns is not None and self._now < until_ns:
                 self._now = until_ns
+            self._seq_now = self._seq
+            for settle in self.settlers:
+                settle()
         finally:
             self._running = False
             self._horizon = _NO_HORIZON

@@ -118,10 +118,17 @@ class SteeringPolicy:
 
     def _forget_flow(self, flow: FlowKey) -> None:
         """Drop ``flow``'s cached routes, the run plans built from them and
-        its RX queue; its next frame and hop re-resolve."""
+        its RX queue; its next frame and hop re-resolve.
+
+        Call it before changing the flow's placement state: its queue
+        first lands the frames that have arrived, under the placement
+        they arrived with, then hands back those still in flight, which
+        resolve their queue when they arrive."""
         self._routes.pop(flow, None)
         self.run_plans.pop(flow, None)
-        self.rx_queues.pop(flow, None)
+        queue = self.rx_queues.pop(flow, None)
+        if queue is not None:
+            queue.forget_flow(flow)
 
     def nic_queue_core_idx(self, flow: FlowKey) -> Optional[int]:
         """Core index whose NIC RX queue should serve ``flow``.
@@ -154,8 +161,9 @@ class SteeringPolicy:
 
         Returns True when the policy actually held state for ``flow``.
         ``pipeline``, when given, lets stateful policies recycle parked
-        skbs back to the skb pool (MFLOW's merge queues); baselines keep
-        no per-flow resources worth reclaiming beyond the route cache.
+        skbs back to the skb pool (MFLOW's merge queues).  This base
+        keeps only the route cache; pool placements release their claims
+        (:class:`StaticRolePolicy`, MFLOW).
         """
         self._forget_flow(flow)
         return False
@@ -277,6 +285,20 @@ class StaticRolePolicy(SteeringPolicy):
                     taken.add(core)
             self._flow_assignment[flow] = assigned
         return assigned
+
+    def retire_flow(self, flow: FlowKey, pipeline=None) -> bool:
+        """Forget ``flow``'s routes and drop its role assignment; under
+        least-loaded placement each role's weight goes back to the
+        allocator, so later flows are not placed around a flow that is
+        gone."""
+        self._forget_flow(flow)
+        assigned = self._flow_assignment.pop(flow, None)
+        if assigned is None:
+            return False
+        if self.placement == "least-loaded":
+            for role, core in assigned.items():
+                self._allocator.release(core, self.role_weights.get(role, 1.0))
+        return True
 
     def nic_queue_core_idx(self, flow: FlowKey) -> Optional[int]:
         if self._fixed is not None:

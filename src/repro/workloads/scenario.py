@@ -369,7 +369,9 @@ class Scenario:
     def _route_ack(self, flow: FlowKey, ack_seq: int) -> None:
         sender = self._senders.get(flow)
         if sender is not None:
-            self.sim.call_in(self.costs.wire_delay_ns, sender.on_ack, flow, ack_seq)
+            # the ACK's wire leg; CostModel.validate() rejects a negative delay
+            sim = self.sim
+            sim._sched(sim._now + self.costs.wire_delay_ns, sender.on_ack, (flow, ack_seq))
 
     # ------------------------------------------------------------- teardown
     def retire_flow(self, flow: FlowKey) -> None:

@@ -235,8 +235,36 @@ class TestRouteCache:
                         want = self._uncached(twin, stage, skb)
                         assert got.id == want.id, (rnd, flow, branch, stage)
         assert set(cached._routes) == set(self.FLOWS)
-        assert not cached.retire_flow(self.FLOWS[0])
+        # a pool flow's role claims are released with it (fixed roles hold
+        # none), so the twin retires it too and both re-place it alike
+        held = cached.retire_flow(self.FLOWS[0])
+        assert held == (mode == "pool")
+        assert twin.retire_flow(self.FLOWS[0]) == held
         assert self.FLOWS[0] not in cached._routes
         skb = make_skb(flow=self.FLOWS[0])
         for stage in self.STAGES:
             assert cached.core_for(stage, skb, None).id == self._uncached(twin, stage, skb).id
+
+
+class TestRetireReleasesClaims:
+    """A retired pool flow hands back what its roles claimed."""
+
+    WINDOWS = {"warmup_ns": 100_000.0, "measure_ns": 200_000.0}
+
+    def test_retired_flows_leave_no_load(self):
+        from repro.workloads.multiflow import build_multiflow_scenario
+
+        sc = build_multiflow_scenario("vanilla", 4, 65536)
+        sc.run(**self.WINDOWS)
+        policy = sc.policy
+        flows = list(sc._senders)
+        assert set(policy._flow_assignment) == set(flows)
+        fresh = build_multiflow_scenario("vanilla", 4, 65536).policy
+        for flow in flows:
+            assert policy.retire_flow(flow)
+            assert not policy.retire_flow(flow)  # nothing left to release
+        assert set(policy._allocator.load.values()) == {0.0}
+        assert not policy._flow_assignment
+        newcomer = FlowKey(200, 1, "tcp", 41000, 5001)
+        assert policy._roles_for_flow(newcomer) == fresh._roles_for_flow(newcomer)
+        assert policy._allocator.load == fresh._allocator.load
