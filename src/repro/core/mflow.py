@@ -206,7 +206,7 @@ class MflowPolicy(SteeringPolicy):
         pool-allocator load it claimed, and split/merge per-flow state.
         With a ``pipeline``, skbs parked at the merge point are recycled
         back to the skb pool instead of stranded."""
-        self._forget_flow(flow)
+        super().retire_flow(flow, pipeline)
         plan = self._flow_plans.pop(flow, None)
         for core, weight in self._flow_claims.pop(flow, ()):
             self._allocator.release(core, weight)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from repro.netstack.costs import CostModel
 from repro.core.splitting import GLOBAL_KEY
 from repro.netstack.packet import FlowKey, Skb
 from repro.netstack.stages import Stage, StageContext
@@ -66,6 +65,7 @@ class ReassemblyStage(Stage):
 
     name = "mflow_merge"
     droppable = False
+    cost_base = "mflow_merge_per_skb_ns"
 
     def __init__(
         self,
@@ -95,19 +95,19 @@ class ReassemblyStage(Stage):
         self._timer_armed: Dict[FlowKey, bool] = {}
 
     # ------------------------------------------------------------- stage API
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.mflow_merge_per_skb_ns
-
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
         st = self._state(skb.flow if self.per_flow else GLOBAL_KEY, ctx.sim.now)
+        packets = skb.packets
         # Fig. 7 metric: does this skb arrive at the merge point after a
         # packet that followed it on the wire already did?
-        if skb.head.wire_seq < st.max_wire_seq:
+        if packets[0].wire_seq < st.max_wire_seq:
+            segs = len(packets)
             self.ooo_arrivals += 1
-            self.ooo_packets += skb.segs
-            ctx.telemetry.count("mflow_ooo_arrivals")
-            ctx.telemetry.count("mflow_ooo_packets", skb.segs)
-        last = skb.packets[-1].wire_seq
+            self.ooo_packets += segs
+            counters = ctx.counters
+            counters["mflow_ooo_arrivals"] += 1
+            counters["mflow_ooo_packets"] += segs
+        last = packets[-1].wire_seq
         if last > st.max_wire_seq:
             st.max_wire_seq = last
         # Batch-level reorder events (the Fig. 7 headline metric): a
@@ -120,7 +120,7 @@ class ReassemblyStage(Stage):
         elif mf < st.max_microflow and mf not in st.inverted:
             st.inverted.add(mf)
             self.ooo_microflows += 1
-            ctx.telemetry.count("mflow_ooo_microflows")
+            ctx.counters["mflow_ooo_microflows"] += 1
         branch = skb.branch if skb.branch is not None else 0
         st.queues[branch].append(skb)
         st.parked += 1
@@ -196,7 +196,7 @@ class ReassemblyStage(Stage):
                 if head_id == st.counter:
                     skb = q.popleft()
                     st.parked -= 1
-                    st.drained_current += skb.segs
+                    st.drained_current += len(skb.packets)
                     out.append(skb)
                     continue
                 if head_id > st.counter:
@@ -311,15 +311,13 @@ class PerPacketReorderStage(Stage):
 
     name = "pkt_reorder"
     droppable = False
+    cost_base = "mflow_merge_per_skb_ns"
 
     def __init__(self, stall_skbs: int = 2048):
         self.stall_skbs = stall_skbs
         self._expected: Dict[FlowKey, int] = {}
         self._held: Dict[FlowKey, Dict[int, Skb]] = {}
         self.ooo_arrivals = 0
-
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.mflow_merge_per_skb_ns
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
         flow = skb.flow

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.netstack.costs import CostModel
 from repro.netstack.packet import FlowKey, Skb
 from repro.netstack.stages import Stage, StageContext
 
@@ -44,6 +43,7 @@ class MicroflowSplitStage(Stage):
 
     name = "mflow_split"
     droppable = True
+    cost_per_seg = "mflow_split_ns"
 
     def __init__(self, batch_size: int, n_branches: int, per_flow: bool = True):
         if batch_size < 1:
@@ -62,9 +62,6 @@ class MicroflowSplitStage(Stage):
         # micro-flow has fully arrived
         self._mf_sizes: Dict[tuple, int] = {}
 
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.mflow_split_ns * len(skb.packets)
-
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
         key = skb.flow if self.per_flow else GLOBAL_KEY
         segs = len(skb.packets)
@@ -78,7 +75,7 @@ class MicroflowSplitStage(Stage):
         size = self._mf_sizes.get(size_key)
         new_microflow = size is None
         self._mf_sizes[size_key] = (size or 0) + segs
-        ctx.telemetry.count("mflow_split_packets", segs)
+        ctx.counters["mflow_split_packets"] += segs
         obs = ctx.pipeline.obs
         if obs is not None and new_microflow:
             # steering decision: a fresh micro-flow opens on `branch`

@@ -1,8 +1,10 @@
 """Run-wide counters and sample collections.
 
 One :class:`Telemetry` instance is threaded through a simulation run.
-Counters are plain named integers; observations are named sample lists
-(latencies, queue depths) reduced to percentiles at reporting time.
+Counters are plain named integers (hot paths bump ``counters[name]`` in
+place, cold ones call :meth:`Telemetry.count`); observations are named
+sample lists (latencies, queue depths) reduced to percentiles at
+reporting time.
 
 A *measurement window* separates warmup from steady state: samples and
 delivery counters recorded before :meth:`start_window` is called are
@@ -12,7 +14,8 @@ excluded from windowed statistics.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from collections import defaultdict
+from typing import DefaultDict, Dict, List, Optional
 
 from repro.sim.engine import Simulator
 
@@ -48,7 +51,11 @@ class Telemetry:
         if sample_cap < 1:
             raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
         self.sim = sim
-        self.counters: Dict[str, int] = {}
+        #: named counters.  Per-packet sites bump them in place
+        #: (``counters[name] += n``); every reader uses ``.get``, so a key
+        #: exists only once something has counted under it, and the key
+        #: order is first-count order, whichever way it was counted
+        self.counters: DefaultDict[str, int] = defaultdict(int)
         self.samples: Dict[str, List[float]] = {}
         self.sample_cap = sample_cap
         self.sample_seed = sample_seed
@@ -61,7 +68,7 @@ class Telemetry:
 
     # ----------------------------------------------------------- counters
     def count(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
+        self.counters[name] += n
 
     def get(self, name: str) -> int:
         return self.counters.get(name, 0)

@@ -40,11 +40,14 @@ from repro.cpu.core import Core
 from repro.cpu.softirq import Softirq
 from repro.metrics.telemetry import Telemetry
 from repro.netstack.costs import CostModel
-from repro.netstack.packet import FlowKey, Packet
+from repro.netstack.packet import MAX_SEGMENT_PAYLOAD, MTU, VXLAN_OVERHEAD, FlowKey, Packet
 from repro.netstack.pipeline import Pipeline
 from repro.sim.engine import Simulator
 from repro.sim.queues import RingBuffer
 from repro.steering.base import stable_flow_hash
+
+#: per-frame inner headers on the wire (see :attr:`Packet.wire_bytes`)
+_HEADERS = MTU - MAX_SEGMENT_PAYLOAD
 
 
 class _RxQueue:
@@ -71,29 +74,37 @@ class _RxQueue:
     def receive(self, pkt: Packet) -> None:
         """Land one frame: DMA into the ring (or tail-drop); the first
         frame into an idle ring raises the IRQ."""
-        obs = self.nic.obs
-        if not self.ring.push(pkt):
-            self.nic.telemetry.count("nic_ring_drops")
+        nic = self.nic
+        obs = nic.obs
+        counters = nic.telemetry.counters
+        # RingBuffer.push, in place
+        ring = self.ring
+        items = ring._items
+        if len(items) >= ring.size:
+            ring.drops += 1
+            counters["nic_ring_drops"] += 1
             if obs is not None:
                 obs.instant("nic_ring_drop", core=self.core.id, wire_seq=pkt.wire_seq)
             return
-        self.nic.telemetry.count("nic_rx_packets")
+        items.append(pkt)
+        ring.total_enqueued += 1
+        counters["nic_rx_packets"] += 1
         if self.irq_enabled:
             self.irq_enabled = False
-            self.nic.telemetry.count("nic_irqs")
-            faults = self.nic.faults
+            counters["nic_irqs"] += 1
+            faults = nic.faults
             delay = faults.irq_fire_delay() if faults is not None else 0.0
             if obs is not None:
                 obs.instant(
                     "irq_raise",
                     core=self.core.id,
-                    ring_depth=len(self.ring),
+                    ring_depth=len(items),
                     delay_ns=delay,
                 )
             if delay > 0.0:
                 # fault injection: the interrupt is held back (moderation
                 # gone wrong / a hypervisor absorbing the vector)
-                self.nic.sim.call_in(delay, self._fire_irq)
+                nic.sim.call_in(delay, self._fire_irq)
             else:
                 self._fire_irq()
 
@@ -379,7 +390,8 @@ class Wire:
         The one place a frame's link occupancy is computed, for delivered,
         lost and duplicated frames alike (under a fault plan's bandwidth
         clamp when one is in its window)."""
-        nbytes = pkt.wire_bytes
+        # Packet.wire_bytes, in place
+        nbytes = pkt.payload + _HEADERS + (VXLAN_OVERHEAD if pkt.encap else 0)
         gbps = self.costs.link_gbps
         if self.faults is not None:
             gbps = self.faults.link_gbps(gbps)

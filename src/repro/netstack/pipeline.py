@@ -12,8 +12,11 @@ differ only in the ``core_for`` answer; MFLOW additionally inserts split
 and merge nodes into the graph (see :mod:`repro.core`).
 
 Hot-path notes: the steering decision is made exactly once per hop (the
-forwarding loop passes the chosen core straight into :meth:`_dispatch`);
-the :class:`~repro.netstack.stages.StageContext` handed to stages is a
+forwarding loop passes the chosen core straight into :meth:`_dispatch`),
+and a single-output hop reads the policy's route cache in place, asking
+``core_for`` only on a miss; a stage's cost is its node's resolved
+terms, evaluated inline (no per-hop method call); the
+:class:`~repro.netstack.stages.StageContext` handed to stages is a
 single reused instance (stages must read, not retain, it — every
 in-tree stage extracts what it needs); and datapath skbs come from a
 free list with poisoned recycling (:meth:`alloc_skb` /
@@ -53,15 +56,36 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class StageNode:
     """One position in the datapath: a stage plus its successor.
 
+    ``base``, ``per_seg`` and ``per_byte`` are the stage's declared cost
+    terms (see :class:`~repro.netstack.stages.Stage`) resolved to floats
+    by :meth:`resolve`, None where the stage has no such term.
     ``series`` caches the stage's histogram series logs while histograms
     are attached: core -> flow class -> log."""
 
-    __slots__ = ("stage", "next", "series")
+    __slots__ = ("stage", "next", "series", "base", "per_seg", "per_byte")
 
     def __init__(self, stage: Stage, next_node: Optional["StageNode"] = None):
         self.stage = stage
         self.next = next_node
         self.series: Dict[Core, Dict[str, Any]] = {}
+        self.base: Optional[float] = None
+        self.per_seg: Optional[float] = None
+        self.per_byte: Optional[float] = None
+
+    def resolve(self, costs: CostModel) -> None:
+        """Read the stage's cost terms from ``costs``, once."""
+        stage = self.stage
+        self.base, self.per_seg, self.per_byte = (
+            None if attr is None else getattr(costs, attr)
+            for attr in (stage.cost_base, stage.cost_per_seg, stage.cost_per_byte)
+        )
+        if self.base is None and self.per_seg is None and self.per_byte is None:
+            self.base = 0.0
+
+    @property
+    def fixed(self) -> bool:
+        """Whether the cost is the same for every skb (a base term only)."""
+        return self.per_seg is None and self.per_byte is None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nxt = self.next.stage.name if self.next else None
@@ -69,7 +93,7 @@ class StageNode:
 
 
 #: the shortest run worth fusing (see :meth:`Pipeline._plan_run`)
-_MIN_RUN = 3
+_MIN_RUN = 2
 
 
 class RunPlan:
@@ -79,11 +103,11 @@ class RunPlan:
     backlog against ``limit`` (the droppable ones after the first, whose
     check :meth:`Pipeline._dispatch` makes itself), and ``effects`` those
     whose ``process`` does more than return ``[skb]``.  ``tail_costs``
-    holds the costs after the first that pass-through stages fix (None
+    holds the costs after the first that fixed-cost stages fix (None
     where the cost depends on the skb); ``dynamic`` pairs each None's
-    index with its stage.  ``series`` holds the plan's stage-histogram
-    logs, one per covered length (None without histograms); the core logs
-    each run there."""
+    index with its node, whose terms the dispatch evaluates per skb.
+    ``series`` holds the plan's stage-histogram logs, one per covered
+    length (None without histograms); the core logs each run there."""
 
     __slots__ = ("nodes", "tags", "guards", "effects", "tail_costs", "dynamic",
                  "core", "limit", "finish", "series")
@@ -96,15 +120,9 @@ class RunPlan:
         self.series = (
             None if hist is None else hist.plan_series(self.tags, core.id, flow_class)
         )
-        costs = pipeline.costs
-        self.tail_costs = [
-            getattr(costs, n.stage.cost_attr)
-            if type(n.stage).cost is PassthroughStage.cost else None
-            for n in nodes[1:]
-        ]
+        self.tail_costs = [n.base if n.fixed else None for n in nodes[1:]]
         self.dynamic = tuple(
-            (i, n.stage) for i, n in enumerate(nodes)
-            if i > 0 and self.tail_costs[i - 1] is None
+            (i, n) for i, n in enumerate(nodes) if i > 0 and not n.fixed
         )
         self.guards = tuple(
             i for i, n in enumerate(nodes) if i > 0 and n.stage.droppable
@@ -114,7 +132,7 @@ class RunPlan:
             if type(n.stage).process is not PassthroughStage.process
         )
         self.core = core
-        self.limit = costs.backlog_limit
+        self.limit = pipeline.costs.backlog_limit
         self.finish = pipeline._finish_run
 
 
@@ -164,8 +182,25 @@ class Pipeline:
         #: recycled datapath skbs (see alloc_skb/recycle_skb)
         self._skb_pool: List[Skb] = []
 
+    @property
+    def policy(self) -> "SteeringPolicy":
+        return self._policy
+
+    @policy.setter
+    def policy(self, policy: "SteeringPolicy") -> None:
+        self._policy = policy
+        #: the policy's route cache, read in place on the hot path; None
+        #: when the policy routes some hop per packet (every hop then asks
+        #: ``core_for``)
+        self._routes = policy._routes if policy.per_flow_routes else None
+
     def set_head(self, head: StageNode) -> None:
+        """Install the stage chain and resolve each node's cost terms."""
         self.head = head
+        node = head
+        while node is not None:
+            node.resolve(self.costs)
+            node = node.next
 
     # ------------------------------------------------------------- skb pool
     def alloc_skb(self, pkt: Packet) -> Skb:
@@ -214,7 +249,7 @@ class Pipeline:
         if node is None:
             return
         stage = node.stage
-        core = self.policy.core_for(stage.name, skb, from_core)
+        core = self._policy.core_for(stage.name, skb, from_core)
         self._dispatch(node, stage, skb, core, from_core, front)
 
     def inject_batch(
@@ -228,17 +263,26 @@ class Pipeline:
         The batched NAPI entry point: one driver-poll work item calls
         this once for its whole descriptor batch, hoisting the per-batch
         lookups out of the per-packet loop (the steering decision stays
-        per-skb — flows in one batch may land on different cores).
+        per-skb — flows in one batch may land on different cores; a
+        fresh skb has no branch, so the route cache is read at ``None``).
         """
         if node is None:
             return
         stage = node.stage
         name = stage.name
-        core_for = self.policy.core_for
+        core_for = self._policy.core_for
+        routes = self._routes
         dispatch = self._dispatch
         for pkt in packets:
             skb = self.alloc_skb(pkt)
-            dispatch(node, stage, skb, core_for(name, skb, from_core), from_core, False)
+            if routes is None:
+                core = core_for(name, skb, from_core)
+            else:
+                try:
+                    core = routes[pkt.flow][name][None]
+                except KeyError:
+                    core = core_for(name, skb, from_core)
+            dispatch(node, stage, skb, core, from_core, False)
 
     def _dispatch(
         self,
@@ -250,20 +294,32 @@ class Pipeline:
         front: bool,
     ) -> None:
         """Charge ``stage`` for ``skb`` on the already-chosen ``core``."""
-        if skb.packets is None:
+        packets = skb.packets
+        if packets is None:
             raise SimulationError(
                 f"recycled skb (generation {skb.gen}) re-entered the datapath "
                 f"at stage {stage.name!r}"
             )
+        # the node's declared terms, in their one association order:
+        # per_seg * segs + base + bytes * per_byte (see Stage)
+        cost = node.base
+        per_seg = node.per_seg
+        if per_seg is not None:
+            cost = per_seg * len(packets) if cost is None else per_seg * len(packets) + cost
+        per_byte = node.per_byte
+        if per_byte is not None:
+            nbytes = 0
+            for pkt in packets:
+                nbytes += pkt.payload
+            cost = nbytes * per_byte if cost is None else cost + nbytes * per_byte
         costs = self.costs
-        cost = stage.cost(skb, costs)
         if from_core is not None and core.id != from_core.id:
             # Crossing cores costs both sides: the sender pays the steering
             # dispatch (hash + enqueue + IPI arming), the receiver pays the
             # queue pull + cold-cache penalty.
             cost += costs.handoff_cost_ns
             from_core.submit_call("steer_dispatch", costs.steer_dispatch_ns, _noop)
-            self.telemetry.count("handoffs")
+            self.telemetry.counters["handoffs"] += 1
             front = False
         # Overload protection: model bounded per-core backlogs by dropping
         # when the target core's run queue is past the configured limit.
@@ -287,13 +343,24 @@ class Pipeline:
             self.journeys.on_enqueue(skb, stage.name, core.id, self.sim.now)
         if stage.pure:
             try:
-                plan = self.policy.run_plans[skb.flow][stage.name][skb.branch]
+                plan = self._policy.run_plans[skb.flow][stage.name][skb.branch]
             except KeyError:
                 plan = self._plan_run(node, skb, core)
             if plan is not None:
                 run_costs = [cost, *plan.tail_costs]
                 for i, later in plan.dynamic:
-                    run_costs[i] = later.cost(skb, costs)
+                    # the same terms, for the same packets
+                    c = later.base
+                    per_seg = later.per_seg
+                    if per_seg is not None:
+                        c = per_seg * len(packets) if c is None else per_seg * len(packets) + c
+                    per_byte = later.per_byte
+                    if per_byte is not None:
+                        nbytes = 0
+                        for pkt in packets:
+                            nbytes += pkt.payload
+                        c = nbytes * per_byte if c is None else c + nbytes * per_byte
+                    run_costs[i] = c
                 core.submit_run(plan, run_costs, skb, front)
                 return
         series = None
@@ -320,7 +387,7 @@ class Pipeline:
         the first packet of a flow goes stage by stage and fills the
         route cache, and a later packet builds the plan from it.
         """
-        policy = self.policy
+        policy = self._policy
         plan = None
         if (
             policy.per_flow_routes
@@ -342,9 +409,9 @@ class Pipeline:
                 if not nxt.stage.pure:
                     break
                 nxt = nxt.next
-            # a two-stage run saves one event but spends about as much host
-            # time on run bookkeeping as that event cost, so runs start at
-            # three stages (see docs/ENGINE.md)
+            # a single stage is an ordinary work item; from two stages on
+            # the saved wheel event outweighs the run's bookkeeping (see
+            # docs/ENGINE.md)
             if len(nodes) >= _MIN_RUN:
                 plan = RunPlan(nodes, core, self, skb.flow.proto)
         by_stage = policy.run_plans.setdefault(skb.flow, {})
@@ -383,10 +450,17 @@ class Pipeline:
         nxt = node.next
         nstage = nxt.stage
         nname = nstage.name
-        core_for = self.policy.core_for
+        core_for = self._policy.core_for
         if len(outputs) == 1:
             out = outputs[0]
-            target = core_for(nname, out, core)
+            routes = self._routes
+            if routes is None:
+                target = core_for(nname, out, core)
+            else:
+                try:
+                    target = routes[out.flow][nname][out.branch]
+                except KeyError:
+                    target = core_for(nname, out, core)
             self._dispatch(nxt, nstage, out, target, core, target.id == core.id)
             return
         # Cross-core outputs go to their targets' FIFO queues in order;

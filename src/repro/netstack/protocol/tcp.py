@@ -23,6 +23,8 @@ from repro.metrics.telemetry import Telemetry
 from repro.netstack.costs import CostModel
 from repro.netstack.packet import (
     MAX_SEGMENT_PAYLOAD,
+    MTU,
+    VXLAN_OVERHEAD,
     FlowKey,
     Packet,
     Skb,
@@ -30,6 +32,9 @@ from repro.netstack.packet import (
 )
 from repro.netstack.stages import Stage, StageContext
 from repro.sim.engine import Simulator
+
+#: per-frame inner headers on the wire (see :attr:`Packet.wire_bytes`)
+_HEADERS = MTU - MAX_SEGMENT_PAYLOAD
 
 
 class _TcpFlowState:
@@ -54,6 +59,7 @@ class TcpReceiverStage(Stage):
 
     name = "tcp_rcv"
     droppable = False
+    cost_base = "tcp_rcv_ns"
 
     def __init__(self, ack_fn: Optional[Callable[[FlowKey, int], None]] = None):
         self._flows: Dict[FlowKey, _TcpFlowState] = {}
@@ -90,37 +96,44 @@ class TcpReceiverStage(Stage):
         st.ooo.clear()
         return released
 
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.tcp_rcv_ns
-
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
-        st = self.flow_state(skb.flow)
+        flow = skb.flow
+        st = self._flows.get(flow)
+        if st is None:
+            st = self._flows[flow] = _TcpFlowState()
+        packets = skb.packets
+        seq = packets[0].seq
         out: List[Skb] = []
-        if skb.seq == st.rcv_nxt:
-            st.rcv_nxt = skb.end_seq
+        if seq == st.rcv_nxt:
+            tail = packets[-1]
+            st.rcv_nxt = tail.seq + tail.payload
             out.append(skb)
             # drain any queued continuation
-            while st.rcv_nxt in st.ooo:
-                queued = st.ooo.pop(st.rcv_nxt)
-                st.rcv_nxt = queued.end_seq
+            ooo = st.ooo
+            while st.rcv_nxt in ooo:
+                queued = ooo.pop(st.rcv_nxt)
+                tail = queued.packets[-1]
+                st.rcv_nxt = tail.seq + tail.payload
                 out.append(queued)
-        elif skb.seq > st.rcv_nxt:
+        elif seq > st.rcv_nxt:
             # out-of-order: park in the ofo queue, charge the kernel's
             # per-segment reordering penalty on this core
-            st.ooo[skb.seq] = skb
-            st.ooo_segments += skb.segs
+            segs = len(packets)
+            st.ooo[seq] = skb
+            st.ooo_segments += segs
             self.total_ooo_events += 1
-            ctx.telemetry.count("tcp_ooo_segments", skb.segs)
+            ctx.counters["tcp_ooo_segments"] += segs
             ctx.core.submit_call(
-                "tcp_ooo", ctx.costs.tcp_ooo_penalty_ns * skb.segs, _noop
+                "tcp_ooo", ctx.costs.tcp_ooo_penalty_ns * segs, _noop
             )
         else:
-            st.dup_segments += skb.segs
-            ctx.telemetry.count("tcp_dup_segments", skb.segs)
+            segs = len(packets)
+            st.dup_segments += segs
+            ctx.counters["tcp_dup_segments"] += segs
             # the duplicate is dead here — return its pooled skb
             ctx.pipeline.recycle_skb(skb)
         if out and self._ack_fn is not None:
-            self._ack_fn(skb.flow, st.rcv_nxt)
+            self._ack_fn(flow, st.rcv_nxt)
         return out
 
 
@@ -135,6 +148,8 @@ class TcpDeliverStage(Stage):
 
     name = "tcp_deliver"
     droppable = False
+    cost_base = "copy_per_skb_ns"
+    cost_per_byte = "copy_per_byte_ns"
 
     def __init__(self, on_message: Optional[Callable[[FlowKey, Packet], None]] = None):
         self._on_message = on_message
@@ -142,18 +157,19 @@ class TcpDeliverStage(Stage):
     def set_message_callback(self, fn: Callable[[FlowKey, Packet], None]) -> None:
         self._on_message = fn
 
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.copy_per_skb_ns + skb.payload_bytes * costs.copy_per_byte_ns
-
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
-        tele = ctx.telemetry
-        tele.count("tcp_delivered_bytes", skb.payload_bytes)
-        tele.count("tcp_delivered_segments", skb.segs)
-        now = ctx.sim.now
-        for pkt in skb.packets:
+        packets = skb.packets
+        nbytes = 0
+        for pkt in packets:
+            nbytes += pkt.payload
+        counters = ctx.counters
+        counters["tcp_delivered_bytes"] += nbytes
+        counters["tcp_delivered_segments"] += len(packets)
+        now = ctx.sim._now
+        for pkt in packets:
             if pkt.messages_completed:
-                tele.count("tcp_delivered_messages", pkt.messages_completed)
-                tele.observe("tcp_msg_latency_ns", now - pkt.send_ts)
+                counters["tcp_delivered_messages"] += pkt.messages_completed
+                ctx.telemetry.observe("tcp_msg_latency_ns", now - pkt.send_ts)
                 if self._on_message is not None:
                     self._on_message(skb.flow, pkt)
         ctx.pipeline.recycle_skb(skb)
@@ -204,6 +220,8 @@ class TcpSender:
         self.next_msg_id = 0
         self.messages_sent = 0
         self._sending = False
+        #: set by :meth:`stop`: no new message goes out
+        self._stopped = False
         self._pending_requests: List[tuple] = []  # (size, on_sent) for demand mode
         self._pace_next_ns = 0.0  # token-bucket pacer (fq/TSQ-style)
         self._send_start_ns = 0.0
@@ -224,6 +242,12 @@ class TcpSender:
         if not self.continuous:
             raise RuntimeError("start() is only valid in continuous mode")
         self._pump()
+
+    def stop(self) -> None:
+        """Send no new message (the flow is retired).  A message already
+        in the send path still goes out, and frames already paced onto
+        the wire still arrive; no retransmission follows."""
+        self._stopped = True
 
     def send_message(self, size: Optional[int] = None, on_sent: Optional[Callable] = None) -> None:
         """Queue one message for transmission (request/response mode)."""
@@ -256,7 +280,7 @@ class TcpSender:
         return None
 
     def _pump(self) -> None:
-        if self._sending:
+        if self._sending or self._stopped:
             return
         nxt = self._peek_size()
         if nxt is None:
@@ -269,13 +293,13 @@ class TcpSender:
         if self.continuous and not self._pending_requests and nxt < MAX_SEGMENT_PAYLOAD:
             batch = max(1, MAX_SEGMENT_PAYLOAD // nxt)
         total = nxt * batch
-        if self.outstanding_bytes + total > self.window_bytes:
+        if self.next_seq - self.acked_seq + total > self.window_bytes:
             return
         msg = self._next_message()
         assert msg is not None
         size, on_sent = msg
         self._sending = True
-        self._send_start_ns = self.sim.now
+        self._send_start_ns = self.sim._now
         self.app_core.submit_call(
             "send_syscall",
             self.costs.send_syscall_ns * batch,
@@ -314,6 +338,9 @@ class TcpSender:
         now = sim._now
         send = self.wire.send
         gap_per_byte = 8.0 / self.costs.tcp_pacing_gbps
+        # Packet.wire_bytes less the payload: every frame of one message
+        # carries the sender's encap flag until it is sent
+        headers = _HEADERS + (VXLAN_OVERHEAD if self.encap else 0)
         t = max(now, self._pace_next_ns)
         for pkt in frags:
             pkt.send_ts = now
@@ -322,13 +349,13 @@ class TcpSender:
             else:
                 # t > now on this branch: no past-time check needed
                 sim._sched(t, send, (pkt,))
-            t += pkt.wire_bytes * gap_per_byte
+            t += (pkt.payload + headers) * gap_per_byte
         self._pace_next_ns = t
         if self.rto_ns is not None:
             self._retx_queue.extend(frags)
             self._arm_rto()
         self.messages_sent += batch
-        self.telemetry.count("tcp_messages_sent", batch)
+        self.telemetry.counters["tcp_messages_sent"] += batch
         if on_sent is not None:
             on_sent()
         if self.interval_ns is not None:
@@ -355,7 +382,7 @@ class TcpSender:
 
     def _rto_check(self) -> None:
         self._rto_armed = False
-        if not self._retx_queue:
+        if not self._retx_queue or self._stopped:
             return  # everything acked; the next transmit re-arms
         if self.acked_seq > self._acked_at_arm:
             # cumulative-ACK progress within the RTO: no loss signal yet

@@ -36,12 +36,10 @@ class UdpReceiverStage(Stage):
 
     name = "udp_rcv"
     droppable = True
-
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.udp_rcv_ns * skb.segs
+    cost_per_seg = "udp_rcv_ns"
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
-        ctx.telemetry.count("udp_rcv_segments", skb.segs)
+        ctx.counters["udp_rcv_segments"] += len(skb.packets)
         return [skb]
 
 
@@ -56,18 +54,14 @@ class UdpDeliverStage(Stage):
 
     name = "udp_deliver"
     droppable = True
+    cost_base = "copy_per_skb_ns"
+    cost_per_seg = "udp_reassembly_per_frag_ns"
+    cost_per_byte = "copy_per_byte_ns"
 
     def __init__(self) -> None:
         # (flow, msg_id) -> [received frag indices, frag_count, send_ts, bytes]
         self._partial: "OrderedDict[Tuple[FlowKey, int], list]" = OrderedDict()
         self.incomplete_evicted = 0
-
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return (
-            costs.udp_reassembly_per_frag_ns * skb.segs
-            + costs.copy_per_skb_ns
-            + skb.payload_bytes * costs.copy_per_byte_ns
-        )
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
         tele = ctx.telemetry
@@ -93,8 +87,9 @@ class UdpDeliverStage(Stage):
 
     def _add_fragment(self, pkt: Packet, tele: Telemetry, now: float) -> None:
         if pkt.frag_count == 1:
-            tele.count("udp_delivered_messages")
-            tele.count("udp_delivered_bytes", pkt.payload)
+            counters = tele.counters
+            counters["udp_delivered_messages"] += 1
+            counters["udp_delivered_bytes"] += pkt.payload
             tele.observe("udp_msg_latency_ns", now - pkt.send_ts)
             return
         key = (pkt.flow, pkt.msg_id)
@@ -114,8 +109,9 @@ class UdpDeliverStage(Stage):
         entry[3] += pkt.payload
         if len(frags) == count:
             del self._partial[key]
-            tele.count("udp_delivered_messages")
-            tele.count("udp_delivered_bytes", entry[3])
+            counters = tele.counters
+            counters["udp_delivered_messages"] += 1
+            counters["udp_delivered_bytes"] += entry[3]
             tele.observe("udp_msg_latency_ns", now - send_ts)
 
 
@@ -203,7 +199,7 @@ class UdpSender:
     def _emit_last(self, pkt: Packet, send_ts: float) -> None:
         self._emit(pkt, send_ts)
         self.messages_sent += 1
-        self.telemetry.count("udp_messages_sent")
+        self.telemetry.counters["udp_messages_sent"] += 1
         if self.interval_ns is not None:
             # rate-limited mode: the interval is measured from send start,
             # so the configured message rate is met regardless of how long

@@ -9,7 +9,7 @@ protocol-neutral stages: skb allocation, GRO, and IP receive.
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.cpu.core import Core
 from repro.netstack.costs import CostModel
@@ -24,10 +24,11 @@ class StageContext:
 
     ``sim``, ``costs`` and ``telemetry`` are copied from the pipeline at
     construction (a pipeline never swaps them), so stages read plain
-    slots on the hot path.
+    slots on the hot path.  ``counters`` is the telemetry's counter dict,
+    which per-packet sites bump in place (``counters[name] += n``).
     """
 
-    __slots__ = ("pipeline", "node", "core", "sim", "costs", "telemetry")
+    __slots__ = ("pipeline", "node", "core", "sim", "costs", "telemetry", "counters")
 
     def __init__(self, pipeline: "Pipeline", node: "StageNode", core: Core):
         self.pipeline = pipeline
@@ -36,15 +37,25 @@ class StageContext:
         self.sim = pipeline.sim
         self.costs: CostModel = pipeline.costs
         self.telemetry = pipeline.telemetry
+        self.counters = pipeline.telemetry.counters
 
 
 class Stage:
     """A named processing stage with a per-skb CPU cost.
 
-    Subclasses override :meth:`cost` and :meth:`process`.  ``process``
-    returns the skbs to forward to the next node; a stage that absorbs
-    the skb (socket delivery) or forwards asynchronously itself (MFLOW
-    merge) returns an empty list.
+    Subclasses override :meth:`process`, which returns the skbs to
+    forward to the next node; a stage that absorbs the skb (socket
+    delivery) or forwards asynchronously itself (MFLOW merge) returns an
+    empty list.
+
+    The cost is data: up to three cost-model field names, ``cost_base``
+    (per skb), ``cost_per_seg`` (per wire packet) and ``cost_per_byte``
+    (per payload byte), None where the stage has no such term.  Each
+    :class:`~repro.netstack.pipeline.StageNode` resolves them to floats
+    once, and the pipeline charges ``per_seg * segs + base + bytes *
+    per_byte``, evaluating only the terms present, left to right (a
+    stage with no term costs 0).  See docs/ENGINE.md, "Stage costs are
+    data".
 
     ``droppable`` marks stages whose dispatch tail-drops the skb when the
     target core's run queue is at the backlog limit.  That is every
@@ -52,20 +63,20 @@ class Stage:
     path; the TCP receive and delivery stages (and MFLOW's merge) are
     exempt, because the sender window bounds what reaches them.
 
-    ``cost`` must depend only on the skb and the cost model.  ``pure``
-    marks a stage whose ``process`` touches only its own skb and
-    telemetry counters, never reads the clock or schedules, returns
-    ``[skb]``, and changes nothing any stage's ``cost`` reads.  The
-    pipeline charges a run of pure stages on one core (plus the stage
-    after them) as one fused work item; see docs/ENGINE.md.
+    ``pure`` marks a stage whose ``process`` touches only its own skb
+    and telemetry counters, never reads the clock or schedules, returns
+    ``[skb]``, and changes neither which packets the skb holds nor their
+    payloads (all that any cost reads).  The pipeline charges a run of
+    pure stages on one core (plus the stage after them) as one fused
+    work item; see docs/ENGINE.md.
     """
 
     name: str = "stage"
     droppable: bool = True
     pure: bool = False
-
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        raise NotImplementedError
+    cost_base: Optional[str] = None
+    cost_per_seg: Optional[str] = None
+    cost_per_byte: Optional[str] = None
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
         raise NotImplementedError
@@ -77,19 +88,16 @@ class Stage:
 class PassthroughStage(Stage):
     """A stage that charges a flat per-skb cost and forwards unchanged.
 
-    The cost is the cost-model field ``cost_attr``, whatever the skb, so
-    a fused run reads it once when it is planned.
+    The cost is the cost-model field ``cost_attr`` (its only term),
+    whatever the skb, so a fused run fixes it when it is planned.
     """
 
     pure = True
 
     def __init__(self, name: str, cost_attr: str, droppable: bool = True):
         self.name = name
-        self.cost_attr = cost_attr
+        self.cost_base = cost_attr
         self.droppable = droppable
-
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return getattr(costs, self.cost_attr)
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
         return [skb]
@@ -105,12 +113,10 @@ class SkbAllocStage(Stage):
 
     name = "skb_alloc"
     pure = True
-
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.skb_alloc_ns * len(skb.packets)
+    cost_per_seg = "skb_alloc_ns"
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
-        ctx.telemetry.count("skb_allocated", len(skb.packets))
+        ctx.counters["skb_allocated"] += len(skb.packets)
         return [skb]
 
 
@@ -128,23 +134,21 @@ class GroStage(Stage):
     napi_gro_flush at the end of a poll batch.
     """
 
+    cost_per_seg = "gro_per_seg_ns"
+
     def __init__(self, name: str = "gro"):
         self.name = name
         self._held: Dict[object, Skb] = {}
         self._last_touch: Dict[object, float] = {}
         self._timer_armed: Dict[object, bool] = {}
 
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.gro_per_seg_ns * len(skb.packets)
-
-    def _cap(self, skb: Skb, costs: CostModel) -> int:
-        return costs.gro_max_segs_encap if skb.head.encap else costs.gro_max_segs_native
-
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
-        ctx.telemetry.count("gro_in", len(skb.packets))
+        packets = skb.packets
+        ctx.counters["gro_in"] += len(packets)
         if skb.flow.proto != "tcp":
             return [skb]  # GRO is ineffective for UDP: pay cost, no merge
-        cap = self._cap(skb, ctx.costs)
+        costs = ctx.costs
+        cap = costs.gro_max_segs_encap if packets[0].encap else costs.gro_max_segs_native
         if cap <= 1:
             return [skb]
         # GRO contexts are per-core (per NAPI instance): two splitting
@@ -154,21 +158,28 @@ class GroStage(Stage):
         held = self._held.get(key)
         out: List[Skb] = []
         if held is not None:
-            if held.can_merge(skb, cap):
-                held.merge(skb)
+            merged = held.packets
+            tail = merged[-1]
+            # Skb.can_merge: the key holds the flow, so this skb directly
+            # continues the held byte stream within the cap
+            if len(merged) + len(packets) <= cap and packets[0].seq == tail.seq + tail.payload:
+                merged.extend(packets)
                 # the merged skb's packets now live in `held`; the husk is dead
                 ctx.pipeline.recycle_skb(skb)
-                self._last_touch[key] = ctx.sim.now
-                if held.segs >= cap or _ends_message(held):
+                self._last_touch[key] = ctx.sim._now
+                tail = merged[-1]
+                if len(merged) >= cap or tail.frag_index == tail.frag_count - 1:
                     # cap reached, or PSH at a message boundary: flush now
                     out.append(self._take(key))
                 return out
             out.append(self._take(key))
-        if _ends_message(skb):
-            out.append(skb)  # single-segment message (PSH set): no holding
+        tail = packets[-1]
+        if tail.frag_index == tail.frag_count - 1:
+            # single-segment message (PSH set): no holding
+            out.append(skb)
             return out
         self._held[key] = skb
-        self._last_touch[key] = ctx.sim.now
+        self._last_touch[key] = ctx.sim._now
         self._arm_flush(key, ctx)
         return out
 
@@ -197,7 +208,8 @@ class GroStage(Stage):
         if held is None:
             self._timer_armed.pop(key, None)
             return
-        idle = sim.now - self._last_touch.get(key, sim.now)
+        now = sim._now
+        idle = now - self._last_touch.get(key, now)
         # the 1 ns slack guards against float-precision re-arm loops
         if idle >= timeout - 1.0:
             self._timer_armed.pop(key, None)
@@ -230,13 +242,6 @@ class GroStage(Stage):
         return len(flushed)
 
 
-def _ends_message(skb: Skb) -> bool:
-    """True when the skb's last segment closes a message (TCP PSH flag —
-    GRO flushes on PSH, so merging never spans sockperf messages)."""
-    last = skb.packets[-1]
-    return last.frag_index == last.frag_count - 1
-
-
 class IpRcvStage(PassthroughStage):
     """IP receive (routing decision + header validation), per skb."""
 
@@ -253,9 +258,6 @@ class CountingSink(Stage):
     def __init__(self, name: str = "sink"):
         self.name = name
         self.received: List[Skb] = []
-
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return 0.0
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
         self.received.append(skb)

@@ -22,7 +22,6 @@ import bisect
 from collections import deque
 from typing import Deque, Dict, List, Set, Tuple
 
-from repro.netstack.costs import CostModel
 from repro.netstack.packet import FlowKey, Skb
 from repro.netstack.stages import Stage, StageContext
 from repro.steering.base import stable_flow_hash
@@ -98,6 +97,7 @@ class ConsistentHashBalancerStage(Stage):
 
     name = "lb"
     droppable = True
+    cost_base = "lb_hash_ns"
 
     def __init__(self, ring: HashRing, buffer_packets: int = 4096):
         self.ring = ring
@@ -119,9 +119,6 @@ class ConsistentHashBalancerStage(Stage):
         self._count_post_restore = False
 
     # ------------------------------------------------------------- stage API
-    def cost(self, skb: Skb, costs: CostModel) -> float:
-        return costs.lb_hash_ns
-
     def backend_for(self, flow: FlowKey) -> str:
         backend = self._sticky.get(flow)
         if backend is None:

@@ -36,9 +36,10 @@ class VxlanDecapStage(PassthroughStage):
         super().__init__("vxlan", "vxlan_decap_ns")
 
     def process(self, skb: Skb, ctx: StageContext) -> List[Skb]:
-        for pkt in skb.packets:
+        packets = skb.packets
+        for pkt in packets:
             pkt.encap = False
-        ctx.telemetry.count("vxlan_decapped", skb.segs)
+        ctx.counters["vxlan_decapped"] += len(packets)
         return [skb]
 
 

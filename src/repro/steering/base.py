@@ -78,15 +78,21 @@ class SteeringPolicy:
     def app_core_idx_for(self, flow: FlowKey) -> int:
         """The application core serving ``flow``.
 
-        First-come round-robin: application threads are placed evenly on
-        the dedicated app cores, like the paper's controlled multi-flow
-        layout (5 app cores for up to 20 flows).
+        Application threads are placed evenly on the dedicated app cores,
+        like the paper's controlled multi-flow layout (5 app cores for up
+        to 20 flows): a new flow takes the app core serving the fewest
+        flows, the first in ``app_cores`` on a tie.  While no flow
+        retires that is first-come round robin; a retired flow
+        (:meth:`retire_flow`) frees its slot.
         """
         if len(self.app_cores) == 1:
             return self.app_cores[0]
         idx = self._app_assignment.get(flow)
         if idx is None:
-            idx = self.app_cores[len(self._app_assignment) % len(self.app_cores)]
+            served = dict.fromkeys(self.app_cores, 0)
+            for core in self._app_assignment.values():
+                served[core] += 1
+            idx = min(self.app_cores, key=served.__getitem__)
             self._app_assignment[flow] = idx
         return idx
 
@@ -162,10 +168,12 @@ class SteeringPolicy:
         Returns True when the policy actually held state for ``flow``.
         ``pipeline``, when given, lets stateful policies recycle parked
         skbs back to the skb pool (MFLOW's merge queues).  This base
-        keeps only the route cache; pool placements release their claims
-        (:class:`StaticRolePolicy`, MFLOW).
+        forgets the route cache and frees the flow's app-core slot; pool
+        placements also release their claims (:class:`StaticRolePolicy`,
+        MFLOW, which call this first).
         """
         self._forget_flow(flow)
+        self._app_assignment.pop(flow, None)
         return False
 
     @property
@@ -291,7 +299,7 @@ class StaticRolePolicy(SteeringPolicy):
         least-loaded placement each role's weight goes back to the
         allocator, so later flows are not placed around a flow that is
         gone."""
-        self._forget_flow(flow)
+        super().retire_flow(flow, pipeline)
         assigned = self._flow_assignment.pop(flow, None)
         if assigned is None:
             return False

@@ -380,7 +380,8 @@ class Scenario:
         Retiring a flow (or the container namespace serving it) must not
         strand pooled skbs: GRO held skbs, the TCP OOO queue, and any
         skbs parked in the steering policy's merge queues all return to
-        the pipeline's free list here.
+        the pipeline's free list here.  The flow's sender stops: it sends
+        no new message, and frames already on the wire still arrive.
         """
         gro = self.pipeline.find_node("gro").stage
         gro.release_flow(flow, self.pipeline)
@@ -389,7 +390,9 @@ class Scenario:
         if self.udp_deliver is not None:
             self.udp_deliver.detach_flow(flow)  # index sets only, no skbs
         self.policy.retire_flow(flow, pipeline=self.pipeline)
-        self._senders.pop(flow, None)
+        sender = self._senders.pop(flow, None)
+        if sender is not None:
+            sender.stop()
 
     # ----------------------------------------------------------------- run
     def run(

@@ -107,9 +107,6 @@ class TestCompletionTracking:
             name = "dropper"
             droppable = False
 
-            def cost(self, skb, costs):
-                return 0.0
-
             def process(self, skb, ctx):
                 return [] if skb.flow_serial == 1 else [skb]
 

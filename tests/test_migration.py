@@ -354,6 +354,51 @@ class TestFlowTeardown:
         if merge is not None:
             assert list(merge.iter_flows()) == []
 
+    @pytest.mark.parametrize("proto", ["tcp", "udp"])
+    def test_retired_sender_stops(self, monkeypatch, proto):
+        """After retirement the flow's sender starts no new message, and
+        every frame it had already put on the wire still lands."""
+        from collections import Counter
+
+        from repro.netstack.nic import Wire, _RxQueue
+        from repro.workloads.multiflow import build_multiflow_scenario
+
+        retire_at = 150_000.0
+        if proto == "tcp":
+            sc = build_multiflow_scenario("vanilla", 4, 65536, seed=3)
+        else:
+            sc = build_scenario("vanilla", "udp", 65536, seed=3)
+        victim = next(iter(sc._senders))
+        sender = sc._senders[victim]
+        syscalls, sent_after, landed, sent = [], [], Counter(), Counter()
+        submit = sender.app_core.submit_call
+
+        def app_submit(tag, *args, **kw):
+            syscalls.append(sc.sim.now)
+            submit(tag, *args, **kw)
+
+        wire_send, receive = Wire.send, _RxQueue.receive
+
+        def counted_send(wire, pkt):
+            sent[pkt.flow] += 1
+            if pkt.flow == victim and sc.sim.now >= retire_at:
+                sent_after.append(pkt)
+            wire_send(wire, pkt)
+
+        def counted_receive(queue, pkt):
+            landed[pkt.flow] += 1
+            receive(queue, pkt)
+
+        monkeypatch.setattr(sender.app_core, "submit_call", app_submit)
+        monkeypatch.setattr(Wire, "send", counted_send)
+        monkeypatch.setattr(_RxQueue, "receive", counted_receive)
+        sc.sim.call_at(retire_at, sc.retire_flow, victim)
+        sc.run(warmup_ns=100_000.0, measure_ns=300_000.0)
+        assert syscalls and max(syscalls) < retire_at
+        if proto == "tcp":
+            assert sent_after, "no paced frame was still due at retirement"
+        assert landed[victim] == sent[victim] > 0
+
     def test_retire_flow_is_idempotent_per_flow(self):
         sc = build_scenario("vanilla", "udp", 16384)
         sc.run(**WIN)

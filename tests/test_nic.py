@@ -116,16 +116,17 @@ class TestRxQueueMemo:
     """``Nic.receive`` memoises each flow's RX queue beside the policy's
     routes.  Oracle: the uncached ``Nic.queue_for`` asked at the moment
     each frame lands, on MFLOW's multi-queue pool layout (least-loaded
-    placement) with one flow retired mid-run while its frames keep
-    arriving, so the flow is placed a second time."""
+    placement) with one flow re-placed mid-run: the policy drops the
+    flow's placement and pool claims while its sender keeps sending, so
+    its next frame places it a second time."""
 
-    RETIRE_AT_NS = 150_000.0
+    REPLACE_AT_NS = 150_000.0
     WINDOWS = {"warmup_ns": 100_000.0, "measure_ns": 300_000.0}
 
     def _scenario(self):
         sc = build_multiflow_scenario("mflow", 4, 65536, seed=3)
         victim = next(iter(sc._senders))
-        sc.sim.call_at(self.RETIRE_AT_NS, sc.retire_flow, victim)
+        sc.sim.call_at(self.REPLACE_AT_NS, sc.policy.retire_flow, victim, sc.pipeline)
         return sc, victim
 
     def _payload(self, sc) -> str:
@@ -149,10 +150,10 @@ class TestRxQueueMemo:
         sc.run(**self.WINDOWS)
         wrong = [frame for frame in landed if frame[2] != frame[3]]
         assert not wrong, f"{len(wrong)} of {len(landed)} frames on a stale queue: {wrong[:3]}"
-        # the retired flow came back on another queue, so a memo that
-        # outlived the retirement would have shown above
-        before = {q for t, flow, q, _ in landed if flow == victim and t < self.RETIRE_AT_NS}
-        after = {q for t, flow, q, _ in landed if flow == victim and t >= self.RETIRE_AT_NS}
+        # the flow came back on another queue, so a memo that outlived
+        # the re-placement would have shown above
+        before = {q for t, flow, q, _ in landed if flow == victim and t < self.REPLACE_AT_NS}
+        after = {q for t, flow, q, _ in landed if flow == victim and t >= self.REPLACE_AT_NS}
         assert len(before) == len(after) == 1 and before != after
 
     def test_payload_matches_memo_bypassed(self):

@@ -109,6 +109,31 @@ def test_hot_paths_match_stage_by_stage(monkeypatch, name):
         assert _fuses(sc), "the case no longer exercises fusion"
 
 
+def test_two_stage_runs_match_stage_by_stage(monkeypatch):
+    """Only skb allocation stays pure, so every run is the two-stage
+    ``[skb_alloc, gro]`` (the shortest run that fuses), against
+    stage-by-stage dispatch."""
+    from repro.cpu.core import Core
+
+    completed = []
+    complete_run = Core._complete_run
+
+    def counted(core, run):
+        completed.append(len(run.durs))
+        complete_run(core, run)
+
+    with monkeypatch.context() as m:
+        for cls in _stage_classes():
+            if cls.__dict__.get("pure") and cls is not stage_module.SkbAllocStage:
+                m.setattr(cls, "pure", False)
+        m.setattr(Core, "_complete_run", counted)
+        sc = _compare(m, HOT_PATHS["vanilla_tcp4k_x8"])
+    tags = {plan.tags for plan in _plans(sc) if plan is not None}
+    assert tags == {("skb_alloc", "gro")}
+    # a horizon or a backlog cut may end a run after its first stage
+    assert 2 in completed and set(completed) <= {1, 2}
+
+
 class _CountCalls:
     def __init__(self, monkeypatch, cls, name):
         self.n = 0

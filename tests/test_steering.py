@@ -246,8 +246,21 @@ class TestRouteCache:
             assert cached.core_for(stage, skb, None).id == self._uncached(twin, stage, skb).id
 
 
+class TestAppCoreSlots:
+    def test_fewest_served_then_first(self):
+        policy = VanillaPolicy(cpus(), app_core=[0, 1, 2], role_cores={"first": 5})
+        flows = [FlowKey(10 + i, 1, "tcp", 40000 + i, 5001) for i in range(5)]
+        # while nothing retires: first-come round robin
+        assert [policy.app_core_idx_for(f) for f in flows[:3]] == [0, 1, 2]
+        policy.retire_flow(flows[1])
+        assert policy.app_core_idx_for(flows[3]) == 1  # the freed slot
+        assert policy.app_core_idx_for(flows[4]) == 0  # all tied: the first
+        assert policy.app_core_idx_for(flows[0]) == 0  # placed flows stay
+
+
 class TestRetireReleasesClaims:
-    """A retired pool flow hands back what its roles claimed."""
+    """A retired pool flow hands back what its roles claimed, and its
+    app-core slot."""
 
     WINDOWS = {"warmup_ns": 100_000.0, "measure_ns": 200_000.0}
 
@@ -265,6 +278,8 @@ class TestRetireReleasesClaims:
             assert not policy.retire_flow(flow)  # nothing left to release
         assert set(policy._allocator.load.values()) == {0.0}
         assert not policy._flow_assignment
+        assert not policy._app_assignment
         newcomer = FlowKey(200, 1, "tcp", 41000, 5001)
         assert policy._roles_for_flow(newcomer) == fresh._roles_for_flow(newcomer)
         assert policy._allocator.load == fresh._allocator.load
+        assert policy.app_core_idx_for(newcomer) == fresh.app_core_idx_for(newcomer)
