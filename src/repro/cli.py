@@ -12,7 +12,6 @@
     python -m repro faults     show loss-burst
     python -m repro ceilings   --proto udp
     python -m repro prof       --system mflow --top 15
-    python -m repro bench      --quick --compare benchmarks/baseline.json
     python -m repro fidelity   --quick
     python -m repro resume     results/
     python -m repro fsck       results/ --evict
@@ -25,20 +24,20 @@ Every subcommand prints a small table; ``compare`` adds an ASCII bar
 chart; ``trace`` runs one instrumented scenario and exports flight-
 recorder artifacts (Perfetto trace, interval CSV, latency decomposition);
 ``ceilings`` prints the closed-form bottleneck model's analytic upper
-bounds (no simulation).  The last three are the performance observatory
+bounds (no simulation).  The last two are the performance observatory
 (:mod:`repro.perf`): ``prof`` self-profiles the simulator's hot path,
-``bench`` runs the statistical benchmark matrix (and gates regressions
-against a baseline), ``fidelity`` scores reproduced headline numbers
-against the paper within tolerance bands.  ``resume`` finishes an interrupted
-sweep from its ``sweep.json`` + result cache + simulator checkpoints;
-``fsck`` audits a results tree, classifying artifacts as ok,
-salvageable, or corrupt (:mod:`repro.resilience`).  ``top``, ``metrics``
-and ``report`` are the sweep-telemetry readers (:mod:`repro.obs.live`):
-a live journal-tailing status view, an OpenMetrics exporter, and a
-self-contained HTML/markdown run report.  ``diff`` compares the exact
-stage histograms of two runs/sweeps/bench payloads and prints a ranked
-regression attribution (:mod:`repro.obs.diff`), exiting 1 when a
-significant latency regression survives the CI-overlap test.
+``fidelity`` runs the figure modules and scores their headline numbers
+against the paper within tolerance bands.  The simulator's host-time
+benchmark is ``benchmarks/e2e/`` (docs/BENCHMARKS.md).  ``resume``
+finishes an interrupted sweep from its ``sweep.json`` + result cache +
+simulator checkpoints; ``fsck`` audits a results tree, classifying
+artifacts as ok, salvageable, or corrupt (:mod:`repro.resilience`).
+``top``, ``metrics`` and ``report`` are the sweep-telemetry readers
+(:mod:`repro.obs.live`): a live journal-tailing status view, an
+OpenMetrics exporter, and a self-contained HTML/markdown run report.
+``diff`` compares the exact stage histograms of two runs or sweeps and
+prints a ranked regression attribution (:mod:`repro.obs.diff`), exiting
+1 when a significant latency regression survives the CI-overlap test.
 """
 
 from __future__ import annotations
@@ -436,99 +435,6 @@ def cmd_prof(args) -> int:
     )
     print(prof.report(top_k=args.top))
     return 0
-
-
-def cmd_bench(args) -> int:
-    """Statistical bench matrix -> BENCH_<sha>.json (+ optional gate)."""
-    from repro.perf import bench as perf_bench
-
-    scenarios = perf_bench.default_matrix()
-    if args.scenarios:
-        wanted = set(args.scenarios)
-        unknown = wanted - {s.name for s in scenarios}
-        if unknown:
-            raise SystemExit(
-                f"unknown bench scenarios {sorted(unknown)}; "
-                f"choose from {[s.name for s in scenarios]}"
-            )
-        scenarios = [s for s in scenarios if s.name in wanted]
-    windows = perf_bench.QUICK_WINDOWS if args.quick else perf_bench.FULL_WINDOWS
-    reps = args.reps if args.reps is not None else (
-        perf_bench.QUICK_REPS if args.quick else perf_bench.DEFAULT_REPS
-    )
-
-    from repro.obs.live.status import StatusLine
-
-    status_line = StatusLine("bench")
-
-    def progress(name: str, rep: int, total: int) -> None:
-        status_line.update(f"{name:<28} rep {rep + 1}/{total}")
-
-    results = perf_bench.run_bench(
-        scenarios, reps=reps, seed=args.seed,
-        progress=progress if sys.stderr.isatty() else None, **windows,
-    )
-    status_line.done()
-    payload = perf_bench.bench_payload(
-        results, reps=reps, seed=args.seed,
-        warmup_ns=windows["warmup_ns"], measure_ns=windows["measure_ns"],
-    )
-    out_path = args.out or perf_bench.bench_filename(payload["git_sha"])
-    perf_bench.write_payload(payload, out_path)
-    if args.json:
-        print(json.dumps(payload, indent=1))
-    else:
-        print(perf_bench.format_results(results))
-        print(f"\nwrote {out_path} (schema v{payload['schema_version']}, "
-              f"{reps} reps, sha {payload['git_sha']})")
-    if args.compare:
-        baseline = perf_bench.load_payload(args.compare)
-        report = perf_bench.compare_payloads(
-            payload, baseline, max_slowdown=args.slowdown
-        )
-        print()
-        print(report.report())
-        if not report.ok:
-            _emit_bench_diff(payload, baseline, str(out_path))
-        return report.exit_code()
-    return 0
-
-
-def _emit_bench_diff(payload: dict, baseline: dict, out_path: str) -> None:
-    """On a failed ``--compare`` gate, attribute the regression by stage.
-
-    Both payloads carry exact per-stage histograms (when run with
-    ``hist`` on), so a wall-clock regression can be decomposed into which
-    pipeline stages' simulated work shifted — printed inline and written
-    next to the BENCH payload for CI artifact upload.  Best-effort: a
-    baseline predating histograms just skips the attribution.
-    """
-    from repro.obs.diff import diff_payloads
-    from repro.obs.hist import merge_payloads
-
-    def merged(doc: dict):
-        hists = [
-            s["hist"] for _, s in sorted(doc.get("scenarios", {}).items())
-            if isinstance(s, dict) and s.get("hist")
-        ]
-        return merge_payloads(hists) if hists else None
-
-    base_hist, cur_hist = merged(baseline), merged(payload)
-    if base_hist is None or cur_hist is None:
-        print("\n(no stage attribution: one side carries no histograms)")
-        return
-    diff = diff_payloads(
-        base_hist, cur_hist,
-        label_a=f"baseline {baseline.get('git_sha', '?')}",
-        label_b=f"current {payload.get('git_sha', '?')}",
-    )
-    print()
-    print(diff.report())
-    from repro.resilience.atomic import atomic_write_json, atomic_write_text
-
-    atomic_write_text(out_path + ".diff.md", diff.report() + "\n")
-    atomic_write_json(out_path + ".diff.json", diff.to_json_dict())
-    print(f"\nwrote {out_path}.diff.md / .diff.json (stage attribution)")
 
 
 def cmd_fidelity(args) -> int:
@@ -940,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--bench", metavar="BENCH_JSON", default=None,
-        help="embed a BENCH_<sha>.json payload (repro bench --out)",
+        help="embed a BENCH_<sha>.json trajectory point (benchmarks/e2e/agreement.py --out)",
     )
     p.add_argument(
         "--fidelity", metavar="FIDELITY_JSON", default=None,
@@ -958,10 +864,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="stage-histogram latency attribution between two runs/sweeps",
     )
     p.add_argument(
-        "a", help="baseline: run-record JSON, sweep dir, or BENCH_<sha>.json"
+        "a", help="baseline: run-record JSON or sweep dir"
     )
     p.add_argument(
-        "b", help="candidate: run-record JSON, sweep dir, or BENCH_<sha>.json"
+        "b", help="candidate: run-record JSON or sweep dir"
     )
     p.add_argument(
         "--tol", type=float, default=0.02,
@@ -995,38 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_fault_plan(p)
     p.set_defaults(fn=cmd_prof)
-
-    p = sub.add_parser(
-        "bench",
-        help="statistical bench matrix -> BENCH_<sha>.json (+ regression gate)",
-    )
-    p.add_argument(
-        "--reps", type=int, default=None,
-        help="repetitions per scenario (default 5, or 3 with --quick)",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="reduced windows and repetitions (the CI configuration)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="output path (default ./BENCH_<git-sha>.json)",
-    )
-    p.add_argument(
-        "--compare", metavar="BASELINE", default=None,
-        help="compare against a baseline BENCH json; exit 1 on regression",
-    )
-    p.add_argument(
-        "--slowdown", type=float, default=0.10,
-        help="tolerated mean drift beyond CI overlap (default 0.10 = 10%%)",
-    )
-    p.add_argument(
-        "--scenarios", nargs="*", default=None, metavar="NAME",
-        help="subset of the matrix (default: all)",
-    )
-    p.add_argument("--json", action="store_true", help="emit the payload as JSON")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "runner",

@@ -14,7 +14,7 @@ advance the counter and count a ``mflow_merge_skips``.
 
 The module also provides :class:`PerPacketReorderStage`, the strawman
 the paper argues against (reordering with a per-packet out-of-order
-queue, like TCP's ofo handling) — used by the ablation benchmark to
+queue, like TCP's ofo handling) — used by the ablation tests to
 quantify how much the batch-based design saves.
 """
 

@@ -33,7 +33,7 @@ UDP_LOAD_FACTOR = 0.9
 #: large batches make each branch serve the full stream for a whole batch
 #: window, oscillating queue depth by O(batch); small batches interleave
 #: the branches finely.  Goodput capacity is within noise of the
-#: throughput-default 256 (see the batch-size ablation bench).
+#: throughput-default 256 (see the batch-size ablation test).
 UDP_MFLOW_BATCH = 16
 
 

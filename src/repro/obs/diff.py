@@ -1,11 +1,11 @@
 """``repro diff`` — differential regression attribution over exact
 stage histograms.
 
-Given two histogram sources (a run record, a sweep directory, a BENCH
-payload, or a bare ``StageHistograms`` payload), compute a stage-by-stage
-latency-delta attribution: which pipeline stages' queueing or service
-time moved, by how much, whether the move is statistically significant,
-and how much of the end-to-end shift each stage contributes.
+Given two histogram sources (a run record, a sweep directory, or a bare
+``StageHistograms`` payload), compute a stage-by-stage latency-delta
+attribution: which pipeline stages' queueing or service time moved, by
+how much, whether the move is statistically significant, and how much
+of the end-to-end shift each stage contributes.
 
 Because the histograms are *exact* (every hop counted, fixed bucket
 geometry, lossless merge algebra — :mod:`repro.obs.hist`), the diff is a
@@ -13,16 +13,15 @@ complete accounting rather than a sampled estimate: the per-stage
 ``sum_ns`` deltas add up to the total simulated latency shift, so the
 ``share`` column genuinely partitions the regression.
 
-Significance reuses the bench gate's machinery
-(:mod:`repro.perf.stats`): bucket-midpoint samples are reconstructed
-deterministically from each side's histogram, bootstrap 95% CIs are
-computed for both means, and a stage is flagged only when the intervals
-are disjoint *and* the relative mean delta exceeds the tolerance —
-mirroring ``repro bench --compare``'s noise discipline.
+Significance uses :mod:`repro.perf.stats`: bucket-midpoint samples are
+reconstructed deterministically from each side's histogram, bootstrap
+95% CIs are computed for both means, and a stage is flagged only when
+the intervals are disjoint *and* the relative mean delta exceeds the
+tolerance.
 
 Exit semantics: :meth:`StageDiff.exit_code` returns 1 iff at least one
 significant *regression* (mean moved up) survived, so CI can gate on a
-diff exactly like it gates on the bench compare.
+diff.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ class HistSource:
     """One side of a diff: a merged histogram payload plus provenance."""
 
     label: str                 # what the user pointed at
-    kind: str                  # "run" | "sweep" | "bench" | "hist"
+    kind: str                  # "run" | "sweep" | "hist"
     payload: Dict[str, Any]    # merged StageHistograms.to_dict() payload
     n_merged: int              # payloads merged into this side
 
@@ -79,7 +78,6 @@ def load_hist_source(path: Path) -> HistSource:
     * a sweep output directory (``runs/*.json`` run records — all
       scenario hists merged);
     * a single run-record JSON (or bare scenario measurement dict);
-    * a ``BENCH_<sha>.json`` payload (all scenarios' hists merged);
     * a bare ``StageHistograms`` payload.
     """
     path = Path(path)
@@ -105,15 +103,6 @@ def load_hist_source(path: Path) -> HistSource:
         return HistSource(str(path), "sweep", merge_payloads(hists), len(hists))
 
     doc = json.loads(path.read_text())
-    if doc.get("kind") == "repro-bench":
-        hists = [
-            s["hist"]
-            for _, s in sorted(doc.get("scenarios", {}).items())
-            if isinstance(s, Mapping) and s.get("hist")
-        ]
-        if not hists:
-            raise ValueError(f"{path}: bench payload carries no histograms")
-        return HistSource(str(path), "bench", merge_payloads(hists), len(hists))
     h = _extract_hist(doc)
     if not h:
         raise ValueError(f"{path}: no histogram payload found")
@@ -255,7 +244,7 @@ def _significance(
     seed: int,
     cap: int,
 ) -> Tuple[bool, Tuple[float, float], Tuple[float, float]]:
-    """CI-overlap + tolerance test, as in ``repro bench --compare``."""
+    """CI-overlap + tolerance test."""
     count_a = int(ser_a.get("count", 0))
     count_b = int(ser_b.get("count", 0))
     if count_a == 0 or count_b == 0:

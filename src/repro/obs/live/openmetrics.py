@@ -16,7 +16,7 @@ scrape pipeline.  Two metric tiers:
   :mod:`repro.obs.hist`) — visit counts and exact mean / p99 queueing
   and service latencies, labeled ``{experiment, cell, stage}``.
 
-The exposition is schema-versioned like ``BENCH_*.json``: a
+The exposition is schema-versioned: a
 ``repro_telemetry_info`` gauge carries ``schema_version`` so dashboards
 can gate on layout changes.  :func:`parse_openmetrics` is a strict
 structural validator (used by CI and the tests) — it checks TYPE

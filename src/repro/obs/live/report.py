@@ -18,7 +18,8 @@ as a CI artifact or mailed around:
   for every cell whose record carries a ``hist`` payload;
 * **fault summary** — aggregated fault-injection and degradation
   counters across the matrix;
-* optional **bench** (``BENCH_*.json``), **fidelity** scoreboard, and
+* optional **bench** (a ``BENCH_<sha>.json`` trajectory point of the
+  ``benchmarks/e2e`` benchmark), **fidelity** scoreboard, and
   **diff** (``repro diff --json-out``) payloads, embedded as tables when
   paths are supplied.
 """
@@ -353,27 +354,40 @@ def _fault_summary(status: SweepStatus) -> str:
     )
 
 
-def _bench_section(payload: Dict[str, Any]) -> str:
-    from repro.perf.bench import payload_scenario_rows
+def _bench_rows(point: Dict[str, Any]):
+    """``(workload, metric, unit, per-set "median (spread)", failed reps)``
+    for each end-to-end metric in a trajectory point's summary."""
+    units = {m["name"]: m["unit"] for m in point.get("benchmark", {}).get("end_to_end", [])}
+    for workload, data in point.get("summary", {}).items():
+        for metric, row in data.get("end_to_end", {}).items():
+            sets = " / ".join(
+                f"{s['median']:.5g} ({s['spread']:.1%})" for s in row.get("sets", [])
+            )
+            yield workload, metric, units.get(metric, ""), sets, data.get("failed", 0)
 
-    rows = []
-    for row in payload_scenario_rows(payload):
-        rate = row["events_per_sec"]
-        rows.append(
-            "<tr>"
-            f'<td>{_esc(row["name"])}</td>'
-            f'<td class="num">{_num(row["wall_ms"], "{:.1f}")}</td>'
-            f'<td class="num">{_num(rate / 1e3 if rate else None, "{:.0f}k")}</td>'
-            f'<td class="num">{_num(row["throughput_gbps"])}</td>'
-            "</tr>"
-        )
-    return (
-        f'<p class="note">BENCH payload sha {_esc(payload.get("git_sha", "?"))}, '
-        f'schema v{_esc(payload.get("schema_version", "?"))}.</p>'
-        '<table><thead><tr><th>scenario</th><th class="num">wall ms</th>'
-        '<th class="num">ev/s</th><th class="num">Gbps</th></tr></thead>'
-        f'<tbody>{"".join(rows)}</tbody></table>'
+
+def _bench_section(point: Dict[str, Any]) -> str:
+    rows = "".join(
+        "<tr>" + "".join(f"<td>{_esc(cell)}</td>" for cell in row[:4])
+        + f'<td class="num">{_esc(row[4])}</td></tr>'
+        for row in _bench_rows(point)
     )
+    return (
+        f'<p class="note">e2e trajectory point sha {_esc(point.get("sha", "?"))}, '
+        f'{_esc(point.get("created", "?"))}, {_esc(point.get("platform", "?"))}.</p>'
+        "<table><thead><tr><th>workload</th><th>metric</th><th>unit</th>"
+        "<th>median per set (quartile spread)</th>"
+        '<th class="num">failed reps</th></tr></thead>'
+        f"<tbody>{rows}</tbody></table>"
+    )
+
+
+def _band_text(band: Any) -> str:
+    """A scoreboard band ``[lo, hi]``; an open (``null``) side reads as ∞."""
+    if not (isinstance(band, list) and len(band) == 2):
+        return str(band)
+    lo, hi = (None if b is None else f"{b:.2f}" for b in band)
+    return f"[{lo or '−∞'}, {hi or '∞'}]"
 
 
 def _fidelity_section(payload: Dict[str, Any]) -> str:
@@ -385,12 +399,12 @@ def _fidelity_section(payload: Dict[str, Any]) -> str:
         if not isinstance(check, dict):
             continue
         name = check.get("name", "?")
-        band = check.get("band", check.get("status", "?"))
+        band = _band_text(check.get("band", check.get("status", "?")))
         rows.append(
             "<tr>"
             f"<td>{_esc(name)}</td>"
             f"<td>{_esc(band)}</td>"
-            f'<td class="num">{_esc(check.get("measured", check.get("value", "-")))}</td>'
+            f'<td class="num">{_esc(check.get("observed", "-"))}</td>'
             f'<td class="num">{_esc(check.get("expected", check.get("paper", "-")))}</td>'
             "</tr>"
         )
@@ -439,7 +453,7 @@ def build_html(
         parts.append("<h2>Stage latency diff</h2>")
         parts.append(_diff_section(diff))
     if bench is not None:
-        parts.append("<h2>Benchmark payload</h2>")
+        parts.append("<h2>Benchmark trajectory point</h2>")
         parts.append(_bench_section(bench))
     if fidelity is not None:
         parts.append("<h2>Paper-fidelity scoreboard</h2>")
@@ -507,12 +521,15 @@ def build_markdown(
             lines.append("")
     if bench is not None:
         lines += [
-            "## Benchmark payload",
+            "## Benchmark trajectory point",
             "",
-            f"sha `{bench.get('git_sha', '?')}`, "
-            f"schema v{bench.get('schema_version', '?')}",
+            f"sha `{bench.get('sha', '?')}`, {bench.get('created', '?')}",
             "",
+            "| workload | metric | unit | median per set (quartile spread) | failed reps |",
+            "| --- | --- | --- | --- | ---: |",
         ]
+        lines += [f"| {' | '.join(map(str, row))} |" for row in _bench_rows(bench)]
+        lines.append("")
     if fidelity is not None:
         lines += ["## Paper-fidelity scoreboard", ""]
         checks = fidelity.get("checks")
@@ -525,7 +542,7 @@ def build_markdown(
                 if isinstance(check, dict):
                     lines.append(
                         f"| {check.get('name', '?')} | "
-                        f"{check.get('band', check.get('status', '?'))} |"
+                        f"{_band_text(check.get('band', check.get('status', '?')))} |"
                     )
             lines.append("")
     return "\n".join(lines) + "\n"

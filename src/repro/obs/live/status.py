@@ -18,7 +18,7 @@ timeline/ETA columns stay empty.
 This module is also the home of the status-*line* helpers
 (:class:`StatusLine`, :class:`SweepProgress`) shared by every CLI that
 renders a one-line refreshing progress readout (``repro.experiments``,
-``repro bench``, ``repro migrate``, ``repro resume``), so sweep progress
+``repro migrate``, ``repro resume``), so sweep progress
 looks the same everywhere it is printed.
 """
 
@@ -458,7 +458,7 @@ class StatusLine:
     """A ``\\r``-rewriting one-line status readout.
 
     The single formatting path for every CLI progress line (sweeps,
-    bench reps, migration runs, resumes): ``[label] text``, rewritten in
+    migration runs, resumes): ``[label] text``, rewritten in
     place, padded so a shrinking line leaves no stale tail, closed with
     one newline.  Writes to ``stream`` (default stderr) unconditionally —
     callers gate on ``isatty`` where pollution matters.

@@ -1,36 +1,21 @@
 """Performance observatory for the reproduction harness itself.
 
-Three layers, all measuring the *simulator as a program* rather than the
-simulated network (that side is :mod:`repro.obs`):
+Measures the *simulator as a program* rather than the simulated network
+(that side is :mod:`repro.obs`):
 
 * :mod:`repro.perf.selfprof` — wall-clock self-profiling of the
   discrete-event hot path (heap traffic, per-component callback costs,
   events/sec), behind a ``selfprof`` toggle that mirrors ``obs=None``;
-* :mod:`repro.perf.bench` — a statistical benchmark harness: a curated
-  scenario matrix run N times with bootstrap confidence intervals,
-  emitted as schema-versioned ``BENCH_<sha>.json`` baselines and
-  compared across commits for regression gating;
-* :mod:`repro.perf.fidelity` — a paper-fidelity scoreboard replaying
-  the figure experiments on reduced windows and scoring each reproduced
-  headline number against the paper within explicit tolerance bands.
+* :mod:`repro.perf.fidelity` — a paper-fidelity scoreboard running the
+  figure modules on reduced windows and scoring each reproduced
+  headline number against the paper within explicit tolerance bands;
+* :mod:`repro.perf.stats` — bootstrap confidence intervals, used by
+  :mod:`repro.obs.diff`'s significance test.
+
+The host-time benchmark of record is ``benchmarks/e2e/``
+(docs/BENCHMARKS.md).
 """
 
-from repro.perf.bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchScenario,
-    CompareReport,
-    ScenarioBench,
-    bench_filename,
-    bench_payload,
-    payload_scenario_rows,
-    compare_payloads,
-    default_matrix,
-    format_results,
-    git_sha,
-    load_payload,
-    run_bench,
-    write_payload,
-)
 from repro.perf.fidelity import (
     FidelityCheck,
     FidelityInputs,
@@ -44,29 +29,15 @@ from repro.perf.selfprof import SelfProfiler
 from repro.perf.stats import SampleStats, bootstrap_ci, intervals_overlap
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "BenchScenario",
-    "CompareReport",
     "FidelityCheck",
     "FidelityInputs",
     "SampleStats",
-    "ScenarioBench",
     "Scoreboard",
     "SelfProfiler",
-    "bench_filename",
-    "bench_payload",
     "bootstrap_ci",
     "classify",
     "collect_inputs",
-    "compare_payloads",
-    "default_matrix",
-    "format_results",
-    "git_sha",
     "intervals_overlap",
-    "load_payload",
-    "payload_scenario_rows",
-    "run_bench",
     "run_fidelity",
     "score",
-    "write_payload",
 ]

@@ -1,7 +1,7 @@
 """Torn-write-proof file emission.
 
 Every artifact the harness leaves on disk (run records, manifests,
-cache entries, bench payloads, traces, checkpoints) goes through the
+cache entries, scoreboards, traces, checkpoints) goes through the
 helpers here: write to a temp file in the destination directory, flush
 and ``fsync`` it, then ``os.replace`` over the target.  A crash — even a
 SIGKILL or power loss mid-write — leaves either the old complete file

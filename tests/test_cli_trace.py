@@ -12,7 +12,7 @@ class TestCli:
         choices = actions["command"].choices
         assert set(choices) == {
             "throughput", "latency", "multiflow", "memcached", "compare",
-            "ceilings", "faults", "trace", "prof", "bench", "fidelity",
+            "ceilings", "faults", "trace", "prof", "fidelity",
             "resume", "fsck", "migrate", "top", "metrics", "report", "diff",
             "runner",
         }

@@ -7,8 +7,6 @@ bounds, determinism of the experiment harness.
 
 import pytest
 
-from repro.core.config import MflowConfig
-from repro.core.mflow import MflowPolicy
 from repro.netstack.costs import DEFAULT_COSTS
 from repro.overlay.topology import DatapathKind
 from repro.workloads.scenario import Scenario

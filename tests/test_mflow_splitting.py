@@ -2,8 +2,8 @@
 
 import pytest
 
-from helpers import Harness, TEST_FLOW, make_skb
-from repro.core.splitting import GLOBAL_KEY, MicroflowSplitStage
+from helpers import Harness, TEST_FLOW
+from repro.core.splitting import MicroflowSplitStage
 from repro.netstack.costs import DEFAULT_COSTS
 from repro.netstack.packet import FlowKey, Skb, fragment_message
 from repro.netstack.stages import CountingSink

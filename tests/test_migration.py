@@ -18,7 +18,6 @@ import pytest
 
 from helpers import Harness, TEST_FLOW, make_skb
 from repro.migration import (
-    MigrationController,
     MigrationPlan,
     PLANS,
     resolve_migration_plan,

@@ -6,11 +6,11 @@ import pickle
 
 import pytest
 
-from helpers import Harness, MapPolicy, TEST_FLOW, make_skb
+from helpers import Harness, MapPolicy, TEST_FLOW
 from repro.cpu.softirq import SOFTIRQ_ENTRY_COST_NS
 from repro.netstack.costs import DEFAULT_COSTS
 from repro.netstack.nic import Nic, Wire, _RxQueue
-from repro.netstack.packet import FlowKey, Packet, fragment_message
+from repro.netstack.packet import FlowKey, Packet
 from repro.netstack.stages import CountingSink
 from repro.perf.selfprof import SelfProfiler
 from repro.runner import scenario_result_to_dict

@@ -19,7 +19,6 @@ from repro.obs import (
     FlightRecorder,
     JourneyTracker,
     ObsConfig,
-    decompose,
     resolve_obs,
     to_trace_events,
     write_trace,

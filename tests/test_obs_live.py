@@ -307,16 +307,41 @@ class TestReport:
         assert out.read_text().startswith("<!DOCTYPE html>")
 
     def test_report_embeds_bench_payload(self, tmp_path):
+        """A hand-built e2e trajectory point (agreement.py's layout)
+        renders its per-workload medians and spreads."""
         sweep_dir, _ = run_sweep(tmp_path, n=1)
-        bench = {
-            "git_sha": "abc1234", "schema_version": 1,
-            "scenarios": {"tcp_64k": {
-                "wall_s": {"mean": 0.5}, "events_per_sec": {"mean": 10000.0},
-                "throughput_gbps": 30.0,
+        sets = [{"median": 24652.0, "q1": 24000.0, "q3": 25000.0, "spread": 0.0406},
+                {"median": 24100.0, "q1": 23500.0, "q3": 24500.0, "spread": 0.0415}]
+        point = {
+            "kind": "e2e-bench-agreement", "sha": "abc1234",
+            "created": "2026-01-01T00:00:00+0000", "platform": "Linux",
+            "benchmark": {"end_to_end": [{"name": "pkts_per_s", "unit": "packets/s"}]},
+            "summary": {"tcp64k_mflow": {
+                "end_to_end": {"pkts_per_s": {"sets": sets}}, "failed": 0,
             }},
         }
-        html = build_html([SweepStatus.load(sweep_dir)], bench=bench)
-        assert "Benchmark payload" in html and "tcp_64k" in html
+        html = build_html([SweepStatus.load(sweep_dir)], bench=point)
+        assert "Benchmark trajectory point" in html and "abc1234" in html
+        assert "tcp64k_mflow" in html and "packets/s" in html
+        assert "24652 (4.1%) / 24100 (4.2%)" in html
+        md = build_markdown([SweepStatus.load(sweep_dir)], bench=point)
+        assert ("| tcp64k_mflow | pkts_per_s | packets/s | "
+                "24652 (4.1%) / 24100 (4.2%) | 0 |") in md
+
+
+    def test_report_embeds_fidelity_scoreboard(self, tmp_path):
+        """Bands render with two decimals and an open side as ∞; the
+        observed value is shown."""
+        from repro.perf.fidelity import FidelityInputs, score
+
+        sweep_dir, _ = run_sweep(tmp_path, n=1)
+        inputs = FidelityInputs({"fig8.udp.mflow": 12.5, "fig8.udp.falcon": 10.0})
+        doc = score(inputs).to_json_dict()
+        html = build_html([SweepStatus.load(sweep_dir)], fidelity=doc)
+        assert "<td>mflow_falcon_udp</td><td>[1.00, ∞]</td><td class=\"num\">1.25</td>" in html
+        md = build_markdown([SweepStatus.load(sweep_dir)], fidelity=doc)
+        assert "| mflow_vanilla_tcp | [1.50, 2.80] |" in md
+        assert "| fig4_tcp_overlay_penalty | [−∞, 1.00] |" in md
 
 
 class TestConcurrentTailing:

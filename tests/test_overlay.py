@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import Harness, TEST_FLOW, make_skb
+from helpers import Harness, make_skb
 from repro.faults.plan import FaultPlan
 from repro.netstack.costs import DEFAULT_COSTS
 from repro.netstack.protocol.tcp import TcpDeliverStage, TcpReceiverStage

@@ -1,16 +1,14 @@
 """Tests for the performance observatory (repro.perf).
 
-Covers the three layers and their contracts:
+Covers the layers and their contracts:
 
 * self-profiler — disabled runs are bit-identical (pinned against the
   golden-seed numbers the runner tests use), enabled runs change no
   simulated measurement, and the counters/attribution are sane;
 * statistics — the bootstrap CI is deterministic and behaves correctly
   on fixed synthetic samples;
-* bench harness — payload schema, and the --compare CI-overlap gate
-  flags an injected slowdown (exit nonzero) while passing identical
-  payloads;
-* fidelity scoreboard — band classification on synthetic inputs, and
+* fidelity scoreboard — band classification on synthetic inputs (every
+  check just inside and just outside each finite edge of its band), and
   the markdown/JSON emitters.
 """
 
@@ -20,17 +18,16 @@ import math
 import pytest
 
 from repro.cli import main as cli_main
-from repro.perf.bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchScenario,
-    bench_payload,
-    compare_payloads,
-    default_matrix,
-    load_payload,
-    run_bench,
-    write_payload,
+from repro.perf.fidelity import (
+    CHECKS,
+    INF,
+    FidelityCheck,
+    FidelityInputs,
+    _over,
+    _under,
+    classify,
+    score,
 )
-from repro.perf.fidelity import FidelityCheck, FidelityInputs, classify, score
 from repro.perf.selfprof import SelfProfiler, callback_owner, resolve_selfprof
 from repro.perf.stats import (
     SampleStats,
@@ -225,179 +222,8 @@ class TestStats:
         assert not s.overlaps(far) and far.ci_lo <= far.mean <= far.ci_hi
 
 
-# ------------------------------------------------------------------- bench
-def _payload_from_stats(stats_by_scenario, sha="abc123"):
-    """Hand-build a minimal bench payload from {name: (wall, rate)}."""
-    scenarios = {}
-    for name, (wall, rate) in stats_by_scenario.items():
-        scenarios[name] = {
-            "kind": "sockperf",
-            "params": {"system": "mflow"},
-            "wall_s": wall.to_dict(),
-            "events_per_sec": rate.to_dict(),
-            "events_executed": 1000,
-            "throughput_gbps": 10.0,
-        }
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "kind": "repro-bench",
-        "git_sha": sha,
-        "scenarios": scenarios,
-    }
-
-
-def _stats(samples):
-    return SampleStats.from_samples(samples)
-
-
-class TestBenchCompare:
-    def test_identical_payloads_pass(self):
-        p = _payload_from_stats(
-            {"s1": (_stats([1.0, 1.1, 0.9]), _stats([1e5, 1.1e5, 0.9e5]))}
-        )
-        report = compare_payloads(p, p)
-        assert report.ok and report.exit_code() == 0
-        assert all(d.status == "ok" for d in report.deltas)
-
-    def test_injected_slowdown_is_a_regression(self):
-        base = _payload_from_stats(
-            {"s1": (_stats([1.0, 1.02, 0.98]), _stats([1e5, 1.02e5, 0.98e5]))}
-        )
-        # simulate a 2x slowdown: wall doubles, events/sec halves
-        slow = _payload_from_stats(
-            {"s1": (_stats([2.0, 2.04, 1.96]), _stats([5e4, 5.1e4, 4.9e4]))},
-            sha="def456",
-        )
-        report = compare_payloads(slow, base, max_slowdown=0.10)
-        assert not report.ok and report.exit_code() == 1
-        assert {d.metric for d in report.regressions} == {"wall_s", "events_per_sec"}
-        assert "regression" in report.report()
-
-    def test_improvement_is_not_a_regression(self):
-        base = _payload_from_stats({"s1": (_stats([2.0, 2.02]), _stats([5e4, 5.1e4]))})
-        fast = _payload_from_stats({"s1": (_stats([1.0, 1.01]), _stats([1e5, 1.01e5]))})
-        report = compare_payloads(fast, base)
-        assert report.ok
-        assert {d.status for d in report.deltas} == {"improvement"}
-
-    def test_overlapping_cis_mask_small_drift(self):
-        """Noisy samples whose CIs overlap never regress, whatever the means."""
-        base = _payload_from_stats({"s1": (_stats([1.0, 2.0, 3.0]), _stats([1.0, 2.0, 3.0]))})
-        cur = _payload_from_stats({"s1": (_stats([1.5, 2.5, 3.5]), _stats([1.5, 2.5, 3.5]))})
-        assert compare_payloads(cur, base).ok
-
-    def test_missing_and_added_scenarios_reported(self):
-        base = _payload_from_stats({"old": (_stats([1.0, 1.1]), _stats([1.0, 1.1]))})
-        cur = _payload_from_stats({"new": (_stats([1.0, 1.1]), _stats([1.0, 1.1]))})
-        report = compare_payloads(cur, base)
-        assert report.missing == ["old"] and report.added == ["new"]
-        assert report.ok  # absence is reported, not failed
-
-    def test_compare_json_dict(self):
-        p = _payload_from_stats({"s1": (_stats([1.0, 1.1]), _stats([1.0, 1.1]))})
-        d = compare_payloads(p, p).to_json_dict()
-        assert d["ok"] is True and d["deltas"][0]["scenario"] == "s1"
-        json.dumps(d)
-
-
-class TestBenchHarness:
-    def test_default_matrix_shape(self):
-        matrix = default_matrix()
-        names = [s.name for s in matrix]
-        assert len(names) == len(set(names)) == 9
-        assert "single_tcp64k_mflow_faults" in names
-        assert "single_tcp64k_mflow_obs" in names
-        assert "single_tcp64k_mflow_nohist" in names
-        kinds = {s.kind for s in matrix}
-        assert kinds == {"sockperf", "multiflow"}
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            BenchScenario.make("x", "nope").run_once(0, 1e5, 1e5)
-
-    def test_run_bench_and_payload_round_trip(self, tmp_path):
-        scenario = BenchScenario.make(
-            "tiny", "sockperf", system="vanilla", proto="tcp", size=65536
-        )
-        results = run_bench(
-            [scenario], reps=2, warmup_ns=1e5, measure_ns=4e5, warmup_reps=0
-        )
-        (r,) = results
-        assert r.wall_s.n == 2 and r.events_per_sec.mean > 0
-        assert r.events_executed > 0 and r.throughput_gbps > 0
-
-        payload = bench_payload(results, reps=2, warmup_ns=1e5,
-                                measure_ns=4e5, seed=0, sha="test0000")
-        path = write_payload(payload, tmp_path / "BENCH_test0000.json")
-        loaded = load_payload(path)
-        assert loaded["schema_version"] == BENCH_SCHEMA_VERSION
-        assert loaded["git_sha"] == "test0000"
-        assert loaded["scenarios"]["tiny"]["wall_s"]["n"] == 2
-        # a payload compares cleanly against itself
-        assert compare_payloads(loaded, loaded).ok
-
-    def test_load_payload_rejects_wrong_schema(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema_version": 999, "kind": "repro-bench"}))
-        with pytest.raises(ValueError):
-            load_payload(bad)
-        notbench = tmp_path / "notbench.json"
-        notbench.write_text(
-            json.dumps({"schema_version": BENCH_SCHEMA_VERSION, "kind": "other"})
-        )
-        with pytest.raises(ValueError):
-            load_payload(notbench)
-
-    def test_run_bench_rejects_zero_reps(self):
-        with pytest.raises(ValueError):
-            run_bench([], reps=0)
-
-
 # ----------------------------------------------------------------- CLI wiring
 class TestCli:
-    def test_bench_cli_emits_and_compares(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        argv = [
-            "bench", "--quick", "--reps", "2", "--scenarios",
-            "single_tcp64k_vanilla", "--out", str(out),
-        ]
-        assert cli_main(argv) == 0
-        payload = load_payload(out)
-        assert list(payload["scenarios"]) == ["single_tcp64k_vanilla"]
-        capsys.readouterr()
-
-        # identical re-run vs itself as baseline: no regression possible
-        # at the default 10% gate only if CIs overlap; use a generous
-        # gate so harness noise cannot flake the test.
-        again = tmp_path / "bench2.json"
-        argv2 = argv[:-1] + [str(again), "--compare", str(out), "--slowdown", "5.0"]
-        assert cli_main(argv2) == 0
-        assert "bench compare" in capsys.readouterr().out
-
-    def test_bench_cli_unknown_scenario(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(["bench", "--quick", "--scenarios", "nope",
-                      "--out", str(tmp_path / "x.json")])
-
-    def test_bench_cli_compare_flags_doctored_baseline(self, tmp_path, capsys):
-        """End-to-end regression gate: doctor the baseline to claim the
-        code used to run 100x faster; --compare must exit nonzero."""
-        out = tmp_path / "bench.json"
-        argv = ["bench", "--quick", "--reps", "2", "--scenarios",
-                "single_tcp64k_vanilla", "--out", str(out)]
-        assert cli_main(argv) == 0
-        payload = load_payload(out)
-        fast = json.loads(json.dumps(payload))  # deep copy
-        for sc in fast["scenarios"].values():
-            for key in ("mean", "min", "max", "ci_lo", "ci_hi"):
-                sc["wall_s"][key] /= 100.0
-                sc["events_per_sec"][key] *= 100.0
-        baseline = tmp_path / "doctored.json"
-        baseline.write_text(json.dumps(fast))
-        code = cli_main(argv + ["--compare", str(baseline)])
-        assert code == 1
-        assert "regression" in capsys.readouterr().out
-
     def test_prof_cli_smoke(self, capsys):
         assert cli_main(["prof", "--system", "vanilla", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -406,17 +232,65 @@ class TestCli:
 
 
 # -------------------------------------------------------------------- fidelity
+#: inputs engineered to land inside every band (near the quick-window values)
+SYNTHETIC = {
+    "fig4.tcp.native": 24.0, "fig4.tcp.vanilla": 13.0, "fig4.tcp.rps": 14.5,
+    "fig4.tcp.falcon-dev": 22.0, "fig4.tcp.falcon-fun": 19.5,
+    "fig4.udp.native": 15.0, "fig4.udp.vanilla": 5.5, "fig4.udp.rps": 6.5,
+    "fig4.udp.falcon-dev": 9.5, "fig4.udp.falcon-fun": 1.6,
+    "fig7.ooo.1": 2000.0, "fig7.ooo.256": 36.0, "fig7.ooo.1024": 9.0,
+    "fig7.gbps.1": 12.0, "fig7.gbps.256": 26.0, "fig7.gbps.1024": 26.5,
+    "fig8.tcp.native": 24.0, "fig8.tcp.vanilla": 13.0, "fig8.tcp.rps": 14.5,
+    "fig8.tcp.falcon": 19.0, "fig8.tcp.mflow": 27.0,
+    "fig8.udp.native": 15.0, "fig8.udp.vanilla": 5.8, "fig8.udp.rps": 6.5,
+    "fig8.udp.falcon": 10.0, "fig8.udp.mflow": 12.5,
+    "fig8.breakdown_tables": 2.0,
+    "fig9.tcp.vanilla.p50_us": 875.0, "fig9.tcp.vanilla.p99_us": 880.0,
+    "fig9.tcp.falcon.p50_us": 590.0, "fig9.tcp.falcon.p99_us": 594.0,
+    "fig9.tcp.mflow.p50_us": 76.0, "fig9.tcp.mflow.p99_us": 87.0,
+    "fig9.udp.vanilla.p50_us": 280.0, "fig9.udp.mflow.p50_us": 177.0,
+    "fig10.mflow.16.1": 0.2, "fig10.mflow.16.5": 1.0,
+    "fig10.lead.1": 1.8, "fig10.lead.10": 0.95,
+    "fig11.vanilla.success_per_s": 1000.0, "fig11.mflow.success_per_s": 3600.0,
+    "fig11.vanilla.browse_us": 1000.0, "fig11.mflow.browse_us": 400.0,
+    "fig12.falcon.util_std": 15.6, "fig12.mflow.util_std": 10.3,
+    "fig13.vanilla.mean_us": 63.0, "fig13.vanilla.p99_us": 64.0,
+    "fig13.falcon.mean_us": 26.5, "fig13.falcon.p99_us": 28.0,
+    "fig13.mflow.mean_us": 26.0, "fig13.mflow.p99_us": 27.0,
+    "ext.paper_config": 27.1, "ext.faster_sender": 33.4,
+}
+
+#: inputs ``(num, den)`` that make a check's form read ``target``
+INVERSE = {
+    "ratio": lambda t: (t, 1.0),
+    "decay": lambda t: (t, 1.0),
+    "value": lambda t: (t, 1.0),
+    "excess": lambda t: (t, 0.0),
+    "cut": lambda t: (1.0 - t, 1.0),
+}
+
+
 def _synthetic_inputs():
-    """Inputs engineered to land inside every band."""
-    return FidelityInputs(
-        tcp_gbps={"native": 24.0, "vanilla": 13.0, "falcon": 19.0, "mflow": 27.0},
-        udp_gbps={"native": 15.0, "vanilla": 5.8, "mflow": 12.5},
-        tcp_p99_us={"native": 480.0, "vanilla": 880.0, "falcon": 590.0, "mflow": 90.0},
-        ooo_microflows_batch1=2000,
-        ooo_microflows_batch256=40,
-        util_std={"falcon": 28.0, "mflow": 22.0},
-        memcached_p99_us={"vanilla": 64.0, "mflow": 27.0},
-    )
+    return FidelityInputs(dict(SYNTHETIC))
+
+
+def _status_at(name, target):
+    """Score synthetic inputs moved so that check ``name`` reads ``target``."""
+    [check] = [c for c in CHECKS if c.name == name]
+    inputs = _synthetic_inputs()
+    num, den = INVERSE[check.form](target)
+    inputs.values[check.num] = num
+    if check.den is not None:
+        inputs.values[check.den] = den
+    [scored] = [c for c in score(inputs).checks if c.name == name]
+    return scored.status
+
+
+def _band_edges():
+    for c in CHECKS:
+        for edge, inward in ((c.band_lo, 1.0), (c.band_hi, -1.0)):
+            if math.isfinite(edge):
+                yield pytest.param(c.name, edge, inward, id=f"{c.name}-{edge:.4g}")
 
 
 class TestFidelity:
@@ -427,6 +301,11 @@ class TestFidelity:
         assert classify(0.99, 1.0, 2.0) == "fail"
         assert classify(2.01, 1.0, 2.0) == "fail"
         assert classify(float("nan"), 1.0, 2.0) == "fail"
+        # a strict bound excludes its own value; an open side is unbounded
+        assert classify(1.0, _over(1.0), INF) == "fail"
+        assert classify(_over(1.0), _over(1.0), INF) == "pass"
+        assert classify(1.0, -INF, _under(1.0)) == "fail"
+        assert classify(-1e300, -INF, _under(1.0)) == "pass"
 
     def test_check_score_sets_status(self):
         check = FidelityCheck("x", "fig0", "d", paper=2.0, band_lo=1.0, band_hi=3.0)
@@ -436,13 +315,24 @@ class TestFidelity:
 
     def test_score_all_pass_on_synthetic(self):
         board = score(_synthetic_inputs())
-        assert len(board.checks) >= 5  # acceptance floor: >= 5 headline numbers
-        assert board.all_pass and board.exit_code() == 0
+        assert len(board.checks) == len(CHECKS) == 29
+        assert len({c.name for c in board.checks}) == len(CHECKS)
+        assert board.all_pass and board.exit_code() == 0, board.report()
         assert "ALL PASS" in board.report()
+
+    @pytest.mark.parametrize("name,edge,inward", list(_band_edges()))
+    def test_band_edge(self, name, edge, inward):
+        """Each finite band edge: just inside passes, just outside fails
+        (a one-point band is inside at its point)."""
+        step = 1e-9 * max(1.0, abs(edge))
+        [check] = [c for c in CHECKS if c.name == name]
+        inside = edge if check.band_lo == check.band_hi else edge + inward * step
+        assert _status_at(name, inside) == "pass"
+        assert _status_at(name, edge - inward * step) == "fail"
 
     def test_score_flags_broken_speedup(self):
         inputs = _synthetic_inputs()
-        inputs.tcp_gbps["mflow"] = 13.0  # speedup silently gone
+        inputs.values["fig8.tcp.mflow"] = inputs.values["fig8.tcp.vanilla"]
         board = score(inputs)
         assert not board.all_pass and board.exit_code() == 1
         failed = {c.name for c in board.checks if c.status == "fail"}
@@ -459,6 +349,9 @@ class TestFidelity:
         doc = json.loads(jpath.read_text())
         assert doc["kind"] == "repro-fidelity" and doc["all_pass"] is True
         assert len(doc["checks"]) == len(board.checks)
+        by_name = {c["name"]: c for c in doc["checks"]}
+        assert by_name["mflow_falcon_udp"]["band"] == [_over(1.0), None]  # open side
+        assert by_name["ooo_batch_256_vs_1024"]["paper"] is None
         md = (board.write_markdown(tmp_path / "fid.md")).read_text()
         assert md.startswith("# Paper-fidelity scoreboard")
         assert "| `mflow_vanilla_tcp` |" in md
@@ -468,5 +361,5 @@ class TestFidelity:
         from repro.perf.fidelity import run_fidelity
 
         board = run_fidelity(quick=True, seed=0)
-        assert len(board.checks) >= 5
+        assert len(board.checks) == len(CHECKS)
         assert board.all_pass, board.report()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import Harness, MapPolicy, TEST_FLOW, TEST_UDP_FLOW, make_skb
+from helpers import Harness, TEST_UDP_FLOW, make_skb
 from repro.netstack.costs import DEFAULT_COSTS
 from repro.netstack.packet import Skb
 from repro.netstack.pipeline import link_nodes

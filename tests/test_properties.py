@@ -103,7 +103,6 @@ class TestSplitMergeRoundTrip:
         sink = CountingSink()
         # branch cores chosen per skb.branch: emulate with a mapping policy
         from helpers import MapPolicy
-        from repro.cpu.core import Core
         from repro.netstack.packet import Skb
 
         class BranchPolicy(MapPolicy):

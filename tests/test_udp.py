@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import Harness, TEST_UDP_FLOW, make_skb
+from helpers import Harness, TEST_UDP_FLOW
 from repro.netstack.costs import DEFAULT_COSTS
 from repro.netstack.packet import FlowKey, Skb, fragment_message
 from repro.netstack.protocol.udp import (
