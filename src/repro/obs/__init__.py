@@ -32,14 +32,7 @@ keys are bit-identical to an uninstrumented build.
 
 from repro.obs.config import ObsConfig, resolve_obs
 from repro.obs.decompose import Decomposition, JourneyTracker, decompose
-from repro.obs.hist import (
-    HistConfig,
-    LatencyHistogram,
-    StageHistograms,
-    merge_payloads,
-    resolve_hist,
-    stage_rollup,
-)
+from repro.obs.hist import LatencyHistogram, StageHistograms, merge_payloads, stage_rollup
 from repro.obs.perfetto import to_trace_events, write_trace
 from repro.obs.recorder import Event, FlightRecorder
 from repro.obs.timeseries import IntervalMetrics
@@ -47,11 +40,9 @@ from repro.obs.timeseries import IntervalMetrics
 __all__ = [
     "ObsConfig",
     "resolve_obs",
-    "HistConfig",
     "LatencyHistogram",
     "StageHistograms",
     "merge_payloads",
-    "resolve_hist",
     "stage_rollup",
     "FlightRecorder",
     "Event",

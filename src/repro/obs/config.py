@@ -26,24 +26,12 @@ class ObsConfig:
     interval_ns: float = 100_000.0
     #: event-bus capacity; past it, deterministic reservoir sampling kicks in
     capacity: int = 200_000
-    #: journey cap for the latency-decomposition consumer
-    max_journeys: int = 4000
-    #: sim time before which journeys are not tracked; 0.0 (the default)
-    #: means "start at the measurement window" (the scenario substitutes
-    #: its warmup horizon)
-    journey_start_ns: float = 0.0
-    #: seed for the reservoir-sampling RNG (independent of workload seeds)
-    seed: int = 0
 
     def validate(self) -> None:
         if self.interval_ns <= 0.0:
             raise ValueError(f"interval_ns must be positive, got {self.interval_ns}")
         if self.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if self.max_journeys < 1:
-            raise ValueError(f"max_journeys must be >= 1, got {self.max_journeys}")
-        if self.journey_start_ns < 0.0:
-            raise ValueError("journey_start_ns must be >= 0")
 
     def to_dict(self) -> dict:
         """JSON/spec-embeddable form (see ``RunSpec.make(params=...)``)."""

@@ -36,6 +36,8 @@ from typing import Dict, List, Optional
 
 #: stage names that terminate a journey at user-space delivery
 DELIVERY_STAGE_NAMES = frozenset({"tcp_deliver", "udp_deliver", "sink"})
+#: journeys one tracker samples (bounds its memory)
+MAX_JOURNEYS = 4000
 
 
 class Hop:
@@ -57,16 +59,14 @@ class Hop:
 class JourneyTracker:
     """Samples skb journeys through the pipeline's obs hooks.
 
-    ``max_journeys`` bounds memory; tracking starts at ``start_ns`` (set
-    it to the warmup horizon to sample steady state only).  Trace ids
-    are assigned monotonically; ids assigned by another tracker are
-    adopted and skipped over, so two trackers never collide on a key.
+    At most :data:`MAX_JOURNEYS` are sampled; tracking starts at
+    ``start_ns`` (the scenario sets it to its warmup horizon, to sample
+    steady state only).  Trace ids are assigned monotonically; ids
+    assigned by another tracker are adopted and skipped over, so two
+    trackers never collide on a key.
     """
 
-    def __init__(self, max_journeys: int = 4000, start_ns: float = 0.0):
-        if max_journeys < 1:
-            raise ValueError("max_journeys must be >= 1")
-        self.max_journeys = max_journeys
+    def __init__(self, start_ns: float = 0.0):
         self.start_ns = start_ns
         self._next_id = 0
         self.journeys: Dict[int, List[Hop]] = {}
@@ -78,7 +78,7 @@ class JourneyTracker:
         """An skb was handed to ``stage_name``'s run queue on ``core_id``."""
         tid = skb.trace_id
         if tid is None:
-            if now < self.start_ns or len(self.journeys) >= self.max_journeys:
+            if now < self.start_ns or len(self.journeys) >= MAX_JOURNEYS:
                 return
             tid = self._next_id
             self._next_id += 1

@@ -98,7 +98,7 @@ def load_hist_source(path: Path) -> HistSource:
         if not hists:
             raise ValueError(
                 f"{path}: no histogram payloads found in sweep records "
-                f"(were the runs executed with hist=False?)"
+                f"(memcached and webserving records carry none)"
             )
         return HistSource(str(path), "sweep", merge_payloads(hists), len(hists))
 

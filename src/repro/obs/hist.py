@@ -1,17 +1,18 @@
 """Always-on, exactly-mergeable per-stage latency histograms.
 
 The flight recorder's journey decomposition (:mod:`repro.obs.decompose`)
-is *sampled* — reservoir-bounded and off by default.  This module is the
-complementary instrument: HdrHistogram-style log-bucketed latency
-histograms recorded on **every** datapath hop, per ``(stage, core,
-flow-class)``, cheap enough to leave on always.
+is *sampled* — the first journeys of the measurement window, off by
+default.  This module is the complementary instrument: HdrHistogram-style
+log-bucketed latency histograms recorded on **every** datapath hop, per
+``(stage, core, flow-class)``, cheap enough to leave on always.
 
 Design constraints, in order:
 
 * **Deterministic and inert.**  Recording draws no randomness and
   schedules no events, so an instrumented run's simulated timeline is
-  bit-identical to an uninstrumented one; disabling histograms
-  (``hist=False``) removes the payload without changing any measurement.
+  bit-identical to an uninstrumented one: detaching the histograms from
+  a built scenario (``pipeline.hist`` and each receiver core's ``hist``
+  set to ``None``) removes the payload without changing any measurement.
 * **Exactly mergeable.**  The bucket geometry is a fixed module-level
   constant (never a per-run parameter), so histograms from different
   cores, sweep cells, repetitions, and resumed runs can be merged by
@@ -64,8 +65,7 @@ the counts so a reader can verify compatibility before merging.
 from __future__ import annotations
 
 from array import array
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -74,7 +74,6 @@ __all__ = [
     "LINEAR_MAX",
     "N_BUCKETS",
     "SUB_BUCKETS",
-    "HistConfig",
     "LatencyHistogram",
     "StageHistograms",
     "bucket_bounds",
@@ -82,7 +81,6 @@ __all__ = [
     "bucket_mid",
     "merge_payloads",
     "merge_series",
-    "resolve_hist",
     "series_mean_ns",
     "series_quantile_ns",
     "series_samples",
@@ -138,57 +136,6 @@ def bucket_mid(index: int) -> int:
     """Representative (midpoint) value of bucket ``index``."""
     lo, hi = bucket_bounds(index)
     return (lo + hi - 1) >> 1 if hi - lo > 1 else lo
-
-
-# ------------------------------------------------------------- configuration
-HistConfigLike = Union[None, bool, Mapping[str, Any], "HistConfig"]
-
-
-@dataclass(frozen=True)
-class HistConfig:
-    """Knobs for the always-on stage histograms.
-
-    Mirrors :class:`repro.obs.config.ObsConfig`: spec-embeddable as a
-    plain dict, and an ``enabled=False`` config resolves to ``None`` so a
-    disabled config threaded through a spec cannot perturb the run.
-    """
-
-    #: master switch; ``False`` resolves to no histograms at all
-    enabled: bool = True
-    #: also record system (non-stage) work: irq, driver polls, softirq
-    #: entries, IPIs, steering dispatch
-    core_tags: bool = True
-
-    def validate(self) -> None:  # geometry is fixed; nothing else to check
-        return None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def resolve_hist(hist: HistConfigLike) -> Optional[HistConfig]:
-    """Normalize any accepted ``hist=`` value to ``HistConfig`` or ``None``.
-
-    ``True`` (the scenario default — histograms are *always on* unless
-    explicitly disabled) resolves to the default config; ``None`` /
-    ``False`` / ``{"enabled": False}`` resolve to ``None``.
-    """
-    if hist is None or hist is False:
-        return None
-    if hist is True:
-        cfg = HistConfig()
-    elif isinstance(hist, HistConfig):
-        cfg = hist
-    elif isinstance(hist, Mapping):
-        cfg = HistConfig(**dict(hist))
-    else:
-        raise TypeError(
-            f"cannot resolve hist config from {type(hist).__name__}: {hist!r}"
-        )
-    if not cfg.enabled:
-        return None
-    cfg.validate()
-    return cfg
 
 
 # ---------------------------------------------------------------- histograms
@@ -257,8 +204,7 @@ class StageHistograms:
     counts forward.
     """
 
-    def __init__(self, config: Optional[HistConfig] = None):
-        self.config = config if config is not None else HistConfig()
+    def __init__(self) -> None:
         # Every histogram is a *row* of the bucket matrix and of the exact
         # aggregates below.  A series is its row and its raw log (a float
         # array the cores append to: converted as logged, while the values
@@ -274,8 +220,6 @@ class StageHistograms:
         #: fused-run plans: their sub-stages' rows -> one log per covered
         #: length m (index 0 unused) of submit, bounds[0..m], durs[0..m-1]
         self._plans: Dict[Tuple[int, ...], List[array]] = {}
-        #: system work logged without ``core_tags``: emptied, never folded
-        self._dropped = array("d")
         #: logged spans still allowed before the next fold (see charge)
         self.room = _FOLD_BUDGET
         #: per-row aggregates: exact Python-int sums, and int64 arrays
@@ -316,10 +260,7 @@ class StageHistograms:
 
     def core_series(self, tag: str, core_id: int) -> array:
         """The log of a ``(tag, core)`` system-work series: a completed
-        item appends its duration (to a log the fold discards without
-        ``core_tags``)."""
-        if not self.config.core_tags:
-            return self._dropped
+        item appends its duration."""
         by_core = self._cores.setdefault(tag, {})
         entry = by_core.get(core_id)
         if entry is None:
@@ -412,7 +353,6 @@ class StageHistograms:
         for logs in self._plans.values():
             for log in logs:
                 del log[:]
-        del self._dropped[:]
         self.room = _FOLD_BUDGET
 
     def _spans(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -564,7 +504,6 @@ class StageHistograms:
                 "sub_buckets": SUB_BUCKETS,
                 "n_buckets": N_BUCKETS,
             },
-            "config": self.config.to_dict(),
             "stages": stages,
             "cores": cores,
         }
@@ -619,15 +558,12 @@ def merge_payloads(payloads: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     resumed halves) into one; byte-identical regardless of input order."""
     stage_acc: Dict[str, Dict[str, Dict[str, List[Dict[str, Any]]]]] = {}
     core_acc: Dict[str, Dict[str, List[Dict[str, Any]]]] = {}
-    config: Dict[str, Any] = {}
     seen = 0
     for payload in payloads:
         if not payload:
             continue
         _check_geometry(payload)
         seen += 1
-        if not config:
-            config = dict(payload.get("config") or {})
         for stage, by_core in (payload.get("stages") or {}).items():
             s = stage_acc.setdefault(stage, {})
             for core_id, by_class in by_core.items():
@@ -649,7 +585,6 @@ def merge_payloads(payloads: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
             "sub_buckets": SUB_BUCKETS,
             "n_buckets": N_BUCKETS,
         },
-        "config": config,
         "stages": {
             stage: {
                 core_id: {

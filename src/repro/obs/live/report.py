@@ -292,7 +292,7 @@ def _hist_sections(status: SweepStatus) -> str:
     if not sections:
         return (
             '<p class="note">No stage histograms: the records predate the '
-            "hist payload or the sweep ran with <code>hist=False</code>.</p>"
+            "hist payload or come from memcached or webserving cells.</p>"
         )
     return "".join(sections)
 

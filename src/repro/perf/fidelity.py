@@ -166,7 +166,7 @@ def classify(observed: float, band_lo: float, band_hi: float) -> str:
 
 
 def _bound(x: float) -> Optional[float]:
-    """A band side for JSON: an open side is ``null``."""
+    """A number for JSON: a non-finite one (an open band side) is ``null``."""
     return x if math.isfinite(x) else None
 
 
@@ -198,7 +198,8 @@ class FidelityCheck:
             "description": self.description,
             "paper": self.paper,
             "band": [_bound(self.band_lo), _bound(self.band_hi)],
-            "observed": self.observed,
+            # a missing or zero denominator scores NaN, which is not JSON
+            "observed": None if self.observed is None else _bound(self.observed),
             "status": self.status,
         }
 
@@ -306,8 +307,8 @@ CHECKS = [
         "FALCON-fun beats RPS, TCP 64 KB (paper ~+20%)",
         1.20, _over(1.0), INF, "ratio", "fig4.tcp.falcon-fun", "fig4.tcp.rps"),
     FidelityCheck("ooo_batch_decay", "fig7",
-        "merge-queue switches, batch 1 vs 256 (paper 5409→92)",
-        58.79, _over(10.0), 400.00, "decay", "fig7.ooo.1", "fig7.ooo.256"),
+        "merge-queue switches, batch 1 vs 256",
+        None, _over(10.0), 400.00, "decay", "fig7.ooo.1", "fig7.ooo.256"),
     FidelityCheck("ooo_batch_256_vs_1024", "fig7",
         "merge-queue switches keep falling past batch 256 (excess over 1024)",
         None, 0.0, INF, "excess", "fig7.ooo.256", "fig7.ooo.1024"),
@@ -337,7 +338,7 @@ CHECKS = [
         2.0, 2.0, 2.0, "value", "fig8.breakdown_tables", None),
     FidelityCheck("latency_vanilla_mflow", "fig9",
         "vanilla/MFLOW TCP p99 at saturation — MFLOW drains its window",
-        10.15, 2.00, 30.00, "ratio", "fig9.tcp.vanilla.p99_us", "fig9.tcp.mflow.p99_us"),
+        None, 2.00, 30.00, "ratio", "fig9.tcp.vanilla.p99_us", "fig9.tcp.mflow.p99_us"),
     FidelityCheck("latency_p50_vanilla_mflow", "fig9",
         "vanilla/MFLOW TCP p50 (paper median −46%)",
         1.85, _over(1.0), INF, "ratio", "fig9.tcp.vanilla.p50_us", "fig9.tcp.mflow.p50_us"),

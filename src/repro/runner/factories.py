@@ -69,7 +69,6 @@ def sockperf_factory(
         obs=params.get("obs"),
         selfprof=params.get("selfprof"),
         migration=params.get("migration"),
-        hist=params.get("hist", True),
     )
     return _scenario_measurements(res)
 
@@ -125,7 +124,6 @@ def multiflow_factory(
         faults=params.get("faults"),
         obs=params.get("obs"),
         selfprof=params.get("selfprof"),
-        hist=params.get("hist", True),
     )
     return _scenario_measurements(res)
 

@@ -77,7 +77,6 @@ def build_multiflow_scenario(
     faults=None,
     obs=None,
     selfprof=None,
-    hist=True,
 ) -> Scenario:
     """Assemble an ``n_flows``-flow overlay TCP scenario."""
     if n_flows < 1:
@@ -93,7 +92,6 @@ def build_multiflow_scenario(
         faults=faults,
         obs=obs,
         selfprof=selfprof,
-        hist=hist,
     )
     for i in range(n_flows):
         sc.add_tcp_sender(message_size, flow=make_flow("tcp", i))
@@ -112,12 +110,11 @@ def run_multiflow(
     faults=None,
     obs=None,
     selfprof=None,
-    hist=True,
 ) -> ScenarioResult:
     """One cell of Fig. 10 (aggregate TCP throughput)."""
     sc = build_multiflow_scenario(
         system, n_flows, message_size, costs=costs, seed=seed, placement=placement,
-        faults=faults, obs=obs, selfprof=selfprof, hist=hist,
+        faults=faults, obs=obs, selfprof=selfprof,
     )
     return sc.run(warmup_ns=warmup_ns, measure_ns=measure_ns)
 

@@ -38,7 +38,7 @@ from repro.obs import (
     resolve_obs,
 )
 from repro.obs.config import ObsConfigLike
-from repro.obs.hist import HistConfig, HistConfigLike, StageHistograms, resolve_hist
+from repro.obs.hist import StageHistograms
 from repro.perf.selfprof import SelfProfiler, resolve_selfprof
 from repro.netstack.nic import Nic, Wire
 from repro.netstack.packet import FlowKey
@@ -92,9 +92,9 @@ class ScenarioResult:
     #: per-flow quarantine/readmission tallies from the health monitor
     #: (empty unless an MFLOW run had an active fault plan)
     health_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: exact per-(stage, core, flow-class) latency histograms — always on
-    #: by default (None only when the run was built with ``hist=False``);
-    #: see repro.obs.hist for the payload layout and merge algebra
+    #: exact per-(stage, core, flow-class) latency histograms (None only in
+    #: a record that carries none); see repro.obs.hist for the payload
+    #: layout and merge algebra
     hist: Optional[Dict] = None
 
     def __str__(self) -> str:  # pragma: no cover - convenience printer
@@ -121,7 +121,6 @@ class Scenario:
         obs: ObsConfigLike = None,
         selfprof: Union[None, bool, SelfProfiler] = None,
         migration: MigrationPlanLike = None,
-        hist: HistConfigLike = True,
     ):
         if proto not in ("tcp", "udp"):
             raise ValueError(f"proto must be 'tcp' or 'udp', got {proto!r}")
@@ -220,14 +219,15 @@ class Scenario:
         self.intervals: Optional[IntervalMetrics] = None
         if self.obs_config is not None:
             self._attach_obs(self.obs_config)
-        # Exact stage histograms are *always on* (hist=False opts out).
-        # Recording draws no randomness and schedules no events, so the
-        # simulated timeline — and every other measurement — is identical
-        # with histograms on or off.
-        self.hist_config: Optional[HistConfig] = resolve_hist(hist)
-        self.hist: Optional[StageHistograms] = None
-        if self.hist_config is not None:
-            self._attach_hist(self.hist_config)
+        # Exact stage histograms, on the receive side only: the contention
+        # the paper studies is all there, and client-machine core ids
+        # would collide with receiver series.  Recording draws no
+        # randomness and schedules no events, so the simulated timeline —
+        # and every other measurement — is the same with them detached.
+        self.hist = StageHistograms()
+        self.pipeline.hist = self.hist
+        for core in self.cpus:
+            core.hist = self.hist
         if self.faults is not None:
             self.nic.faults = self.faults
             self.pipeline.faults = self.faults
@@ -258,13 +258,11 @@ class Scenario:
         core ids would collide with receiver tracks in the trace, and all
         the contention the paper studies is on the receive side.
         """
-        self.recorder = FlightRecorder(capacity=cfg.capacity, seed=cfg.seed)
+        self.recorder = FlightRecorder(capacity=cfg.capacity)
         self.recorder.bind_clock(self.sim)
         for core in self.cpus:
             core.obs = self.recorder
-        self.journeys = JourneyTracker(
-            max_journeys=cfg.max_journeys, start_ns=cfg.journey_start_ns
-        )
+        self.journeys = JourneyTracker()
         self.pipeline.obs = self.recorder
         self.pipeline.journeys = self.journeys
         self.nic.obs = self.recorder
@@ -275,20 +273,6 @@ class Scenario:
         monitor = getattr(self.policy, "health_monitor", None)
         if monitor is not None:
             monitor.obs = self.recorder
-
-    # ------------------------------------------------------------ hist wiring
-    def _attach_hist(self, cfg: HistConfig) -> None:
-        """Arm the exact stage histograms on the receive side.
-
-        Like the flight recorder, only receiver cores are instrumented:
-        the contention the paper studies is all on the receive side, and
-        client-machine core ids would collide with receiver series.
-        """
-        hist = StageHistograms(cfg)
-        self.pipeline.hist = hist
-        for core in self.cpus:
-            core.hist = hist
-        self.hist = hist
 
     # ------------------------------------------------------------- clients
     def make_client_flow(self, client_id: int, dport: int = 5001) -> FlowKey:
@@ -435,8 +419,8 @@ class Scenario:
             self.faults.schedule_core_stalls(self.cpus)
         if self.watchdog is not None:
             self.watchdog.arm()
-        if self.journeys is not None and self.obs_config.journey_start_ns == 0.0:
-            # default journey horizon: sample steady state, not warmup
+        if self.journeys is not None:
+            # journeys sample steady state, not warmup
             self.journeys.start_ns = warmup_ns
         if self.migration is not None:
             self.migration.arm()
@@ -531,5 +515,5 @@ class Scenario:
             health_counts={k: dict(v) for k, v in monitor.counts.items()}
             if monitor
             else {},
-            hist=self.hist.to_dict() if self.hist is not None else None,
+            hist=self.hist.to_dict(),
         )

@@ -117,7 +117,6 @@ def build_scenario(
     obs=None,
     selfprof=None,
     migration=None,
-    hist=True,
 ) -> Scenario:
     """Assemble the single-flow scenario for one (system, proto, size)."""
     sc = Scenario(
@@ -133,7 +132,6 @@ def build_scenario(
         obs=obs,
         selfprof=selfprof,
         migration=migration,
-        hist=hist,
     )
     for _ in range(CLIENTS[proto]):
         if proto == "tcp":
@@ -158,7 +156,6 @@ def run_single_flow(
     obs=None,
     selfprof=None,
     migration=None,
-    hist=True,
 ) -> ScenarioResult:
     """Run one cell of Fig. 4a / Fig. 8a / Fig. 9."""
     sc = build_scenario(
@@ -174,7 +171,6 @@ def run_single_flow(
         obs=obs,
         selfprof=selfprof,
         migration=migration,
-        hist=hist,
     )
     return sc.run(warmup_ns=warmup_ns, measure_ns=measure_ns)
 

@@ -16,7 +16,6 @@ from repro.obs.hist import (
     LINEAR_MAX,
     N_BUCKETS,
     SUB_BUCKETS,
-    HistConfig,
     LatencyHistogram,
     StageHistograms,
     bucket_bounds,
@@ -24,7 +23,6 @@ from repro.obs.hist import (
     bucket_mid,
     merge_payloads,
     merge_series,
-    resolve_hist,
     series_mean_ns,
     series_quantile_ns,
     series_samples,
@@ -32,6 +30,7 @@ from repro.obs.hist import (
 )
 from repro.runner import RunEngine, RunSpec
 from repro.runner.records import scenario_result_from_dict, scenario_result_to_dict
+from repro.workloads.multiflow import build_multiflow_scenario
 from repro.workloads.sockperf import build_scenario, run_single_flow
 
 TINY = {"warmup_ns": 100_000.0, "measure_ns": 600_000.0}
@@ -81,25 +80,6 @@ class TestBucketGeometry:
             bucket_bounds(N_BUCKETS)
         with pytest.raises(ValueError):
             bucket_bounds(-1)
-
-
-# ------------------------------------------------------------- config resolve
-class TestResolveHist:
-    def test_none_and_false_are_inert(self):
-        assert resolve_hist(None) is None
-        assert resolve_hist(False) is None
-        assert resolve_hist({"enabled": False}) is None
-        assert resolve_hist(HistConfig(enabled=False)) is None
-
-    def test_true_and_mapping_resolve(self):
-        assert resolve_hist(True) == HistConfig()
-        assert resolve_hist({"core_tags": False}) == HistConfig(core_tags=False)
-        cfg = HistConfig()
-        assert resolve_hist(cfg) is cfg
-
-    def test_garbage_raises(self):
-        with pytest.raises(TypeError):
-            resolve_hist(3.14)
 
 
 # ---------------------------------------------------------- histogram algebra
@@ -364,10 +344,9 @@ class _Spy:
     duration, or a fused run's covered boundaries and durations, and
     feeds the reference the spans the per-hop expressions give."""
 
-    def __init__(self, core, ref, core_tags):
+    def __init__(self, core, ref):
         self.core = core
         self.ref = ref
-        self.core_tags = core_tags
         self.inner = core._on_complete
         self.inner_run = core._on_run_complete
         core._on_complete = self.complete
@@ -377,7 +356,7 @@ class _Spy:
         kind, key, submit = item.args
         if kind == "stage":
             self.ref.hop(key, *_hop_spans(submit, self.core.sim.now, duration))
-        elif self.core_tags:
+        else:
             self.ref.system(key, duration)
         self.inner(item, duration)
 
@@ -408,7 +387,7 @@ _ORACLE_OPS = st.lists(
 _RUN_TAGS = ("skb_alloc", "ip_outer", "vxlan", "ip_inner", "tcp_rcv")
 
 
-def _oracle_rig(ops, core_tags=True, seed=7, base=0.0):
+def _oracle_rig(ops, seed=7, base=0.0):
     """Two jittered cores with histograms, and ``ops`` scheduled on them
     from time ``base``."""
     import numpy as np
@@ -417,7 +396,7 @@ def _oracle_rig(ops, core_tags=True, seed=7, base=0.0):
     from repro.sim.engine import Simulator
 
     sim = Simulator()
-    hist = StageHistograms(HistConfig(core_tags=core_tags))
+    hist = StageHistograms()
     cores = [
         Core(sim, i, jitter_sigma=0.4, rng=np.random.default_rng(seed + i)) for i in range(2)
     ]
@@ -455,23 +434,19 @@ class TestCoreRecordingOracle:
     @given(
         ops=_ORACLE_OPS,
         horizons=st.lists(st.floats(0.0, 40_000.0), max_size=3),
-        core_tags=st.booleans(),
         # late clocks, where a span's float arithmetic rounds to whole ns
         base=st.sampled_from([0.0, 2.0**44, 2.0**53]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_payload_equals_per_span_reference(self, ops, horizons, core_tags, base):
-        sim, hist, cores = _oracle_rig(ops, core_tags, base=base)
+    def test_payload_equals_per_span_reference(self, ops, horizons, base):
+        sim, hist, cores = _oracle_rig(ops, base=base)
         ref = _Reference()
         for core in cores:
-            _Spy(core, ref, core_tags)
+            _Spy(core, ref)
         for horizon in sorted(horizons):
             sim.run(until_ns=base + horizon)
         sim.run()
-        payload = hist.to_dict()
-        ref.assert_matches(payload)
-        if not core_tags:
-            assert payload["cores"] == {}
+        ref.assert_matches(hist.to_dict())
 
     def test_truncated_and_cut_runs_are_exercised(self):
         """The oracle's inputs reach both ways a run ends early."""
@@ -496,7 +471,7 @@ class TestCoreRecordingOracle:
         sim, hist, cores = _oracle_rig(ops)
         ref = _Reference()
         for core in cores:
-            _Spy(core, ref, True)
+            _Spy(core, ref)
         sim.run()
         log = hist.stage_series("gro", 0, "tcp")
         logged = len(log)
@@ -607,13 +582,13 @@ class TestHistogramAlgebra:
         assert rollup["softirq:x"]["service"]["count"] == 1
         assert rollup["softirq:x"]["queue"]["count"] == 0
 
-    def test_core_tags_off_drops_system_work(self):
-        hist = StageHistograms(HistConfig(core_tags=False))
-        hist.core_series("irq:pnic", 0).append(5.0)
+    def test_merge_payloads_accepts_an_old_config_key(self):
+        hist = StageHistograms()
         _log_hop(hist, ("gro", 0, "tcp"), 1.0, 2.0)
+        hist.core_series("irq:pnic", 0).append(5.0)
         payload = hist.to_dict()
-        assert payload["cores"] == {}
-        assert payload["stages"]["gro"]["0"]["tcp"]["service"]["count"] == 1
+        old = {**payload, "config": {"enabled": True, "core_tags": True}}
+        assert merge_payloads([old]) == merge_payloads([payload]) == payload
 
 
 # ------------------------------------------------------------- scenario wiring
@@ -626,17 +601,21 @@ class TestScenarioHistograms:
         assert any(tag.startswith("irq:") for tag in res.hist["cores"])
 
     def test_hist_off_identical_timeline(self):
-        """Disabling histograms changes nothing but the payload."""
-        on = run_single_flow("mflow", "tcp", 65536, seed=0, **TINY)
-        off = run_single_flow("mflow", "tcp", 65536, seed=0, hist=False, **TINY)
-        assert off.hist is None
-        on_dict = scenario_result_to_dict(on)
-        off_dict = scenario_result_to_dict(off)
-        on_dict.pop("hist")
-        assert "hist" not in off_dict
-        assert json.dumps(on_dict, sort_keys=True) == json.dumps(
-            off_dict, sort_keys=True
-        )
+        """Histograms detached from a built scenario change nothing but
+        the payload, on MFLOW TCP and UDP and on vanilla with 8 flows."""
+        for build in (
+            lambda: build_scenario("mflow", "tcp", 65536, seed=0),
+            lambda: build_scenario("mflow", "udp", 65536, seed=0),
+            lambda: build_multiflow_scenario("vanilla", 8, 4096, seed=0),
+        ):
+            on = scenario_result_to_dict(build().run(**TINY))
+            sc = build()
+            sc.pipeline.hist = None
+            for core in sc.cpus:
+                core.hist = None
+            off = scenario_result_to_dict(sc.run(**TINY))
+            assert on.pop("hist")["stages"] and not off.pop("hist")["stages"]
+            assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)
 
     def test_counts_match_stage_work(self):
         """Every histogram count is a real executed work item: the service
@@ -810,8 +789,10 @@ class TestDiff:
         )
 
     def test_source_without_hist_raises(self, tmp_path):
-        res = run_single_flow("vanilla", "tcp", 65536, seed=0, hist=False, **TINY)
-        a = _write_run_record(tmp_path / "a.json", res)
+        # a memcached record: its cells carry no stage histograms
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"spec_key": "x", "measurements": {
+            "kind": "memcached", "latency": {}, "events_executed": 1}}))
         with pytest.raises(ValueError):
             load_hist_source(a)
 

@@ -41,11 +41,11 @@ CASES = {
 }
 
 PINNED = {
-    "falcon_tcp64k": "e52b94b2640d16cfdfee",
-    "mflow_2readers": "bfac742650dc30bed8c8",
-    "mflow_tcp64k": "cc01a7dcee338bea3d4a",
-    "mflow_udp64k": "70873560e583db32957e",
-    "vanilla_tcp4k_x8": "4e0c747fb786aaf6deba",
+    "falcon_tcp64k": "1558f3a5993c7a10eb2e",
+    "mflow_2readers": "e56d57100d5d24271cf7",
+    "mflow_tcp64k": "ca087346203c78255efb",
+    "mflow_udp64k": "1fb56ce3945bec689402",
+    "vanilla_tcp4k_x8": "4fa0e56cc4e2c07e717d",
 }
 
 

@@ -342,6 +342,10 @@ class TestFidelity:
         board = score(FidelityInputs())  # everything empty/zero
         assert not board.all_pass
         assert all(c.status in ("pass", "fail") for c in board.checks)
+        # a zero denominator scores NaN: written as null, and still a fail
+        doc = json.loads(json.dumps(board.to_json_dict(), allow_nan=False))
+        nulls = [c for c in doc["checks"] if c["observed"] is None]
+        assert nulls and all(c["status"] == "fail" for c in nulls)
 
     def test_writers_and_schema(self, tmp_path):
         board = score(_synthetic_inputs())
