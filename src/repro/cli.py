@@ -25,7 +25,7 @@ chart; ``trace`` runs one instrumented scenario and exports flight-
 recorder artifacts (Perfetto trace, interval CSV, latency decomposition);
 ``ceilings`` prints the closed-form bottleneck model's analytic upper
 bounds (no simulation).  The last two are the performance observatory
-(:mod:`repro.perf`): ``prof`` self-profiles the simulator's hot path,
+(:mod:`repro.perf`): ``prof`` runs one scenario under :mod:`cProfile`,
 ``fidelity`` runs the figure modules and scores their headline numbers
 against the paper within tolerance bands.  The simulator's host-time
 benchmark is ``benchmarks/e2e/`` (docs/BENCHMARKS.md).  ``resume``
@@ -412,28 +412,51 @@ def cmd_faults(args) -> int:
 
 
 def cmd_prof(args) -> int:
-    """Self-profile one scenario run: where does *wall-clock* time go."""
-    from repro.perf.selfprof import SelfProfiler
+    """Profile one scenario run under cProfile: where does *wall-clock* time go."""
+    import cProfile
+    import pstats
 
-    # pass a live profiler (resolve_selfprof passes instances through) so
-    # the report is not limited to the payload's serialized top-10
-    prof = SelfProfiler()
-    res = run_single_flow(
-        args.system, args.proto, args.size, seed=args.seed,
-        batch_size=args.batch, faults=args.fault_plan,
-        selfprof=prof, **_windows(args),
-    )
+    from repro.workloads.sockperf import build_scenario
+
+    sc = build_scenario(args.system, args.proto, args.size, seed=args.seed,
+                        batch_size=args.batch, faults=args.fault_plan)
+    profile = cProfile.Profile()
+    res = profile.runcall(sc.run, **_windows(args))
+    stats = pstats.Stats(profile)
+    wall_s = stats.total_tt
+    root = os.path.dirname(os.path.abspath(__file__)) + os.sep
+    funcs, packages = [], {}
+    for (path, line, name), (_, calls, self_s, _, _) in stats.stats.items():
+        rel = path[len(root):] if path.startswith(root) else None
+        pkg = rel.split(os.sep, 1)[0].removesuffix(".py") if rel else "ext"
+        row = packages.setdefault(pkg, {"package": pkg, "self_s": 0.0, "calls": 0})
+        row["self_s"] += self_s
+        row["calls"] += calls
+        funcs.append({"name": pstats.func_std_string((rel or path, line, name)),
+                      "calls": calls, "self_s": self_s})
+    rings = sorted((q.ring.stats() for q in sc.nic._queues), key=lambda r: -r["puts"])
+    out = {
+        "system": args.system, "proto": args.proto, "size": args.size,
+        "throughput_gbps": res.throughput_gbps, "events_executed": res.events_executed,
+        "wall_s": wall_s, "events_per_sec": res.events_executed / wall_s,
+        "cost_centers": sorted(funcs, key=lambda f: -f["self_s"])[:args.top],
+        "packages": sorted(packages.values(), key=lambda p: -p["self_s"]),
+        "queues": rings[:5],
+    }
     if args.json:
-        out = prof.summary(top_k=args.top)
-        out.update(system=args.system, proto=args.proto, size=args.size,
-                   throughput_gbps=res.throughput_gbps)
         print(json.dumps(out, indent=1))
         return 0
-    print(
-        f"{args.system} {args.proto} {args.size}B: {res.throughput_gbps:.2f} Gbps "
-        f"simulated in {prof.run_wall_s * 1e3:.0f} ms wall\n"
-    )
-    print(prof.report(top_k=args.top))
+    print(f"{args.system} {args.proto} {args.size}B: {res.throughput_gbps:.2f} Gbps; "
+          f"{res.events_executed} events in {wall_s * 1e3:.0f} ms wall under cProfile "
+          f"({out['events_per_sec'] / 1e3:.0f}k events/s)")
+    for title, rows, key in (("functions", out["cost_centers"], "name"),
+                             ("packages", out["packages"], "package")):
+        print(f"\ntop {title} by self time:")
+        for r in rows:
+            print(f"  {r['self_s'] * 1e3:9.2f} ms  {r['calls']:>9} calls  {r[key]}")
+    print("\nbusiest NIC rings (puts/gets/drops):")
+    for q in out["queues"]:
+        print(f"  {q['name']:<24} {q['puts']:>9} / {q['gets']:>9} / {q['drops']}")
     return 0
 
 
@@ -890,13 +913,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ceilings)
 
     p = sub.add_parser(
-        "prof", help="self-profile the simulator's hot path for one scenario"
+        "prof", help="cProfile one scenario run: where the simulator's wall time goes"
     )
     p.add_argument("--system", choices=ALL_SYSTEMS, default="mflow")
     p.add_argument("--proto", choices=["tcp", "udp"], default="tcp")
     p.add_argument("--size", type=int, default=65536)
     p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--top", type=int, default=10, help="cost centers to show")
+    p.add_argument("--top", type=int, default=10, help="functions to show")
     p.add_argument("--json", action="store_true", help="emit the profile as JSON")
     _add_common(p)
     _add_fault_plan(p)

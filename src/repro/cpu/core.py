@@ -414,8 +414,6 @@ class Core:
         sim = self.sim
         # the sub-stage completions this one event stands for still count
         sim.events_executed += n - 1
-        if sim.profiler is not None:
-            sim.profiler.note_folded(n - 1)
         self._run = None
         self._cut_depth = _NO_CUT
         hist = self.hist

@@ -8,7 +8,7 @@ and the hash-ring geometry.  The default-constructed plan is *inert*
 (``start_ns == 0``): attaching it to a scenario is bit-identical to
 attaching nothing at all — no balancer stage is inserted, no namespaces
 are created, no events are scheduled.  This mirrors the fault-plan /
-obs / selfprof resolution discipline exactly.
+obs resolution discipline exactly.
 
 Plans embed into :class:`~repro.runner.spec.RunSpec` params via
 :meth:`MigrationPlan.to_dict`, so the runner cache key covers them and

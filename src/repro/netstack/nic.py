@@ -141,8 +141,6 @@ class _RxQueue:
             sim._now = now
             # each landed frame is the arrival event it stands for
             sim.events_executed += landed
-            if sim.profiler is not None:
-                sim.profiler.note_folded(landed)
 
     def _head_arrived(self) -> bool:
         """Whether the head pending frame has arrived by now."""
@@ -353,15 +351,10 @@ class Wire:
         arrival = self._occupy(pkt)
         nic = self.dst
         sim = self.sim
-        if (
-            faults is not None
-            or nic.obs is not None
-            or sim.profiler is not None
-            or nic.pipeline.migration is not None
-        ):
-            # a fault plan, flight recorder, self-profiler or live migration
-            # perturbs, records, times or re-routes frames one by one: one
-            # entry per frame (see docs/ENGINE.md, "Lazy NIC arrivals")
+        if faults is not None or nic.obs is not None or nic.pipeline.migration is not None:
+            # a fault plan, flight recorder or live migration perturbs,
+            # records or re-routes frames one by one: one entry per frame
+            # (see docs/ENGINE.md, "Lazy NIC arrivals")
             sim._sched(arrival, nic.receive, (pkt,))
             return
         # one wire per NIC: arrival order is send order

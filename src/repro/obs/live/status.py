@@ -74,7 +74,6 @@ class CellStatus:
     events_executed: int = 0
     events_per_sec: float = 0.0
     sim_ns: float = 0.0
-    selfprof_events_per_sec: Optional[float] = None
     checkpoint_restores: int = 0
     #: pool runner executing (or last to execute) this cell, if any
     runner: Optional[str] = None
@@ -106,7 +105,6 @@ class CellStatus:
             "events_executed": self.events_executed,
             "events_per_sec": self.events_per_sec,
             "sim_ns": self.sim_ns,
-            "selfprof_events_per_sec": self.selfprof_events_per_sec,
             "checkpoint_restores": self.checkpoint_restores,
             "runner": self.runner,
             "redispatches": self.redispatches,
@@ -255,8 +253,6 @@ class SweepStatus:
                 cell.events_executed = int(progress.get("events_executed", 0))
                 cell.events_per_sec = float(progress.get("events_per_sec", 0.0))
                 cell.sim_ns = float(progress.get("sim_ns", 0.0))
-                sp = progress.get("selfprof_events_per_sec")
-                cell.selfprof_events_per_sec = float(sp) if sp else None
         elif kind == "sweep_end":
             self.finished = True
             if ts is not None:

@@ -21,10 +21,9 @@ Checkpoints are an *optimization*: a missing, stale (code changed) or
 corrupt file is silently discarded and the run restarts from scratch,
 which is always correct.
 
-The attach idiom mirrors selfprof: ``sim.checkpointer = ckpt`` attaches,
-``None`` (the default) detaches.  :meth:`Simulator.run` — the one event
-loop — offers the checkpointer a snapshot after every callback; a save
-only reads the graph, so checkpointing composes with a profiler and a
+``sim.checkpointer = ckpt`` attaches, ``None`` (the default) detaches.
+:meth:`Simulator.run` — the one event loop — offers the checkpointer a
+snapshot after every callback; a save only reads the graph, so a
 checkpointed run measures exactly what an uncheckpointed one does.
 """
 

@@ -92,8 +92,7 @@ SWEEP_KIND = "repro-sweep"
 #: position), a wall-clock ``ts`` (epoch seconds), a lifecycle ``phase``
 #: (``queued/running/retrying/quarantined/done/cached``), ``spec_start``
 #: entries when a cell begins executing, and a ``progress`` payload on
-#: completion entries (events executed, sim-time, events/sec — plus the
-#: SelfProfiler rate when that instrumentation was on).  v1 journals
+#: completion entries (events executed, sim-time, events/sec).  v1 journals
 #: (no seq/ts/phase) remain readable by every consumer.  Pool-executed
 #: sweeps additionally journal ``runner`` entries (fleet lifecycle:
 #: registered/lost/redispatch/degraded) and stamp a ``runner`` identity

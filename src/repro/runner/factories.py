@@ -67,7 +67,6 @@ def sockperf_factory(
         interval_ns=params.get("interval_ns"),
         faults=params.get("faults"),
         obs=params.get("obs"),
-        selfprof=params.get("selfprof"),
         migration=params.get("migration"),
     )
     return _scenario_measurements(res)
@@ -123,7 +122,6 @@ def multiflow_factory(
         placement=params.get("placement", "least-loaded"),
         faults=params.get("faults"),
         obs=params.get("obs"),
-        selfprof=params.get("selfprof"),
     )
     return _scenario_measurements(res)
 

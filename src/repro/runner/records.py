@@ -59,8 +59,6 @@ def scenario_result_to_dict(res: ScenarioResult) -> Dict[str, Any]:
     }
     if res.obs is not None:
         out["obs"] = dict(res.obs)
-    if res.selfprof is not None:
-        out["selfprof"] = dict(res.selfprof)
     if res.migration is not None:
         out["migration"] = dict(res.migration)
     if res.health_counts:
@@ -90,7 +88,6 @@ def scenario_result_from_dict(data: Dict[str, Any]) -> ScenarioResult:
         conservation_checks=int(data.get("conservation_checks", 0)),
         conservation_violations=int(data.get("conservation_violations", 0)),
         obs=data.get("obs"),
-        selfprof=data.get("selfprof"),
         migration=data.get("migration"),
         health_counts={
             k: dict(v) for k, v in data.get("health_counts", {}).items()
@@ -168,11 +165,6 @@ class RunRecord:
         measurements = self.measurements or {}
         if measurements.get("window_ns"):
             progress["sim_ns"] = measurements["window_ns"]
-        selfprof = measurements.get("selfprof") or {}
-        if selfprof.get("events_per_sec"):
-            progress["selfprof_events_per_sec"] = round(
-                selfprof["events_per_sec"], 1
-            )
         return progress
 
     # -------------------------------------------------------------- JSON IO

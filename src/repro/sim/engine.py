@@ -85,9 +85,6 @@ class Simulator:
         #: the running ``run(until_ns)`` bound (``inf`` without one);
         #: ``-inf`` outside :meth:`run`, so work started there never fuses
         self._horizon: float = _NO_HORIZON
-        #: optional :class:`repro.perf.selfprof.SelfProfiler` that wraps
-        #: every callback :meth:`run` fires (attach or detach by assignment)
-        self.profiler: Optional[Any] = None
         #: optional :class:`repro.resilience.checkpoint.Checkpointer` that
         #: :meth:`run` offers a snapshot after every callback
         self.checkpointer: Optional[Any] = None
@@ -115,9 +112,8 @@ class Simulator:
         return self._now
 
     # ------------------------------------------------------------- placement
-    def _place(self, entry: tuple) -> int:
-        """File one entry into the right wheel level; returns the level
-        (0=active, 1=L0, 2=L1, 3=overflow) for profiler attribution.
+    def _place(self, entry: tuple) -> None:
+        """File one entry into the right wheel level.
 
         Does *not* touch the pending count — callers that insert a new
         event account for it; cascade/promotion moves must not.
@@ -127,17 +123,15 @@ class Simulator:
         idx0 = int(entry[0] * _INV_SLOT_NS)
         if idx0 <= self._cur0:
             heappush(self._active, entry)
-            return 0
-        idx1 = idx0 >> _L0_BITS
-        if idx1 == self._cur1:
-            self._slot0[idx0 & _L0_MASK].append(entry)
-            return 1
-        if idx1 - self._cur1 < _L1_SLOTS:
-            self._slot1[idx1 & _L0_MASK].append(entry)
-            self._n1 += 1
-            return 2
-        heappush(self._far, entry)
-        return 3
+        else:
+            idx1 = idx0 >> _L0_BITS
+            if idx1 == self._cur1:
+                self._slot0[idx0 & _L0_MASK].append(entry)
+            elif idx1 - self._cur1 < _L1_SLOTS:
+                self._slot1[idx1 & _L0_MASK].append(entry)
+                self._n1 += 1
+            else:
+                heappush(self._far, entry)
 
     # ------------------------------------------------------------- scheduling
     def call_in(self, delay_ns: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -176,23 +170,16 @@ class Simulator:
         idx0 = int(time_ns * _INV_SLOT_NS)
         if idx0 <= self._cur0:
             heappush(self._active, entry)
-            level = 0
         else:
             idx1 = idx0 >> _L0_BITS
             if idx1 == self._cur1:
                 self._slot0[idx0 & _L0_MASK].append(entry)
-                level = 1
             elif idx1 - self._cur1 < _L1_SLOTS:
                 self._slot1[idx1 & _L0_MASK].append(entry)
                 self._n1 += 1
-                level = 2
             else:
                 heappush(self._far, entry)
-                level = 3
         self._npending += 1
-        prof = self.profiler
-        if prof is not None:
-            prof.note_push(self._npending, level)
 
     def _file(self, entry: tuple) -> None:
         """File a ready-made ``(time, seq, fn, args)`` entry whose seq was
@@ -200,11 +187,8 @@ class Simulator:
         ``sim._seq = seq + 1``), so it fires exactly where an entry filed
         then would have.  ``(time, seq)`` must lie after the entry firing
         now."""
-        level = self._place(entry)
+        self._place(entry)
         self._npending += 1
-        prof = self.profiler
-        if prof is not None:
-            prof.note_push(self._npending, level)
 
     def _unsched(self, time_ns: float, fn: Callable[..., Any]) -> None:
         """Remove the pending entry that calls ``fn`` at ``time_ns``.
@@ -275,11 +259,9 @@ class Simulator:
                 if s:
                     break
                 j += 1
-            jumped = False
         elif far:
             j = int(far[0][0] * _INV_SLOT_NS) >> _L0_BITS
             s = None
-            jumped = True
         else:
             return False
         self._cur1 = j
@@ -296,8 +278,6 @@ class Simulator:
             horizon = j + _L1_SLOTS
             while far and int(far[0][0] * _INV_SLOT_NS) >> _L0_BITS < horizon:
                 place(heappop(far))
-        if self.profiler is not None:
-            self.profiler.note_cascade(jumped)
         return True
 
     # ---------------------------------------------------------------- running
@@ -313,20 +293,16 @@ class Simulator:
         the per-event path leaves.
 
         This is the only loop that fires events.  An attached
-        :attr:`profiler` wraps each callback (it times and attributes the
-        call and counts pops); an attached :attr:`checkpointer` is offered
-        a snapshot after each callback, between events, so every snapshot
-        is consistent.  Neither feeds anything back into the simulation,
-        so measurements are bit-identical with either, both, or neither.
+        :attr:`checkpointer` is offered a snapshot after each callback,
+        between events, so every snapshot is consistent.  It feeds nothing
+        back into the simulation, so measurements are bit-identical with
+        or without it.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        prof = self.profiler
         ckpt = self.checkpointer
         try:
-            if prof is not None:
-                prof.begin_run()
             if ckpt is not None:
                 ckpt.begin(self)
             until = float("inf") if until_ns is None else until_ns
@@ -340,17 +316,12 @@ class Simulator:
                         # no callback ran since the pop: reinserting the
                         # entry restores the exact pre-pop wheel state
                         self._place((t, seq, fn, args))
-                        if prof is not None:
-                            prof.note_requeue(self._npending)
                         break
                     self._npending -= 1
                     self._now = t
                     self._seq_now = seq
                     self.events_executed += 1
-                    if prof is None:
-                        fn(*args)
-                    else:
-                        prof.call(fn, args)
+                    fn(*args)
                     if ckpt is not None and ckpt.due(t):
                         ckpt.save(self)
                 else:
@@ -365,8 +336,6 @@ class Simulator:
         finally:
             self._running = False
             self._horizon = _NO_HORIZON
-            if prof is not None:
-                prof.end_run()
 
     @property
     def pending(self) -> int:

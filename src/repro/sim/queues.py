@@ -57,7 +57,7 @@ class RingBuffer(Generic[T]):
         return [self._items.popleft() for _ in range(n)]
 
     def stats(self) -> dict:
-        """Traffic snapshot (consumed by the self-profiler's queue report)."""
+        """Traffic snapshot (consumed by `repro prof`'s busiest-rings report)."""
         return {
             "name": self.name,
             "kind": "ring",

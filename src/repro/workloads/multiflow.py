@@ -76,7 +76,6 @@ def build_multiflow_scenario(
     placement: str = "least-loaded",
     faults=None,
     obs=None,
-    selfprof=None,
 ) -> Scenario:
     """Assemble an ``n_flows``-flow overlay TCP scenario."""
     if n_flows < 1:
@@ -91,7 +90,6 @@ def build_multiflow_scenario(
         rss_core_indices=KERNEL_POOL,
         faults=faults,
         obs=obs,
-        selfprof=selfprof,
     )
     for i in range(n_flows):
         sc.add_tcp_sender(message_size, flow=make_flow("tcp", i))
@@ -109,12 +107,11 @@ def run_multiflow(
     placement: str = "least-loaded",
     faults=None,
     obs=None,
-    selfprof=None,
 ) -> ScenarioResult:
     """One cell of Fig. 10 (aggregate TCP throughput)."""
     sc = build_multiflow_scenario(
         system, n_flows, message_size, costs=costs, seed=seed, placement=placement,
-        faults=faults, obs=obs, selfprof=selfprof,
+        faults=faults, obs=obs,
     )
     return sc.run(warmup_ns=warmup_ns, measure_ns=measure_ns)
 

@@ -18,7 +18,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.cpu.topology import CpuSet
 from repro.faults.injectors import FaultInjectors
@@ -39,7 +39,6 @@ from repro.obs import (
 )
 from repro.obs.config import ObsConfigLike
 from repro.obs.hist import StageHistograms
-from repro.perf.selfprof import SelfProfiler, resolve_selfprof
 from repro.netstack.nic import Nic, Wire
 from repro.netstack.packet import FlowKey
 from repro.netstack.pipeline import Pipeline, link_nodes
@@ -82,9 +81,6 @@ class ScenarioResult:
     #: flight-recorder payload (None unless the run was instrumented):
     #: recorder stats, latency decomposition, and interval time series
     obs: Optional[Dict] = None
-    #: simulator self-profile (None unless the run had ``selfprof`` on):
-    #: wall-clock cost centers, heap traffic, events/sec — see repro.perf
-    selfprof: Optional[Dict] = None
     #: live-migration ledger (None unless the run had an active plan):
     #: cutover timeline, blackout, buffered/dropped/replayed packets,
     #: per-flow recovery times, connection drops — see repro.migration
@@ -119,7 +115,6 @@ class Scenario:
         rss_core_indices: Optional[List[int]] = None,
         faults: FaultPlanLike = None,
         obs: ObsConfigLike = None,
-        selfprof: Union[None, bool, SelfProfiler] = None,
         migration: MigrationPlanLike = None,
     ):
         if proto not in ("tcp", "udp"):
@@ -208,12 +203,6 @@ class Scenario:
         # inert (None) and the run builds the exact same event schedule
         # and consumes the same randomness as an uninstrumented one.
         self.obs_config: Optional[ObsConfig] = resolve_obs(obs)
-        # Self-profiling mirrors the same discipline: None builds the
-        # identical object graph, and even when attached the profiler
-        # only *reads* wall clocks — simulated results never change.
-        self.selfprof: Optional[SelfProfiler] = resolve_selfprof(selfprof)
-        if self.selfprof is not None:
-            self.sim.profiler = self.selfprof
         self.recorder: Optional[FlightRecorder] = None
         self.journeys: Optional[JourneyTracker] = None
         self.intervals: Optional[IntervalMetrics] = None
@@ -487,10 +476,6 @@ class Scenario:
                 "decomposition": decompose(self.journeys).to_dict(),
                 "timeseries": self.intervals.to_dict() if self.intervals else None,
             }
-        selfprof_payload = None
-        if self.selfprof is not None:
-            self.selfprof.queue_stats = [q.ring.stats() for q in self.nic._queues]
-            selfprof_payload = self.selfprof.summary()
         return ScenarioResult(
             throughput_gbps=self.telemetry.window_rate_gbps(bytes_counter),
             messages_delivered=self.telemetry.window_count(
@@ -510,7 +495,6 @@ class Scenario:
             conservation_checks=checks,
             conservation_violations=violations,
             obs=obs_payload,
-            selfprof=selfprof_payload,
             migration=self.migration.summary() if self.migration is not None else None,
             health_counts={k: dict(v) for k, v in monitor.counts.items()}
             if monitor

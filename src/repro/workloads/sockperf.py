@@ -19,7 +19,7 @@ paper's setup.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 from repro.core.config import MflowConfig
 from repro.core.mflow import MflowPolicy
@@ -115,7 +115,6 @@ def build_scenario(
     interval_ns: Optional[float] = None,
     faults=None,
     obs=None,
-    selfprof=None,
     migration=None,
 ) -> Scenario:
     """Assemble the single-flow scenario for one (system, proto, size)."""
@@ -130,7 +129,6 @@ def build_scenario(
         rss_core_indices=[1, 2, 3] if system == "rss" else None,
         faults=faults,
         obs=obs,
-        selfprof=selfprof,
         migration=migration,
     )
     for _ in range(CLIENTS[proto]):
@@ -154,7 +152,6 @@ def run_single_flow(
     interval_ns: Optional[float] = None,
     faults=None,
     obs=None,
-    selfprof=None,
     migration=None,
 ) -> ScenarioResult:
     """Run one cell of Fig. 4a / Fig. 8a / Fig. 9."""
@@ -169,22 +166,7 @@ def run_single_flow(
         interval_ns=interval_ns,
         faults=faults,
         obs=obs,
-        selfprof=selfprof,
         migration=migration,
     )
     return sc.run(warmup_ns=warmup_ns, measure_ns=measure_ns)
 
-
-def run_matrix(
-    systems: List[str],
-    proto: str,
-    message_sizes: List[int],
-    **kwargs,
-) -> Dict[str, Dict[int, ScenarioResult]]:
-    """Run a systems × message-sizes grid (one paper sub-figure)."""
-    out: Dict[str, Dict[int, ScenarioResult]] = {}
-    for system in systems:
-        out[system] = {}
-        for size in message_sizes:
-            out[system][size] = run_single_flow(system, proto, size, **kwargs)
-    return out

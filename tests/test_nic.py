@@ -12,7 +12,6 @@ from repro.netstack.costs import DEFAULT_COSTS
 from repro.netstack.nic import Nic, Wire, _RxQueue
 from repro.netstack.packet import FlowKey, Packet
 from repro.netstack.stages import CountingSink
-from repro.perf.selfprof import SelfProfiler
 from repro.runner import scenario_result_to_dict
 from repro.workloads.multiflow import build_multiflow_scenario
 from repro.workloads.sockperf import build_scenario
@@ -194,10 +193,18 @@ class TestWire:
         assert wire.bytes_carried == pkt.wire_bytes
 
 
-def _eager(sim):
+class _MuteRecorder:
+    """A NIC flight recorder that records nothing."""
+
+    def instant(self, name, **fields):
+        pass
+
+
+def _eager(nic):
     """Force one wheel entry per frame, the path every fallback takes, by
-    attaching a self-profiler (which changes no simulated result)."""
-    sim.profiler = SelfProfiler()
+    giving the NIC a flight recorder that records nothing (so it changes
+    no simulated result)."""
+    nic.obs = _MuteRecorder()
 
 
 def _by_ring(landed):
@@ -268,7 +275,7 @@ class TestLazyArrivals:
             landed, entries = self._instrument(m)
             sc = build()
             if eager:
-                _eager(sc.sim)
+                _eager(sc.nic)
             res = run(sc)
         record = scenario_result_to_dict(res)
         record["events_executed"] = res.events_executed
@@ -330,11 +337,11 @@ class TestLazyArrivals:
                 landed, _ = self._instrument(m)
                 sink = CountingSink()
                 h = Harness([sink], mapping={"sink": 3})
-                if eager:
-                    _eager(h.sim)
                 policy = h.policy = h.pipeline.policy = Movable(h.cpus, {"sink": 3})
                 nic = Nic(h.sim, h.costs, h.cpus[1], h.pipeline, h.telemetry,
                           rss_cores=[h.cpus[1], h.cpus[2]])
+                if eager:
+                    _eager(nic)
                 wire = Wire(h.sim, h.costs, nic)
                 first, woken, behind = (Packet(TEST_FLOW, 1000) for _ in range(3))
                 h.sim.call_at(0.0, wire.send, first)  # places the flow on core 1
@@ -398,7 +405,7 @@ class TestLazyArrivals:
                 m.setattr(_RxQueue, "_emit", emitted)
                 h, nic, sink = nic_harness(costs=costs)
                 if eager:
-                    _eager(h.sim)
+                    _eager(nic)
                 wire = Wire(h.sim, h.costs, nic)
                 a, b = Packet(TEST_FLOW, 100 - header), Packet(TEST_FLOW, 100 - header)
                 h.sim.call_at(0.0, wire.send, a)

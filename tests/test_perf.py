@@ -2,9 +2,8 @@
 
 Covers the layers and their contracts:
 
-* self-profiler — disabled runs are bit-identical (pinned against the
-  golden-seed numbers the runner tests use), enabled runs change no
-  simulated measurement, and the counters/attribution are sane;
+* ``repro prof`` — the cProfile run takes the timeline a plain run
+  takes, lazy NIC arrivals included;
 * statistics — the bootstrap CI is deterministic and behaves correctly
   on fixed synthetic samples;
 * fidelity scoreboard — band classification on synthetic inputs (every
@@ -14,10 +13,12 @@ Covers the layers and their contracts:
 
 import json
 import math
+import os
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.netstack.nic import Nic, _RxQueue
 from repro.perf.fidelity import (
     CHECKS,
     INF,
@@ -28,7 +29,6 @@ from repro.perf.fidelity import (
     classify,
     score,
 )
-from repro.perf.selfprof import SelfProfiler, callback_owner, resolve_selfprof
 from repro.perf.stats import (
     SampleStats,
     bootstrap_ci,
@@ -40,133 +40,6 @@ from repro.perf.stats import (
 from repro.workloads.sockperf import run_single_flow
 
 WINDOWS = dict(warmup_ns=0.5e6, measure_ns=2e6)
-
-
-# --------------------------------------------------------------- self-profiler
-class TestSelfprofInertness:
-    def test_selfprof_off_is_bit_identical(self):
-        base = run_single_flow("mflow", "tcp", 65536, **WINDOWS)
-        off = run_single_flow("mflow", "tcp", 65536, selfprof=False, **WINDOWS)
-        none = run_single_flow("mflow", "tcp", 65536, selfprof=None, **WINDOWS)
-        assert off == base  # dataclass equality covers every field
-        assert none == base
-
-    def test_selfprof_off_matches_golden_seed(self):
-        """Same pinned numbers as tests/test_runner.py (22109247 is the
-        golden spec's derived seed): the profiler toggle must not move
-        the golden measurements by a bit."""
-        res = run_single_flow(
-            "vanilla", "tcp", 65536, seed=22109247,
-            warmup_ns=200_000.0, measure_ns=1_000_000.0, selfprof=None,
-        )
-        assert res.events_executed == 11733
-        assert res.throughput_gbps == pytest.approx(13.246208, abs=1e-6)
-        assert res.counters["nic_rx_packets"] == 2346
-
-    def test_selfprof_on_changes_no_measurement(self):
-        """Stronger than obs: the profiler adds zero simulated events,
-        so even events_executed is identical."""
-        base = run_single_flow("mflow", "tcp", 65536, **WINDOWS)
-        on = run_single_flow("mflow", "tcp", 65536, selfprof=True, **WINDOWS)
-        assert on.selfprof is not None and base.selfprof is None
-        for name in (
-            "throughput_gbps", "messages_delivered", "latency",
-            "events_executed", "cpu_utilization", "cpu_breakdown",
-            "counters", "drops", "ooo_arrivals", "window_ns",
-        ):
-            assert getattr(on, name) == getattr(base, name), name
-
-    def test_profile_payload_accounts_for_the_run(self):
-        res = run_single_flow("mflow", "tcp", 65536, selfprof=True, **WINDOWS)
-        prof = res.selfprof
-        assert prof["events_executed"] == res.events_executed
-        assert prof["run_wall_s"] > 0 and prof["events_per_sec"] > 0
-        assert prof["callback_wall_s"] <= prof["run_wall_s"]
-        heap = prof["heap"]
-        # every pop drains a push; events still pending at the until_ns
-        # bound were pushed but never popped
-        assert heap["pushes"] >= heap["pops"]
-        # every pop fires one callback except the requeues, and a fused
-        # run's one callback stands for `folded` more stage completions
-        assert heap["pops"] - heap["requeues"] + prof["folded"] == res.events_executed
-        assert heap["peak_size"] >= 1
-        centers = prof["cost_centers"]
-        assert centers and centers[0]["wall_s"] >= centers[-1]["wall_s"]
-        assert sum(c["calls"] for c in centers) <= res.events_executed
-        assert math.isclose(
-            sum(c["share"] for c in prof["cost_centers"]), 1.0, abs_tol=0.25
-        ) or prof["n_cost_centers"] > len(centers)
-        assert prof["queues"], "scenario should snapshot NIC queue stats"
-        json.dumps(prof)  # payload must be JSON-safe end to end
-        # exact accounting for this seed-0 run: the loop must count every
-        # pop and requeue, and attribute every callback
-        assert prof["events_executed"] == 66963
-        assert prof["folded"] == 9107
-        assert heap == {
-            "pushes": 57870, "pops": 57858, "requeues": 2, "peak_size": 57,
-            "level_pushes": {"active": 32956, "l0": 24670, "l1": 244, "overflow": 0},
-            "cascades": 9, "window_jumps": 0,
-        }
-        assert {c["name"]: c["calls"] for c in centers} == {
-            "Core._complete": 41925,
-            "Nic.receive": 5930,
-            "Wire.send": 5804,
-            "Core._complete_run": 1523,
-            "TcpSender.on_ack": 1513,
-            "GroStage._flush_check": 1149,
-            "ReassemblyStage._progress_check": 11,
-            "TcpSender.start": 1,
-        }
-
-    def test_shared_profiler_aggregates_runs(self):
-        prof = SelfProfiler()
-        run_single_flow("vanilla", "tcp", 65536, selfprof=prof, **WINDOWS)
-        once = prof.events_executed
-        run_single_flow("vanilla", "tcp", 65536, selfprof=prof, **WINDOWS)
-        assert prof.events_executed == 2 * once
-
-    def test_resolve_forms(self):
-        assert resolve_selfprof(None) is None
-        assert resolve_selfprof(False) is None
-        assert isinstance(resolve_selfprof(True), SelfProfiler)
-        prof = SelfProfiler()
-        assert resolve_selfprof(prof) is prof
-        with pytest.raises(TypeError):
-            resolve_selfprof("yes")
-
-    def test_callback_owner_names(self):
-        class Widget:
-            def tick(self):
-                pass
-
-        assert callback_owner(Widget().tick) == "Widget.tick"
-
-        def free_fn():
-            pass
-
-        assert "free_fn" in callback_owner(free_fn)
-
-    def test_counter_mechanics(self):
-        prof = SelfProfiler()
-        prof.note_push(3)
-        prof.note_push(7)
-        prof.note_push(5)
-        assert prof.heap_pushes == 3 and prof.peak_heap == 7
-
-        class Widget:
-            def tick(self):
-                pass
-
-        w = Widget()
-        prof.note_callback(w.tick, 0.5)
-        prof.note_callback(w.tick, 0.25)
-        prof.run_wall_s = 1.0
-        assert prof.centers["Widget.tick"] == [2, 0.75]
-        assert prof.events_per_sec == 2.0
-        assert prof.engine_overhead_s == pytest.approx(0.25)
-        top = prof.top_centers(5)
-        assert top[0]["name"] == "Widget.tick" and top[0]["share"] == 1.0
-        assert "Widget.tick" in prof.report()
 
 
 # ------------------------------------------------------------------ statistics
@@ -229,6 +102,30 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["system"] == "vanilla"
         assert payload["events_executed"] > 0 and payload["cost_centers"]
+        assert cli_main(["prof", "--system", "vanilla", "--top", "3"]) == 0
+        text = capsys.readouterr().out
+        for heading in ("top functions", "top packages", "busiest NIC rings"):
+            assert heading in text
+
+    def test_prof_profiles_the_plain_run(self, capsys):
+        """MFLOW TCP 64 KB under ``repro prof`` executes exactly the events
+        a plain run does, with frames landing lazily (more ring landings
+        than arrival entries), and rolls self time up by package."""
+        argv = ["prof", "--json", "--warmup-ms", "0.5", "--measure-ms", "2", "--top", "100000"]
+        assert cli_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        plain = run_single_flow("mflow", "tcp", 65536, **WINDOWS)
+        assert payload["events_executed"] == plain.events_executed
+        calls = {f["name"]: f["calls"] for f in payload["cost_centers"]}
+
+        def ncalls(fn):
+            code = fn.__code__
+            where = os.path.join("netstack", "nic.py")
+            return calls.get(f"{where}:{code.co_firstlineno}({code.co_name})", 0)
+
+        assert ncalls(_RxQueue.receive) > ncalls(Nic._arrive) > 0
+        packages = {row["package"] for row in payload["packages"]}
+        assert {"sim", "cpu", "netstack", "ext"} <= packages
 
 
 # -------------------------------------------------------------------- fidelity

@@ -1,7 +1,6 @@
 """Tests for the crash-safety layer: atomic artifacts, checkpoints,
 supervised retry/quarantine, resume, and fsck (:mod:`repro.resilience`)."""
 
-import dataclasses
 import json
 import os
 import re
@@ -195,10 +194,10 @@ class TestCheckpointer:
         clone = pickle.loads(pickle.dumps(ckpt))
         assert clone._next_sim_ns is None and clone._next_wall is None
 
-    def test_profiler_and_checkpointer_compose(self, tmp_path, monkeypatch):
-        """A profiled run under a checkpoint scope takes snapshots, measures
+    def test_snapshotting_run_and_its_resume_equal_golden(self, tmp_path, monkeypatch):
+        """A run under a checkpoint scope takes snapshots and measures
         exactly what a plain run does, and its mid-run snapshot resumes to
-        the same measurements and the same profiler counters."""
+        the same measurements."""
         golden = run_single_flow("mflow", "tcp", 65536, seed=3, **SHORT)
         every = {"every_sim_ns": 300_000.0}
 
@@ -211,33 +210,20 @@ class TestCheckpointer:
 
         monkeypatch.setattr(Checkpointer, "save", counting_save)
         with checkpoint_scope(tmp_path / "full", "k", **every):
-            full = run_single_flow("mflow", "tcp", 65536, seed=3, selfprof=True, **SHORT)
+            full = run_single_flow("mflow", "tcp", 65536, seed=3, **SHORT)
         _restore_save(monkeypatch, orig)
-        assert saves, "the profiled run took no snapshot"
-        heap = full.selfprof["heap"]
-        assert (
-            heap["pops"] - heap["requeues"] + full.selfprof["folded"]
-            == full.selfprof["events_executed"] == full.events_executed
-        )
-        assert dataclasses.replace(full, selfprof=None) == golden
+        assert saves, "the checkpointed run took no snapshot"
+        assert full == golden
 
         _kill_after_first_save(monkeypatch)
         with checkpoint_scope(tmp_path / "kill", "k", **every):
             with pytest.raises(KilledMidRun):
-                run_single_flow("mflow", "tcp", 65536, seed=3, selfprof=True, **SHORT)
+                run_single_flow("mflow", "tcp", 65536, seed=3, **SHORT)
         _restore_save(monkeypatch, orig)
         with checkpoint_scope(tmp_path / "kill", "k", **every) as ctx:
-            resumed = run_single_flow("mflow", "tcp", 65536, seed=3, selfprof=True, **SHORT)
+            resumed = run_single_flow("mflow", "tcp", 65536, seed=3, **SHORT)
         assert ctx.restores == 1
-        assert dataclasses.replace(resumed, selfprof=None) == golden
-        # the profiler rides in the snapshot: pre-kill counts carry over
-        for key in ("events_executed", "folded", "heap", "n_cost_centers"):
-            assert resumed.selfprof[key] == full.selfprof[key], key
-
-        def calls(prof):
-            return {c["name"]: c["calls"] for c in prof["cost_centers"]}
-
-        assert calls(resumed.selfprof) == calls(full.selfprof)
+        assert resumed == golden
 
     def test_detach_with_none(self, tmp_path):
         sim = Simulator()
@@ -451,27 +437,6 @@ class TestEngineSupervision:
         manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
         assert manifest["runs"][0]["retries"] == records[0].retries
         assert manifest["retries"] == 2
-
-    def test_selfprof_cell_runs_under_checkpointing(self, tmp_path):
-        """Self-profiling and checkpointing share one run loop, so a
-        profiled cell in a checkpointing sweep completes with its profile."""
-        spec = RunSpec.make(
-            "sockperf",
-            {"system": "mflow", "proto": "tcp", "size": 65536, "selfprof": True},
-            warmup_ns=2e5, measure_ns=5e5,
-        )
-        engine = RunEngine(
-            jobs=1, results_dir=tmp_path, checkpoint_sim_ns=100_000, retries=0,
-        )
-        [record] = engine.run("exp", [spec])
-        assert record.ok, record
-        assert not engine.quarantined
-        prof = record.measurements["selfprof"]
-        heap = prof["heap"]
-        assert (
-            heap["pops"] - heap["requeues"] + prof["folded"]
-            == prof["events_executed"] == record.measurements["events_executed"] > 0
-        )
 
     def test_quarantine_keeps_siblings_running(self, tmp_path):
         engine = RunEngine(

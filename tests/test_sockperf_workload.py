@@ -13,7 +13,6 @@ from repro.workloads.sockperf import (
     build_scenario,
     datapath_for,
     policy_factory,
-    run_matrix,
     run_single_flow,
 )
 
@@ -119,8 +118,3 @@ class TestDriverApi:
     def test_udp_uses_three_clients(self):
         sc = build_scenario("vanilla", "udp", 4096)
         assert len(sc._senders) == CLIENTS["udp"] == 3
-
-    def test_run_matrix_shape(self):
-        out = run_matrix(["native"], "tcp", [4096], warmup_ns=WARM, measure_ns=MEAS)
-        assert 4096 in out["native"]
-        assert out["native"][4096].throughput_gbps > 0

@@ -8,12 +8,12 @@ checkpoint round-trips with every level populated.
 """
 
 import pickle
+from itertools import chain
 
 import pytest
 
 from helpers import Harness, make_skb
 from repro.netstack.stages import CountingSink, PassthroughStage
-from repro.perf.selfprof import SelfProfiler
 from repro.sim.engine import SimulationError, Simulator
 
 #: one L0 slot is 1024 ns; one L1 slot is 256 L0 slots (262144 ns); the
@@ -33,6 +33,30 @@ class Recorder:
         self.log.append(label)
 
 
+def _log_filed_levels(sim):
+    """Wrap ``sim._sched`` so that, right after each entry is filed, the
+    wheel level now holding it is read off the wheel and logged under the
+    entry's label (its string argument, else its callback's name)."""
+    levels = {}
+    sched = sim._sched
+
+    def sched_and_locate(time_ns, fn, args):
+        sched(time_ns, fn, args)
+        seq = sim._seq - 1
+        wheel = (
+            ("active", sim._active),
+            ("l0", chain.from_iterable(sim._slot0)),
+            ("l1", chain.from_iterable(sim._slot1)),
+            ("far", sim._far),
+        )
+        label = args[0] if args and isinstance(args[0], str) else fn.__name__
+        levels[label] = next(name for name, entries in wheel
+                             if any(entry[1] == seq for entry in entries))
+
+    sim._sched = sched_and_locate
+    return levels
+
+
 class TestSameTimestampFifoAcrossLevels:
     def test_fire_order_is_schedule_order_regardless_of_level(self):
         """Four events at the exact same timestamp, filed (in schedule
@@ -50,11 +74,11 @@ class TestSameTimestampFifoAcrossLevels:
         assert sim.now == T
 
     def test_levels_actually_used(self):
-        """Same scenario with the profiler attached: each wheel level
-        must have received at least one push (guards against the test
-        silently degenerating into a single-level schedule)."""
+        """Same scenario, reading the wheel right after each schedule:
+        each wheel level must receive at least one entry (guards against
+        the test silently degenerating into a single-level schedule)."""
         sim = Simulator()
-        sim.profiler = prof = SelfProfiler()
+        levels = _log_filed_levels(sim)
         rec = Recorder()
         T = 104_900_000.0
         sim.call_at(T, self._fire_a, sim, rec, T)
@@ -62,11 +86,10 @@ class TestSameTimestampFifoAcrossLevels:
         sim.call_at(104_860_000.0, self._sched_c, sim, rec, T)
         sim.run()
         assert rec.log == ["A", "B", "C", "D"]
-        active, l0, l1, far = prof.level_pushes
-        assert far >= 1, "A must start on the overflow heap"
-        assert l1 >= 1, "B must be filed into an L1 slot"
-        assert l0 >= 1, "C must be filed into an L0 slot"
-        assert active >= 1, "D (scheduled at now) must land in the active heap"
+        assert levels["_fire_a"] == "far", "A must start on the overflow heap"
+        assert levels["B"] == "l1", "B must be filed into an L1 slot"
+        assert levels["C"] == "l0", "C must be filed into an L0 slot"
+        assert levels["D"] == "active", "D (scheduled at now) must land in the active heap"
 
     # callbacks are methods of the test class so they stay picklable and
     # self-contained; labels mirror their intended fire order
@@ -91,12 +114,23 @@ class TestOverflowPromotion:
         assert rec.log == ["far"]
         assert sim.now == T
 
-    def test_window_jump_promotes_everything_it_covers(self):
+    def test_window_jump_promotes_everything_it_covers(self, monkeypatch):
         """When the wheel is empty and the window jumps to the overflow
         horizon, every entry the advanced window now covers must be
         promoted — including ones several L1 slots past the jump target."""
+        jumps = []
+        advance = Simulator._advance_l1
+
+        def observed(sim):
+            # with L1 empty, an advance can only jump to the overflow horizon
+            jumping = not sim._n1 and bool(sim._far)
+            moved = advance(sim)
+            if moved and jumping:
+                jumps.append(sim._cur1)
+            return moved
+
+        monkeypatch.setattr(Simulator, "_advance_l1", observed)
         sim = Simulator()
-        sim.profiler = prof = SelfProfiler()
         rec = Recorder()
         base = 70_000_000.0  # first far event (~70 ms)
         times = [
@@ -110,7 +144,7 @@ class TestOverflowPromotion:
         sim.run()
         assert rec.log == [0, 1, 2, 3]
         assert sim.now == times[-1]
-        assert prof.wheel_jumps >= 1
+        assert jumps, "the window never jumped to the overflow horizon"
 
     def test_dense_then_sparse_interleaving(self):
         """Mixing sub-slot, L0, L1, and overflow timers preserves global
