@@ -289,8 +289,8 @@ class SweepStatus:
             self.degraded = True
 
     def _enrich_from_records(self) -> None:
-        """Headline measurements from ``runs/*.json`` (written at sweep
-        end; a live tail simply has none yet)."""
+        """Headline measurements from ``runs/*.json`` (each written as
+        its cell finishes; a live tail has only the finished cells')."""
         for path in sorted((self.sweep_dir / "runs").glob("*.json")):
             try:
                 with open(path, "r", encoding="utf-8") as fh:

@@ -20,7 +20,7 @@ import logging
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.resilience.atomic import atomic_write_json
+from repro.resilience.atomic import atomic_write_bytes
 
 logger = logging.getLogger("repro.runner.cache")
 
@@ -92,7 +92,7 @@ class ResultCache:
         self.hits += 1
         return data
 
-    def put(self, spec_key: str, version: str, record: Dict[str, Any]) -> None:
-        """Durably persist a record dict (tmp file + fsync + rename)."""
-        self.dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(self._path(spec_key, version), record, indent=None)
+    def put(self, spec_key: str, version: str, data: bytes) -> None:
+        """Durably persist a record's serialised bytes
+        (:meth:`RunRecord.to_json_bytes`; tmp file + fsync + rename)."""
+        atomic_write_bytes(self._path(spec_key, version), data)

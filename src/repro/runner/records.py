@@ -14,7 +14,8 @@ working with the familiar :class:`ScenarioResult` API.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import json
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from repro.metrics.summary import LatencySummary
@@ -169,7 +170,17 @@ class RunRecord:
 
     # -------------------------------------------------------------- JSON IO
     def to_json_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The record's fields in declaration order.
+
+        Every field already holds plain JSON values, so this is a shallow
+        view, not a copy: the dict shares the record's containers.
+        """
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
+
+    def to_json_bytes(self) -> bytes:
+        """The record as compact JSON: the one serialised form written
+        both to the result cache and to ``runs/<key16>.json``."""
+        return json.dumps(self.to_json_dict()).encode("utf-8")
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "RunRecord":
@@ -193,3 +204,5 @@ class RunRecord:
             code_version=code_version,
         )
 
+
+_FIELD_NAMES = tuple(f.name for f in fields(RunRecord))

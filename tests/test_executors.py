@@ -228,6 +228,36 @@ class TestSocketExecutor:
         assert len(used) == 2, f"expected both runners used, got {used}"
         assert all(r.timeout_enforced is True for r in pooled)
 
+    def test_serial_process_and_pool_write_identical_run_files(
+        self, tmp_path, runner_pool
+    ):
+        specs = sockperf_specs(3)
+        addrs = runner_pool.spawn(2)
+        backends = {
+            "serial": LocalExecutor(),
+            "process": ProcessExecutor(2),
+            "pool": SocketExecutor(addrs),
+        }
+        # where and how long a cell ran is the only thing allowed to differ
+        placement = ("wall_time_s", "events_per_sec", "timeout_enforced", "runner")
+        written = {}
+        for name, executor in backends.items():
+            RunEngine(
+                jobs=2, results_dir=tmp_path / name, use_cache=False,
+                executor=executor,
+            ).run("exp", specs)
+            files = {}
+            for path in sorted((tmp_path / name / "exp" / "runs").glob("*.json")):
+                data = path.read_bytes()
+                doc = json.loads(data)
+                assert json.dumps(doc).encode("utf-8") == data   # compact form
+                for key in placement:
+                    doc.pop(key)
+                files[path.name] = json.dumps(doc).encode("utf-8")
+            written[name] = files
+        assert len(written["serial"]) == len(specs)
+        assert written["serial"] == written["process"] == written["pool"]
+
     def test_pool_enforces_timeouts_and_retries(self, runner_pool):
         addrs = runner_pool.spawn(1)
         spec = RunSpec.make(

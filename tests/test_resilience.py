@@ -361,7 +361,9 @@ class TestCacheHardening:
     def _seeded_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = echo_spec(1, **TINY)
-        cache.put(spec.key, code_version(), {"spec_key": spec.key, "v": 1})
+        cache.put(
+            spec.key, code_version(), json.dumps({"spec_key": spec.key, "v": 1}).encode()
+        )
         return cache, spec
 
     def test_round_trip(self, tmp_path):
