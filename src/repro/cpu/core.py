@@ -14,12 +14,11 @@ Hot-path notes: every work item is drawn from a per-core free list by
 it on completion; completions schedule through the engine's
 :meth:`~repro.sim.engine.Simulator._sched` with a bound ``_complete``
 cached once per core.  Jitter normals are popped
-inline from a :class:`~repro.sim.rng.BufferedNormals` block buffer.
-Topologies may share one named RNG stream across cores (the client
-machines reuse ``core0.jitter``/``core1.jitter``), so the buffer belongs
-to the *stream*, not the core: every sharer pops from the same buffer
-and the interleaved draw sequence is exactly that of scalar draws.
-Per-core buffers would reorder it and change the timeline.
+inline from a :class:`~repro.sim.rng.BufferedNormals` block buffer over
+the core's own named stream: the core claims the buffer when it
+attaches, and no other core may (every machine names its own streams,
+see :class:`~repro.cpu.topology.CpuSet`).  So the draws are exactly the
+scalar draws of that stream, in this core's start order.
 
 Fused runs: :meth:`Core.submit_run` charges a run of pipeline stages
 that stay on this core as one :class:`FusedRun` queue entry and one
@@ -125,10 +124,10 @@ class Core:
         if isinstance(rng, np.random.Generator):
             # a private generator: its own buffer keeps its draw order
             rng = BufferedNormals(rng)
-        #: jitter normal source, shared by every core on the same stream
+        #: jitter normal source; this core is its only consumer
         self._normals = rng
         if rng is not None:
-            rng.consumers += 1
+            rng.claim()
         #: its pending draws (refills extend this same list in place)
         self._zbuf = rng.buf if rng is not None else None
         # lognormal(mu, sigma) has mean exp(mu + sigma^2/2); choose mu so the
@@ -445,10 +444,9 @@ class Core:
     # ------------------------------------------------------------ accounting
     @property
     def fuses(self) -> bool:
-        """Whether fused runs may start here: the core is jittered, no
-        other consumer draws from its jitter stream, and no flight
-        recorder is attached (see docs/ENGINE.md)."""
-        return self.obs is None and self.jitter_sigma > 0.0 and self._normals.consumers == 1
+        """Whether fused runs may start here: the core is jittered and no
+        flight recorder is attached (see docs/ENGINE.md)."""
+        return self.obs is None and self.jitter_sigma > 0.0
 
     @property
     def busy(self) -> bool:
@@ -461,10 +459,6 @@ class Core:
     def total_busy_ns(self) -> float:
         """Total busy time across all tags since construction."""
         return sum(self.busy_ns.values())
-
-    def snapshot(self) -> Dict[str, float]:
-        """Copy of the per-tag busy counters (for windowed measurement)."""
-        return dict(self.busy_ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Core {self.id} busy={self._busy} depth={len(self._queue)}>"

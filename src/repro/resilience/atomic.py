@@ -92,12 +92,19 @@ def append_jsonl(path: PathLike, obj: Any, durable: bool = True) -> None:
 
     Appends are not rename-atomic: a crash can tear the *last* line.
     Readers (:func:`read_jsonl`) therefore tolerate a torn tail; every
-    fully written line before it is durable thanks to the fsync.
+    fully written line before it is durable thanks to the fsync.  A torn
+    tail has no newline, so this append ends it first: otherwise the new
+    entry would join the torn line and be lost with it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(obj, separators=(",", ":")) + "\n"
-    with open(path, "a", encoding="utf-8") as fh:
+    line = (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                line = b"\n" + line
         fh.write(line)
         fh.flush()
         if durable:

@@ -41,7 +41,7 @@ order, by the next reader that runs after it, or by one of
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 # Wheel geometry.  L0 slot width is 2**10 ns so ``time * _INV_SLOT_NS``
 # is an exact binary scaling (no float rounding can ever disagree with
@@ -341,3 +341,14 @@ class Simulator:
     def pending(self) -> int:
         """Number of events still on the wheel."""
         return self._npending
+
+    def entries(self) -> Iterator[tuple]:
+        """Every pending ``(time, seq, fn, args)`` entry, in no particular
+        order.  A linear scan of all four levels: for window boundaries,
+        never the hot path."""
+        yield from self._active
+        for slot in self._slot0:
+            yield from slot
+        for slot in self._slot1:
+            yield from slot
+        yield from self._far

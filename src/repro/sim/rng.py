@@ -8,8 +8,10 @@ and whole experiments replay bit-identically.
 Per-item normals (core speed jitter) come from :class:`BufferedNormals`,
 which draws them ahead in blocks.  A block of ``n`` array draws holds
 exactly the values of ``n`` scalar draws, so buffering is invisible to
-the timeline as long as every consumer of a stream pops from the one
-shared buffer :meth:`RngStreams.normals` hands out for that stream.
+the timeline.  Each buffer has exactly one consumer: a core claims its
+stream when it attaches, and a second claim raises, so every machine
+names its own streams (``core{i}.jitter`` on the receiver,
+``client{k}.core{i}.jitter`` on client machine ``k``).
 """
 
 from __future__ import annotations
@@ -29,22 +31,28 @@ class BufferedNormals:
     ``buf`` holds the pending draws in *reverse* order, so the next one
     is ``buf.pop()``; hot paths pop it inline and call :meth:`refill`
     only when it is empty.  :meth:`refill` extends the same list object,
-    so consumers may keep a reference to ``buf`` across refills.  The
+    so its consumer may keep a reference to ``buf`` across refills.  The
     generator must not be drawn from directly while a buffer is live:
     that would interleave differently from scalar draws.
 
     A fused run (:class:`~repro.cpu.core.Core`) reads its draws before
     popping them, which is only exact while it is the buffer's sole
-    consumer; ``consumers`` (counted by each core that attaches) lets it
-    check.
+    consumer.  :meth:`claim` makes that an invariant: the one core that
+    attaches claims the buffer, and a second claim raises.
     """
 
-    __slots__ = ("gen", "buf", "consumers")
+    __slots__ = ("gen", "buf", "claimed")
 
     def __init__(self, gen: np.random.Generator):
         self.gen = gen
         self.buf: List[float] = []
-        self.consumers = 0
+        self.claimed = False
+
+    def claim(self) -> None:
+        """Take this buffer as its sole consumer; raise if it has one."""
+        if self.claimed:
+            raise ValueError("jitter stream already has a consumer; give each core its own")
+        self.claimed = True
 
     def refill(self) -> float:
         """Draw the next block into ``buf`` and return its first value."""
@@ -94,12 +102,10 @@ class RngStreams:
         return gen
 
     def normals(self, name: str) -> BufferedNormals:
-        """The one shared buffered normal source of stream ``name``.
+        """The buffered normal source of stream ``name``, one per name.
 
-        Every consumer that shares a stream (the client machines reuse
-        the receiver's ``core0.jitter``/``core1.jitter``) pops from the
-        same buffer, so they consume one interleaved sequence exactly as
-        scalar draws from the shared generator would.
+        The same object comes back for the same name; only one consumer
+        may :meth:`~BufferedNormals.claim` it.
         """
         src = self._normals.get(name)
         if src is None:

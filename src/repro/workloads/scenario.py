@@ -269,9 +269,17 @@ class Scenario:
         return make_flow(self.proto, client_id, dport=dport)
 
     def _new_client_cores(self) -> CpuSet:
-        """Each client machine contributes an (app, kernel) core pair."""
+        """Each client machine contributes an (app, kernel) core pair.
+
+        Machine ``k`` (the ``k``-th sender added) draws its jitter from its
+        own ``client{k}.core{i}.jitter`` streams, independent of the
+        receiver's."""
         return CpuSet(
-            self.sim, 2, jitter_sigma=self.costs.core_jitter_sigma, rngs=self.rngs
+            self.sim,
+            2,
+            jitter_sigma=self.costs.core_jitter_sigma,
+            rngs=self.rngs,
+            stream_prefix=f"client{self._client_count}.",
         )
 
     def add_tcp_sender(

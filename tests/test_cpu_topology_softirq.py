@@ -55,6 +55,21 @@ class TestCpuSet:
         assert row["alloc"] == pytest.approx(0.25)
         assert row["gro"] == pytest.approx(0.25)
 
+    def test_window_edges_inside_items_split_them(self):
+        """An item in flight at either edge counts only its part inside
+        the window, so a saturated core reads exactly 1."""
+        sim = Simulator()
+        cpus = CpuSet(sim, 1)
+        cpus[0].submit_call("a", 100.0, lambda: None)  # runs 0..100
+        cpus[0].submit_call("b", 100.0, lambda: None)  # runs 100..200
+        sim.run(until_ns=30.0)
+        cpus.start_window()
+        sim.run(until_ns=120.0)
+        assert cpus.utilization() == [pytest.approx(1.0)]
+        assert cpus.utilization_breakdown() == [
+            {"a": pytest.approx(70 / 90), "b": pytest.approx(20 / 90)}
+        ]
+
     def test_empty_window_zero_utilization(self):
         sim = Simulator()
         cpus = CpuSet(sim, 1)
@@ -65,6 +80,15 @@ class TestCpuSet:
         sim = Simulator()
         cpus = CpuSet(sim, 2, jitter_sigma=0.1, rngs=RngStreams(0))
         assert all(c.jitter_sigma == 0.1 for c in cpus)
+
+    def test_each_machine_names_its_own_streams(self):
+        sim, rngs = Simulator(), RngStreams(0)
+        receiver = CpuSet(sim, 2, jitter_sigma=0.1, rngs=rngs)
+        client = CpuSet(sim, 2, jitter_sigma=0.1, rngs=rngs, stream_prefix="client0.")
+        assert client[1]._normals is rngs.normals("client0.core1.jitter")
+        assert client[1]._normals is not receiver[1]._normals
+        with pytest.raises(ValueError, match="already has a consumer"):
+            CpuSet(sim, 2, jitter_sigma=0.1, rngs=rngs, stream_prefix="client0.")
 
 
 class TestSoftirq:

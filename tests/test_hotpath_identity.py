@@ -12,8 +12,10 @@ reproduce the uninterrupted digest too.
 
 Each digest covers the same payload as the end-to-end benchmark's rep
 check: events executed, counters, drops, throughput, the latency
-summary, the histogram payload and messages delivered.  To re-pin after
-a deliberate model change, print ``_digest(CASES[name]())`` per case.
+summary, the histogram payload and messages delivered.  A deliberate
+model change re-pins them under the protocol in docs/BENCHMARKS.md
+("Changing the simulated timeline"): print ``_digest(CASES[name]())``
+per case and list each digest old -> new in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ CASES = {
 }
 
 PINNED = {
-    "falcon_tcp64k": "1558f3a5993c7a10eb2e",
-    "mflow_2readers": "e56d57100d5d24271cf7",
-    "mflow_tcp64k": "ca087346203c78255efb",
-    "mflow_udp64k": "1fb56ce3945bec689402",
-    "vanilla_tcp4k_x8": "4fa0e56cc4e2c07e717d",
+    "falcon_tcp64k": "ed1f170fa942ee4412c2",
+    "mflow_2readers": "94a9738682d507039607",
+    "mflow_tcp64k": "a3648aa136cd31f90d14",
+    "mflow_udp64k": "9b770ef998000ee9e7cc",
+    "vanilla_tcp4k_x8": "9a4bea20371431a9eaf6",
 }
 
 

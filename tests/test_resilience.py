@@ -91,6 +91,16 @@ class TestAtomicWrites:
         assert entries == [{"a": 1}]
         assert torn == 1
 
+    def test_jsonl_append_after_torn_tail_keeps_the_entry(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        append_jsonl(path, {"a": 1}, durable=False)
+        with open(path, "a") as fh:
+            fh.write('{"b": 2')  # mid-append SIGKILL
+        append_jsonl(path, {"c": 3}, durable=False)
+        entries, torn = read_jsonl(path)
+        assert entries == [{"a": 1}, {"c": 3}]
+        assert torn == 1
+
     def test_jsonl_missing_file_is_empty(self, tmp_path):
         assert read_jsonl(tmp_path / "nope.jsonl") == ([], 0)
 
@@ -490,6 +500,22 @@ class TestEngineSupervision:
         entries, _ = read_jsonl(tmp_path / "exp" / "journal.jsonl")
         spec_entries = [e for e in entries if e["kind"] == "spec"]
         assert [e["cached"] for e in spec_entries] == [False, True]
+
+    def test_sweep_resumed_over_a_torn_journal_keeps_its_start(self, tmp_path):
+        """A crash mid-append leaves the journal without a final newline;
+        the next sweep's ``sweep_start`` must not be lost on that line."""
+        specs = [echo_spec(1, **TINY), echo_spec(2, **TINY)]
+        RunEngine(jobs=1, results_dir=tmp_path).run("exp", specs)
+        journal = tmp_path / "exp" / "journal.jsonl"
+        first, _ = read_jsonl(journal)
+        with open(journal, "a") as fh:
+            fh.write('{"kind": "spec", "seq": 9')
+        RunEngine(jobs=1, results_dir=tmp_path).run("exp", specs)
+        entries, torn = read_jsonl(journal)
+        assert torn == 1
+        assert [e["seq"] for e in entries] == list(range(len(entries)))
+        assert entries[len(first)]["kind"] == "sweep_start"
+        assert [e["kind"] for e in entries].count("sweep_start") == 2
 
 
 # --------------------------------------------------------- sweep spec JSON IO

@@ -12,8 +12,9 @@ count.
 
 The cases cover each hot path and each reason a run falls back to per-stage
 items or is cut short: drops inside a run, window boundaries inside a run,
-jitter streams shared with client machines, zero jitter, a fault plan that
-quarantines flows, and a live migration.
+zero jitter, a fault plan that quarantines flows, and a live migration.
+Every core, client machines' included, draws from its own jitter stream,
+so receiver cores 0 and 1 fuse too (the MFLOW UDP case fuses on core 1).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.netstack import stages as stage_module
 from repro.netstack.costs import DEFAULT_COSTS
 from repro.netstack.stages import Stage
 from repro.sim.engine import Simulator
+from repro.workloads.memcached import build_memcached
 from repro.workloads.multiflow import build_multiflow_scenario
 from repro.workloads.sockperf import build_scenario
 
@@ -107,6 +109,9 @@ def test_hot_paths_match_stage_by_stage(monkeypatch, name):
         assert not sc.policy.per_flow_routes and not _fuses(sc)
     else:
         assert _fuses(sc), "the case no longer exercises fusion"
+    if name == "mflow_udp64k":
+        # the device-split core runs skb_alloc .. mflow_split as one item
+        assert sc.cpus[1] in {plan.core for plan in _plans(sc) if plan is not None}
 
 
 def test_two_stage_runs_match_stage_by_stage(monkeypatch):
@@ -214,13 +219,24 @@ def test_window_boundaries_inside_runs(monkeypatch):
         assert fused[key] == plain[key], key
 
 
-def test_shared_jitter_streams_never_fuse(monkeypatch):
-    """Cores 0 and 1 share their jitter streams with the client machines:
-    a run there would draw its normals out of the interleaved order."""
-    sc = _compare(monkeypatch, lambda: build_scenario("vanilla", "tcp", 65536, seed=SEED))
-    for core in (sc.cpus[0], sc.cpus[1]):
-        assert core._normals.consumers > 1
-    assert not _fuses(sc)
+WITH_CLIENTS = {
+    "mflow_tcp64k": HOT_PATHS["mflow_tcp64k"],
+    "mflow_udp64k": HOT_PATHS["mflow_udp64k"],
+    "vanilla_tcp4k_x8": HOT_PATHS["vanilla_tcp4k_x8"],
+    "memcached_mflow": lambda: build_memcached("mflow", 2, seed=SEED).scenario,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITH_CLIENTS))
+def test_every_core_draws_its_own_jitter_stream(name):
+    """Client machines name their own streams, so no buffer has two
+    consumers and receiver cores 0 and 1 may fuse."""
+    sc = WITH_CLIENTS[name]()
+    clients = [c for s in sc._senders.values() for c in (s.app_core, s.kernel_core)]
+    assert clients, "no client machine attached"
+    cores = list(sc.cpus) + clients
+    assert len({id(core._normals) for core in cores}) == len(cores)
+    assert sc.cpus[0].fuses and sc.cpus[1].fuses
 
 
 def test_zero_jitter_never_fuses(monkeypatch):
