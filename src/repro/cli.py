@@ -53,8 +53,10 @@ from repro.analysis.charts import bar_chart
 from repro.faults.plan import PLANS
 from repro.migration.plan import PLANS as MIGRATION_PLANS
 from repro.netstack.costs import DEFAULT_COSTS
+from repro.obs.config import ObsConfig
 from repro.sim.units import MSEC
 from repro.workloads.memcached import run_memcached
+from repro.workloads.options import RunOptions
 from repro.workloads.multiflow import run_multiflow, utilization_stddev
 from repro.workloads.sockperf import ALL_SYSTEMS, SYSTEMS, run_single_flow
 
@@ -77,6 +79,19 @@ def _add_migration_plan(p: argparse.ArgumentParser) -> None:
         "--migration-plan", choices=sorted(MIGRATION_PLANS), default=None,
         metavar="NAME", dest="migration_plan",
         help="named live-migration plan (see `repro migrate --list`)",
+    )
+
+
+def _options(
+    fault_plan: Optional[str] = None,
+    migration_plan: Optional[str] = None,
+    obs: Optional[ObsConfig] = None,
+) -> RunOptions:
+    """A run's options from the plan names given on the command line."""
+    return RunOptions(
+        faults=PLANS[fault_plan] if fault_plan else None,
+        obs=obs,
+        migration=MIGRATION_PLANS[migration_plan] if migration_plan else None,
     )
 
 
@@ -126,7 +141,7 @@ def cmd_throughput(args) -> int:
     res = run_single_flow(
         args.system, args.proto, args.size, seed=args.seed,
         batch_size=args.batch, n_split_cores=args.split_cores,
-        faults=args.fault_plan, migration=args.migration_plan,
+        options=_options(args.fault_plan, args.migration_plan),
         **_windows(args),
     )
     if args.json:
@@ -209,7 +224,7 @@ def cmd_migrate(args) -> int:
         )
     res = run_single_flow(
         args.system, args.proto, args.size, seed=args.seed,
-        faults=args.fault_plan, migration=args.plan, **_windows(args),
+        options=_options(args.fault_plan, args.plan), **_windows(args),
     )
     if status_line is not None:
         status_line.done(
@@ -252,7 +267,7 @@ def cmd_latency(args) -> int:
 def cmd_multiflow(args) -> int:
     res = run_multiflow(
         args.system, args.flows, args.size, seed=args.seed,
-        faults=args.fault_plan, **_windows(args)
+        options=_options(args.fault_plan), **_windows(args)
     )
     print(
         f"{args.system} x{args.flows} flows ({args.size}B): "
@@ -316,12 +331,10 @@ def cmd_trace(args) -> int:
     sc = build_scenario(
         args.system, args.proto, args.size, seed=args.seed,
         batch_size=args.batch, n_split_cores=args.split_cores,
-        n_receiver_cores=args.cores, faults=args.fault_plan,
-        obs={
-            "enabled": True,
-            "interval_ns": args.interval_us * 1e3,
-            "capacity": args.capacity,
-        },
+        n_receiver_cores=args.cores,
+        options=_options(args.fault_plan, obs=ObsConfig(
+            interval_ns=args.interval_us * 1e3, capacity=args.capacity,
+        )),
     )
     res = sc.run(**_windows(args))
     if args.json:
@@ -363,7 +376,7 @@ def cmd_trace(args) -> int:
             f"  time series    -> {timeseries_path}  "
             f"({n} intervals x {len(sc.intervals.columns())} columns)"
         )
-    dec = decompose(sc.journeys)
+    dec = decompose(rec.journeys)
     if args.decompose:
         print()
         print(dec.report())
@@ -399,7 +412,7 @@ def cmd_faults(args) -> int:
             )
         res = run_single_flow(
             args.system, args.proto, args.size, seed=args.seed,
-            faults=args.plan, **_windows(args),
+            options=_options(args.plan), **_windows(args),
         )
         print(f"{args.plan}: {PLANS[args.plan].describe()}")
         print(
@@ -419,7 +432,7 @@ def cmd_prof(args) -> int:
     from repro.workloads.sockperf import build_scenario
 
     sc = build_scenario(args.system, args.proto, args.size, seed=args.seed,
-                        batch_size=args.batch, faults=args.fault_plan)
+                        batch_size=args.batch, options=_options(args.fault_plan))
     profile = cProfile.Profile()
     res = profile.runcall(sc.run, **_windows(args))
     stats = pstats.Stats(profile)

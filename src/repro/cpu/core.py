@@ -444,9 +444,10 @@ class Core:
     # ------------------------------------------------------------ accounting
     @property
     def fuses(self) -> bool:
-        """Whether fused runs may start here: the core is jittered and no
-        flight recorder is attached (see docs/ENGINE.md)."""
-        return self.obs is None and self.jitter_sigma > 0.0
+        """Whether fused runs may start here: the core is jittered (see
+        docs/ENGINE.md; the pipeline's ``reference_path`` rules out the
+        rest)."""
+        return self.jitter_sigma > 0.0
 
     @property
     def busy(self) -> bool:

@@ -30,6 +30,7 @@ from repro.netstack.packet import Skb
 from repro.overlay.topology import DatapathKind
 from repro.runner import RunEngine, RunRecord, RunSpec
 from repro.runner.factories import costs_from_params, costs_to_overrides
+from repro.workloads.options import RunOptions
 from repro.workloads.scenario import Scenario, ScenarioResult
 
 EXPERIMENT = "extensions"
@@ -80,6 +81,7 @@ def _mflow_scenario(
     costs: Optional[CostModel] = None,
     n_cores: int = 14,
     seed: int = 0,
+    options: RunOptions = RunOptions(),
 ) -> Scenario:
     alloc = list(range(2, 2 + n_branches))
     rest = list(range(2 + n_branches, 2 + 2 * n_branches))
@@ -91,6 +93,7 @@ def _mflow_scenario(
         costs=costs,
         seed=seed,
         n_receiver_cores=n_cores,
+        options=options,
     )
     sc.add_tcp_sender(64 * 1024)
     return sc
@@ -110,16 +113,18 @@ def extension_factory(
             send_per_seg_tcp_ns=base.send_per_seg_tcp_ns / 2,
             send_syscall_ns=base.send_syscall_ns / 2,
         )
+    options = RunOptions.from_params(params)
     reader_cores = [int(c) for c in params["reader_cores"]]
     if int(params["n_branches"]) == 2 and reader_cores == [0]:
         # the paper's own configuration: plain single-reader MFLOW
         res = run_single_flow(
             "mflow", "tcp", 64 * 1024, costs=costs, seed=seed,
-            warmup_ns=warmup_ns, measure_ns=measure_ns,
+            warmup_ns=warmup_ns, measure_ns=measure_ns, options=options,
         )
     else:
         sc = _mflow_scenario(
-            int(params["n_branches"]), reader_cores, costs=costs, seed=seed
+            int(params["n_branches"]), reader_cores, costs=costs, seed=seed,
+            options=options,
         )
         res = sc.run(warmup_ns=warmup_ns, measure_ns=measure_ns)
     return scenario_result_to_dict(res)

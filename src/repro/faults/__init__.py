@@ -2,7 +2,7 @@
 
 from repro.faults.health import FlowHealthMonitor
 from repro.faults.injectors import FaultInjectors, clone_packet
-from repro.faults.plan import PLANS, FaultPlan, resolve_fault_plan
+from repro.faults.plan import PLANS, FaultPlan
 from repro.faults.watchdog import ConservationWatchdog
 
 __all__ = [
@@ -12,5 +12,4 @@ __all__ = [
     "FaultPlan",
     "FlowHealthMonitor",
     "clone_packet",
-    "resolve_fault_plan",
 ]

@@ -7,7 +7,8 @@ degradation (ring shrink, delayed IRQs), CPU interference ("noisy
 neighbour" stall windows, softirq starvation, delayed IPIs) and a merge
 branch blackout.  The default-constructed plan is *inert*: attaching it
 to a scenario is bit-identical to attaching nothing at all (no extra
-events are scheduled, no RNG stream is consumed).
+events are scheduled, no RNG stream is consumed), because
+:class:`~repro.workloads.options.RunOptions` turns it into ``None``.
 
 Plans embed directly into :class:`~repro.runner.spec.RunSpec` params via
 :meth:`FaultPlan.to_dict`, so the runner cache key covers them and the
@@ -16,13 +17,17 @@ same seed + plan replays the same fault schedule under any ``--jobs``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Tuple
+
+from repro.plan import Plan
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Plan):
     """One run's complete fault specification (all-defaults = no faults)."""
+
+    INERT = "no faults (inert)"
 
     name: str = "custom"
 
@@ -142,40 +147,6 @@ class FaultPlan:
         if self.stop_ns and self.stop_ns <= self.start_ns:
             raise ValueError("stop_ns must be 0 (open-ended) or > start_ns")
 
-    # --------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict, suitable for embedding in RunSpec params."""
-        out = asdict(self)
-        out["stall_cores"] = list(self.stall_cores)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown FaultPlan fields: {unknown}")
-        kwargs = dict(data)
-        if "stall_cores" in kwargs:
-            kwargs["stall_cores"] = tuple(int(c) for c in kwargs["stall_cores"])
-        plan = cls(**kwargs)
-        plan.validate()
-        return plan
-
-    def describe(self) -> str:
-        """One-line summary of the non-default knobs (for ``faults list``)."""
-        parts = []
-        for f in fields(self):
-            if f.name == "name":
-                continue
-            v = getattr(self, f.name)
-            if v != f.default:
-                parts.append(f"{f.name}={v}")
-        return " ".join(parts) if parts else "no faults (inert)"
-
-
-FaultPlanLike = Union[None, str, Mapping[str, Any], FaultPlan]
-
 
 #: named plans selectable via ``--fault-plan`` and ``repro faults list``
 PLANS: Dict[str, FaultPlan] = {
@@ -212,28 +183,3 @@ PLANS: Dict[str, FaultPlan] = {
         ),
     )
 }
-
-
-def resolve_fault_plan(value: FaultPlanLike) -> Optional[FaultPlan]:
-    """Normalize a plan reference (name / dict / instance / None).
-
-    Returns ``None`` both for ``None`` and for an inert plan — callers can
-    treat "no plan" and "plan that does nothing" identically, which is
-    what makes the zero-fault bit-identity guarantee trivial to audit.
-    """
-    if value is None:
-        return None
-    if isinstance(value, FaultPlan):
-        plan = value
-    elif isinstance(value, str):
-        if value not in PLANS:
-            raise KeyError(
-                f"unknown fault plan {value!r}; known plans: {sorted(PLANS)}"
-            )
-        plan = PLANS[value]
-    elif isinstance(value, Mapping):
-        plan = FaultPlan.from_dict(value)
-    else:
-        raise TypeError(f"cannot interpret {type(value).__name__} as a FaultPlan")
-    plan.validate()
-    return plan if plan.active else None

@@ -2,6 +2,6 @@
 windows and per-core utilization reporting."""
 
 from repro.metrics.telemetry import Telemetry
-from repro.metrics.summary import percentile, summarize_latencies, LatencySummary
+from repro.metrics.summary import summarize_latencies, LatencySummary
 
-__all__ = ["Telemetry", "percentile", "summarize_latencies", "LatencySummary"]
+__all__ = ["Telemetry", "summarize_latencies", "LatencySummary"]

@@ -8,15 +8,6 @@ from typing import Dict, Mapping, Sequence
 import numpy as np
 
 
-def percentile(samples: Sequence[float], pct: float) -> float:
-    """The ``pct``-th percentile of ``samples`` (0 for an empty set)."""
-    if not 0 <= pct <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    if len(samples) == 0:
-        return 0.0
-    return float(np.percentile(np.asarray(samples, dtype=float), pct))
-
-
 @dataclass(frozen=True)
 class LatencySummary:
     """The latency statistics used in Figures 9 and 13."""

@@ -7,8 +7,9 @@ snapshot transfer-rate model, the balancer's blackout-buffer capacity
 and the hash-ring geometry.  The default-constructed plan is *inert*
 (``start_ns == 0``): attaching it to a scenario is bit-identical to
 attaching nothing at all — no balancer stage is inserted, no namespaces
-are created, no events are scheduled.  This mirrors the fault-plan /
-obs resolution discipline exactly.
+are created, no events are scheduled — because
+:class:`~repro.workloads.options.RunOptions` turns it into ``None``, as
+it does an inert fault plan.
 
 Plans embed into :class:`~repro.runner.spec.RunSpec` params via
 :meth:`MigrationPlan.to_dict`, so the runner cache key covers them and
@@ -17,13 +18,17 @@ the same seed + plan replays the same cutover under any ``--jobs``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Dict
+
+from repro.plan import Plan
 
 
 @dataclass(frozen=True)
-class MigrationPlan:
+class MigrationPlan(Plan):
     """One scripted container cutover (all-defaults = no migration)."""
+
+    INERT = "no migration (inert)"
 
     name: str = "custom"
 
@@ -83,35 +88,6 @@ class MigrationPlan:
         if self.source == self.dest:
             raise ValueError("source and dest containers must differ")
 
-    # --------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict, suitable for embedding in RunSpec params."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MigrationPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown MigrationPlan fields: {unknown}")
-        plan = cls(**dict(data))
-        plan.validate()
-        return plan
-
-    def describe(self) -> str:
-        """One-line summary of the non-default knobs (for ``migrate --list``)."""
-        parts = []
-        for f in fields(self):
-            if f.name == "name":
-                continue
-            v = getattr(self, f.name)
-            if v != f.default:
-                parts.append(f"{f.name}={v}")
-        return " ".join(parts) if parts else "no migration (inert)"
-
-
-MigrationPlanLike = Union[None, str, Mapping[str, Any], MigrationPlan]
-
 
 #: named plans selectable via ``--migration-plan`` and ``repro migrate``
 PLANS: Dict[str, MigrationPlan] = {
@@ -138,28 +114,3 @@ PLANS: Dict[str, MigrationPlan] = {
         ),
     )
 }
-
-
-def resolve_migration_plan(value: MigrationPlanLike) -> Optional[MigrationPlan]:
-    """Normalize a plan reference (name / dict / instance / None).
-
-    Returns ``None`` both for ``None`` and for an inert plan — callers can
-    treat "no plan" and "plan that never fires" identically, which is what
-    makes the no-migration bit-identity guarantee trivial to audit.
-    """
-    if value is None:
-        return None
-    if isinstance(value, MigrationPlan):
-        plan = value
-    elif isinstance(value, str):
-        if value not in PLANS:
-            raise KeyError(
-                f"unknown migration plan {value!r}; known plans: {sorted(PLANS)}"
-            )
-        plan = PLANS[value]
-    elif isinstance(value, Mapping):
-        plan = MigrationPlan.from_dict(value)
-    else:
-        raise TypeError(f"cannot interpret {type(value).__name__} as a MigrationPlan")
-    plan.validate()
-    return plan if plan.active else None

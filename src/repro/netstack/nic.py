@@ -351,10 +351,8 @@ class Wire:
         arrival = self._occupy(pkt)
         nic = self.dst
         sim = self.sim
-        if faults is not None or nic.obs is not None or nic.pipeline.migration is not None:
-            # a fault plan, flight recorder or live migration perturbs,
-            # records or re-routes frames one by one: one entry per frame
-            # (see docs/ENGINE.md, "Lazy NIC arrivals")
+        if nic.pipeline.reference_path:
+            # one entry per frame (see docs/ENGINE.md, "Lazy NIC arrivals")
             sim._sched(arrival, nic.receive, (pkt,))
             return
         # one wire per NIC: arrival order is send order

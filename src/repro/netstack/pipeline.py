@@ -163,20 +163,18 @@ class Pipeline:
         self.head: Optional[StageNode] = None
         #: queue-overflow drops, per stage name
         self.drops: Dict[str, int] = {}
-        #: optional FlightRecorder — None (the default) disables all probes
+        #: optional FlightRecorder — None (the default) disables all probes;
+        #: its JourneyTracker samples per-packet journeys
         self.obs = None
-        #: optional JourneyTracker for latency decomposition (None = off)
-        self.journeys = None
         #: optional StageHistograms — exact per-hop latency counts, which
         #: the cores record (see repro.obs.hist; recording never perturbs
         #: the timeline)
         self.hist = None
-        #: optional FaultInjectors and MigrationController.  Either can
-        #: re-route a flow (quarantine, readmission) or read counters
-        #: mid-run (the conservation watchdog), so while one is attached
-        #: no stage runs are fused.
-        self.faults = None
-        self.migration = None
+        #: the run takes one wheel entry per wire frame and one work item
+        #: per stage: no lazy NIC arrivals (``Wire.send``) and no fused
+        #: runs.  The scenario sets it once, from its options (see
+        #: repro.workloads.options.RunOptions.reference_path).
+        self.reference_path = False
         #: reused execution context handed to every Stage.process call
         self._ctx = StageContext(self, None, None)
         #: recycled datapath skbs (see alloc_skb/recycle_skb)
@@ -321,6 +319,7 @@ class Pipeline:
             from_core.submit_call("steer_dispatch", costs.steer_dispatch_ns, _noop)
             self.telemetry.counters["handoffs"] += 1
             front = False
+        obs = self.obs
         # Overload protection: model bounded per-core backlogs by dropping
         # when the target core's run queue is past the configured limit.
         # Droppable stages only: the TCP receive and delivery stages are
@@ -330,17 +329,16 @@ class Pipeline:
             self.drops[stage.name] = self.drops.get(stage.name, 0) + 1
             self.telemetry.count("backlog_drops")
             self.telemetry.count(f"drops:{stage.name}")
-            if self.obs is not None:
-                self.obs.instant(
+            if obs is not None:
+                obs.instant(
                     "backlog_drop", core=core.id, stage=stage.name,
                     depth=len(core._queue),
                 )
-                if self.journeys is not None:
-                    self.journeys.on_drop(skb, stage.name)
+                obs.journeys.on_drop(skb, stage.name)
             self.recycle_skb(skb)
             return
-        if self.journeys is not None:
-            self.journeys.on_enqueue(skb, stage.name, core.id, self.sim.now)
+        if obs is not None:
+            obs.journeys.on_enqueue(skb, stage.name, core.id, self.sim.now)
         if stage.pure:
             try:
                 plan = self._policy.run_plans[skb.flow][stage.name][skb.branch]
@@ -389,14 +387,7 @@ class Pipeline:
         """
         policy = self._policy
         plan = None
-        if (
-            policy.per_flow_routes
-            and self.obs is None
-            and self.journeys is None
-            and self.faults is None
-            and self.migration is None
-            and core.fuses
-        ):
+        if policy.per_flow_routes and not self.reference_path and core.fuses:
             nodes = [node]
             nxt = node.next
             while nxt is not None:
@@ -438,9 +429,9 @@ class Pipeline:
         self._run_stage(plan.nodes[last], skb, core)
 
     def _run_stage(self, node: StageNode, skb: Skb, core: Core) -> None:
-        journeys = self.journeys
-        if journeys is not None:
-            journeys.on_execute(skb, node.stage.name, core.span_start, core.span_end)
+        obs = self.obs
+        if obs is not None:
+            obs.journeys.on_execute(skb, node.stage.name, core.span_start, core.span_end)
         ctx = self._ctx
         ctx.node = node
         ctx.core = core

@@ -30,7 +30,7 @@ draws no randomness, and allocates nothing — run results and spec cache
 keys are bit-identical to an uninstrumented build.
 """
 
-from repro.obs.config import ObsConfig, resolve_obs
+from repro.obs.config import ObsConfig
 from repro.obs.decompose import Decomposition, JourneyTracker, decompose
 from repro.obs.hist import LatencyHistogram, StageHistograms, merge_payloads, stage_rollup
 from repro.obs.perfetto import to_trace_events, write_trace
@@ -39,7 +39,6 @@ from repro.obs.timeseries import IntervalMetrics
 
 __all__ = [
     "ObsConfig",
-    "resolve_obs",
     "LatencyHistogram",
     "StageHistograms",
     "merge_payloads",

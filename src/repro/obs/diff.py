@@ -352,20 +352,3 @@ def diff_sources(
         seed=seed,
         sample_cap=sample_cap,
     )
-
-
-def diff_paths(
-    path_a: Path,
-    path_b: Path,
-    tolerance: float = DEFAULT_TOLERANCE,
-    seed: int = 0,
-    sample_cap: int = DEFAULT_SAMPLE_CAP,
-) -> StageDiff:
-    """One-call convenience: load both sides, diff them."""
-    return diff_sources(
-        load_hist_source(path_a),
-        load_hist_source(path_b),
-        tolerance=tolerance,
-        seed=seed,
-        sample_cap=sample_cap,
-    )

@@ -20,13 +20,17 @@ consumed at all).
 The recorder is pull-based: producers call :meth:`instant`/:meth:`span`,
 consumers read :meth:`events` (time-sorted) after the run.  Producers
 hold ``obs`` references that are ``None`` when recording is disabled, so
-the disabled hot path is a single attribute test.
+the disabled hot path is a single attribute test.  The recorder also
+carries the run's :class:`~repro.obs.decompose.JourneyTracker`, which the
+pipeline feeds through the same ``obs`` reference.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Any, Dict, Iterable, List, Optional
+
+from repro.obs.decompose import JourneyTracker
 
 
 class Event:
@@ -74,6 +78,9 @@ class FlightRecorder:
         self._buf: List[Event] = []
         self.events_seen = 0
         self._clock = None  # optional: a Simulator supplying default timestamps
+        #: per-packet journeys, sampled through the pipeline's hooks for the
+        #: latency decomposition (repro.obs.decompose)
+        self.journeys = JourneyTracker()
 
     # ------------------------------------------------------------- producers
     def bind_clock(self, sim) -> None:

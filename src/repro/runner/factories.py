@@ -15,6 +15,7 @@ from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 from repro.netstack.costs import DEFAULT_COSTS, CostModel
+from repro.workloads.options import KINDS, RunOptions
 
 
 def costs_to_overrides(costs: Optional[CostModel]) -> Optional[Dict[str, Any]]:
@@ -41,6 +42,15 @@ def costs_from_params(params: Dict[str, Any]) -> Optional[CostModel]:
     return DEFAULT_COSTS.with_overrides(**clean)
 
 
+def _no_options(params: Dict[str, Any], factory: str) -> None:
+    """Reject a spec whose params carry an option ``factory`` cannot apply,
+    so no record claims a plan its run never had."""
+    options = RunOptions.from_params(params)
+    for key in KINDS:
+        if getattr(options, key) is not None:
+            raise ValueError(f"the {factory!r} factory takes no {key!r} option")
+
+
 def _scenario_measurements(res) -> Dict[str, Any]:
     from repro.runner.records import scenario_result_to_dict
 
@@ -65,9 +75,7 @@ def sockperf_factory(
         batch_size=int(params.get("batch_size", 256)),
         n_split_cores=int(params.get("n_split_cores", 2)),
         interval_ns=params.get("interval_ns"),
-        faults=params.get("faults"),
-        obs=params.get("obs"),
-        migration=params.get("migration"),
+        options=RunOptions.from_params(params),
     )
     return _scenario_measurements(res)
 
@@ -77,7 +85,8 @@ def sockperf_loaded_factory(
 ) -> Dict[str, Any]:
     """One Fig. 9 open-loop cell: probe goodput capacity, then replay at
     ``load_factor`` of it and sample latency there (both phases inside one
-    spec so the cell stays a pure function of its parameters)."""
+    spec so the cell stays a pure function of its parameters).  Both
+    phases run under the spec's options."""
     from repro.workloads.sockperf import CLIENTS, run_single_flow
 
     system = params["system"]
@@ -86,9 +95,11 @@ def sockperf_loaded_factory(
     batch = int(params.get("batch_size", 256))
     load_factor = float(params.get("load_factor", 0.9))
     costs = costs_from_params(params)
+    options = RunOptions.from_params(params)
     probe = run_single_flow(
         system, proto, size, costs=costs, seed=seed,
         warmup_ns=warmup_ns, measure_ns=measure_ns, batch_size=batch,
+        options=options,
     )
     cap = max(probe.throughput_gbps, 1e-3)
     per_client_gbps = cap * load_factor / CLIENTS[proto]
@@ -96,7 +107,7 @@ def sockperf_loaded_factory(
     res = run_single_flow(
         system, proto, size, costs=costs, seed=seed,
         warmup_ns=warmup_ns, measure_ns=measure_ns, batch_size=batch,
-        interval_ns=interval_ns,
+        interval_ns=interval_ns, options=options,
     )
     out = _scenario_measurements(res)
     out["probe_gbps"] = cap
@@ -120,8 +131,7 @@ def multiflow_factory(
         warmup_ns=warmup_ns,
         measure_ns=measure_ns,
         placement=params.get("placement", "least-loaded"),
-        faults=params.get("faults"),
-        obs=params.get("obs"),
+        options=RunOptions.from_params(params),
     )
     return _scenario_measurements(res)
 
@@ -135,6 +145,7 @@ def memcached_factory(
 
     from repro.runner.records import latency_to_dict
 
+    _no_options(params, "memcached")
     res = run_memcached(
         params["system"],
         int(params["n_clients"]),
@@ -161,6 +172,7 @@ def webserving_factory(
     """One Fig. 11 system: CloudSuite Web Serving under N closed-loop users."""
     from repro.workloads.webserving import OP_TYPES, WebServingBenchmark
 
+    _no_options(params, "webserving")
     bench = WebServingBenchmark(
         params["system"],
         n_users=int(params["n_users"]),

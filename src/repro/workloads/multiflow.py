@@ -26,6 +26,7 @@ from repro.sim.units import MSEC
 from repro.steering.base import SteeringPolicy
 from repro.steering.falcon import FalconFunPolicy
 from repro.steering.rss import RssPolicy
+from repro.workloads.options import RunOptions
 from repro.workloads.scenario import Scenario, ScenarioResult, make_flow
 
 #: the paper's multi-flow core layout
@@ -74,8 +75,7 @@ def build_multiflow_scenario(
     seed: int = 0,
     batch_size: int = 256,
     placement: str = "least-loaded",
-    faults=None,
-    obs=None,
+    options: RunOptions = RunOptions(),
 ) -> Scenario:
     """Assemble an ``n_flows``-flow overlay TCP scenario."""
     if n_flows < 1:
@@ -88,8 +88,7 @@ def build_multiflow_scenario(
         seed=seed,
         n_receiver_cores=N_CORES,
         rss_core_indices=KERNEL_POOL,
-        faults=faults,
-        obs=obs,
+        options=options,
     )
     for i in range(n_flows):
         sc.add_tcp_sender(message_size, flow=make_flow("tcp", i))
@@ -105,13 +104,12 @@ def run_multiflow(
     warmup_ns: float = 2 * MSEC,
     measure_ns: float = 8 * MSEC,
     placement: str = "least-loaded",
-    faults=None,
-    obs=None,
+    options: RunOptions = RunOptions(),
 ) -> ScenarioResult:
     """One cell of Fig. 10 (aggregate TCP throughput)."""
     sc = build_multiflow_scenario(
         system, n_flows, message_size, costs=costs, seed=seed, placement=placement,
-        faults=faults, obs=obs,
+        options=options,
     )
     return sc.run(warmup_ns=warmup_ns, measure_ns=measure_ns)
 

@@ -22,22 +22,12 @@ from typing import Callable, Dict, List, Optional
 
 from repro.cpu.topology import CpuSet
 from repro.faults.injectors import FaultInjectors
-from repro.faults.plan import FaultPlanLike, resolve_fault_plan
 from repro.faults.watchdog import ConservationWatchdog
 from repro.metrics.summary import LatencySummary, summarize_latencies
 from repro.metrics.telemetry import Telemetry
 from repro.migration.controller import MigrationController
-from repro.migration.plan import MigrationPlan, MigrationPlanLike, resolve_migration_plan
 from repro.netstack.costs import DEFAULT_COSTS, CostModel
-from repro.obs import (
-    FlightRecorder,
-    IntervalMetrics,
-    JourneyTracker,
-    ObsConfig,
-    decompose,
-    resolve_obs,
-)
-from repro.obs.config import ObsConfigLike
+from repro.obs import FlightRecorder, IntervalMetrics, ObsConfig, decompose
 from repro.obs.hist import StageHistograms
 from repro.netstack.nic import Nic, Wire
 from repro.netstack.packet import FlowKey
@@ -51,6 +41,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.units import MSEC
 from repro.steering.base import SteeringPolicy
+from repro.workloads.options import RunOptions
 
 
 def make_flow(proto: str, client_id: int = 0, dport: int = 5001) -> FlowKey:
@@ -113,9 +104,7 @@ class Scenario:
         n_receiver_cores: int = 8,
         irq_core: int = 1,
         rss_core_indices: Optional[List[int]] = None,
-        faults: FaultPlanLike = None,
-        obs: ObsConfigLike = None,
-        migration: MigrationPlanLike = None,
+        options: RunOptions = RunOptions(),
     ):
         if proto not in ("tcp", "udp"):
             raise ValueError(f"proto must be 'tcp' or 'udp', got {proto!r}")
@@ -126,15 +115,14 @@ class Scenario:
         self.sim = Simulator()
         self.rngs = RngStreams(seed)
         self.telemetry = Telemetry(self.sim)
-        # An inert plan resolves to None: the zero-fault path builds the
-        # exact same object graph and event schedule as no plan at all.
-        self.fault_plan = resolve_fault_plan(faults)
+        # Each option left None builds the exact same object graph and
+        # event schedule as a run that never heard of it (RunOptions has
+        # already turned an inert plan into None).
+        self.options = options
         self.faults: Optional[FaultInjectors] = None
         self.watchdog: Optional[ConservationWatchdog] = None
-        if self.fault_plan is not None:
-            self.faults = FaultInjectors(
-                self.fault_plan, self.sim, self.rngs, self.telemetry
-            )
+        if options.faults is not None:
+            self.faults = FaultInjectors(options.faults, self.sim, self.rngs, self.telemetry)
         self.cpus = CpuSet(
             self.sim,
             n_receiver_cores,
@@ -143,18 +131,13 @@ class Scenario:
         )
         self.policy = policy_factory(self.cpus)
 
-        # Migration resolves like fault plans: an inert plan is None, and
-        # the no-migration path builds the exact same stage list, object
-        # graph and event schedule as a run that never heard of migration
-        # (golden-seed runs stay byte-identical).
-        self.migration_plan: Optional[MigrationPlan] = resolve_migration_plan(migration)
         self.network: Optional[OverlayNetwork] = None
         self.balancer: Optional[ConsistentHashBalancerStage] = None
         self.migration: Optional[MigrationController] = None
-        if self.migration_plan is not None:
+        plan = options.migration
+        if plan is not None:
             if kind is not DatapathKind.OVERLAY:
                 raise ValueError("live migration requires the overlay datapath")
-            plan = self.migration_plan
             self.network = OverlayNetwork()
             self.network.attach(plan.source)
             # the destination namespace is dormant until the restore
@@ -183,6 +166,7 @@ class Scenario:
         )
         stages = self.policy.build_pipeline_stages(stages)
         self.pipeline = Pipeline(self.sim, self.costs, self.policy, self.telemetry)
+        self.pipeline.reference_path = options.reference_path
         self.pipeline.set_head(link_nodes(stages))
         rss_cores = (
             [self.cpus[i] for i in rss_core_indices] if rss_core_indices else None
@@ -196,18 +180,12 @@ class Scenario:
             rss_cores=rss_cores,
         )
         self.wire = Wire(self.sim, self.costs, self.nic, faults=self.faults)
-        if self.migration_plan is not None:
-            self.migration = MigrationController(self, self.migration_plan)
-            self.pipeline.migration = self.migration
-        # Observability: resolve like fault plans — a disabled config is
-        # inert (None) and the run builds the exact same event schedule
-        # and consumes the same randomness as an uninstrumented one.
-        self.obs_config: Optional[ObsConfig] = resolve_obs(obs)
+        if plan is not None:
+            self.migration = MigrationController(self, plan)
         self.recorder: Optional[FlightRecorder] = None
-        self.journeys: Optional[JourneyTracker] = None
         self.intervals: Optional[IntervalMetrics] = None
-        if self.obs_config is not None:
-            self._attach_obs(self.obs_config)
+        if options.obs is not None:
+            self._attach_obs(options.obs)
         # Exact stage histograms, on the receive side only: the contention
         # the paper studies is all there, and client-machine core ids
         # would collide with receiver series.  Recording draws no
@@ -219,7 +197,6 @@ class Scenario:
             core.hist = self.hist
         if self.faults is not None:
             self.nic.faults = self.faults
-            self.pipeline.faults = self.faults
             self.faults.apply_to_nic(self.nic)
             self.policy.attach_faults(self.faults)
             self.watchdog = ConservationWatchdog(
@@ -227,7 +204,7 @@ class Scenario:
                 self.telemetry,
                 proto,
                 self.wire.sent_packet_count,
-                period_ns=self.fault_plan.watchdog_period_ns,
+                period_ns=options.faults.watchdog_period_ns,
             )
 
         self._senders: Dict[FlowKey, object] = {}
@@ -251,9 +228,7 @@ class Scenario:
         self.recorder.bind_clock(self.sim)
         for core in self.cpus:
             core.obs = self.recorder
-        self.journeys = JourneyTracker()
         self.pipeline.obs = self.recorder
-        self.pipeline.journeys = self.journeys
         self.nic.obs = self.recorder
         for queue in self.nic._queues:
             queue.napi.obs = self.recorder
@@ -299,8 +274,9 @@ class Scenario:
         # (and lossy fault plans riding along) recover instead of
         # deadlocking the window; plain runs keep the stock lossless model
         rto_ns = None
-        if self.migration_plan is not None and self.migration_plan.retransmit_ns > 0.0:
-            rto_ns = self.migration_plan.retransmit_ns
+        plan = self.options.migration
+        if plan is not None and plan.retransmit_ns > 0.0:
+            rto_ns = plan.retransmit_ns
         sender = TcpSender(
             self.sim,
             self.costs,
@@ -408,7 +384,7 @@ class Scenario:
         return self._finish_run()
 
     def _begin_run(self, warmup_ns: float, measure_ns: float) -> None:
-        """Arm faults/watchdog/journeys and launch the senders."""
+        """Arm faults/watchdog/recorder and launch the senders."""
         if not self._senders:
             raise RuntimeError("no senders configured")
         if self.faults is not None:
@@ -416,9 +392,9 @@ class Scenario:
             self.faults.schedule_core_stalls(self.cpus)
         if self.watchdog is not None:
             self.watchdog.arm()
-        if self.journeys is not None:
+        if self.recorder is not None:
             # journeys sample steady state, not warmup
-            self.journeys.start_ns = warmup_ns
+            self.recorder.journeys.start_ns = warmup_ns
         if self.migration is not None:
             self.migration.arm()
         for i, sender in enumerate(self._senders.values()):
@@ -432,7 +408,8 @@ class Scenario:
         """Warmup over: open the measurement window."""
         self.telemetry.start_window()
         self.cpus.start_window()
-        if self.obs_config is not None:
+        cfg = self.options.obs
+        if cfg is not None:
             # interval metrics cover exactly the measurement window
             self.intervals = IntervalMetrics(
                 self.sim,
@@ -442,7 +419,7 @@ class Scenario:
                 nic=self.nic,
                 merge_stage=getattr(self.policy, "merge_stage", None),
                 proto=self.proto,
-                interval_ns=self.obs_config.interval_ns,
+                interval_ns=cfg.interval_ns,
             )
             self.intervals.arm()
         self._run_phase = "measure"
@@ -477,11 +454,11 @@ class Scenario:
         obs_payload = None
         if self.recorder is not None:
             obs_payload = {
-                "config": self.obs_config.to_dict(),
+                "config": self.options.obs.to_dict(),
                 "events_seen": self.recorder.events_seen,
                 "events_kept": self.recorder.events_kept,
                 "events_dropped": self.recorder.events_dropped,
-                "decomposition": decompose(self.journeys).to_dict(),
+                "decomposition": decompose(self.recorder.journeys).to_dict(),
                 "timeseries": self.intervals.to_dict() if self.intervals else None,
             }
         return ScenarioResult(
@@ -497,7 +474,7 @@ class Scenario:
             ooo_arrivals=ooo,
             window_ns=window_ns,
             events_executed=self.sim.events_executed,
-            fault_plan=self.fault_plan.name if self.fault_plan else "",
+            fault_plan=self.options.faults.name if self.faults else "",
             fault_counters=self.faults.summary() if self.faults else {},
             degradation_events=list(monitor.events) if monitor else [],
             conservation_checks=checks,

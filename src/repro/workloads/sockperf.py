@@ -32,6 +32,7 @@ from repro.steering.falcon import FalconDevPolicy, FalconFunPolicy
 from repro.steering.rps import RpsPolicy
 from repro.steering.rss import RssPolicy
 from repro.steering.vanilla import VanillaPolicy
+from repro.workloads.options import RunOptions
 from repro.workloads.scenario import Scenario, ScenarioResult
 
 #: the systems compared throughout the paper's evaluation, in figure order
@@ -113,9 +114,7 @@ def build_scenario(
     n_split_cores: int = 2,
     n_receiver_cores: int = 8,
     interval_ns: Optional[float] = None,
-    faults=None,
-    obs=None,
-    migration=None,
+    options: RunOptions = RunOptions(),
 ) -> Scenario:
     """Assemble the single-flow scenario for one (system, proto, size)."""
     sc = Scenario(
@@ -127,9 +126,7 @@ def build_scenario(
         n_receiver_cores=n_receiver_cores,
         # real RSS spreads RX queues across its core pool
         rss_core_indices=[1, 2, 3] if system == "rss" else None,
-        faults=faults,
-        obs=obs,
-        migration=migration,
+        options=options,
     )
     for _ in range(CLIENTS[proto]):
         if proto == "tcp":
@@ -150,9 +147,7 @@ def run_single_flow(
     batch_size: int = 256,
     n_split_cores: int = 2,
     interval_ns: Optional[float] = None,
-    faults=None,
-    obs=None,
-    migration=None,
+    options: RunOptions = RunOptions(),
 ) -> ScenarioResult:
     """Run one cell of Fig. 4a / Fig. 8a / Fig. 9."""
     sc = build_scenario(
@@ -164,9 +159,7 @@ def run_single_flow(
         batch_size=batch_size,
         n_split_cores=n_split_cores,
         interval_ns=interval_ns,
-        faults=faults,
-        obs=obs,
-        migration=migration,
+        options=options,
     )
     return sc.run(warmup_ns=warmup_ns, measure_ns=measure_ns)
 

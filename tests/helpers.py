@@ -59,6 +59,67 @@ class Harness:
         self.sim.run(until_ns=until_ns)
 
 
+# ---------------------------------------------- fused runs vs stage by stage
+def stage_classes():
+    """Every Stage class, subclasses included."""
+    found, todo = [], [Stage]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return found
+
+
+def unfuse(monkeypatch):
+    """Turn every pure stage class impure, so no run is ever fused."""
+    for cls in stage_classes():
+        if cls.__dict__.get("pure"):
+            monkeypatch.setattr(cls, "pure", False)
+
+
+def fusion_payload(sc, res):
+    return {
+        "events_executed": res.events_executed,
+        "counters": res.counters,
+        "drops": res.drops,
+        "throughput_gbps": res.throughput_gbps,
+        "latency": res.latency.to_dict(),
+        "hist": res.hist,
+        "messages_delivered": res.messages_delivered,
+        "busy_ns": [core.busy_ns for core in sc.cpus],
+        "items_executed": [core.items_executed for core in sc.cpus],
+    }
+
+
+def run_plans(sc):
+    """Every cached fused-run plan of ``sc`` (None where a run has none)."""
+    return [
+        plan
+        for by_stage in sc.policy.run_plans.values()
+        for by_branch in by_stage.values()
+        for plan in by_branch.values()
+    ]
+
+
+def compare_unfused(monkeypatch, build, run):
+    """Run ``build()`` fused, then unfused; return the fused scenario."""
+    fused_sc = build()
+    fused = fusion_payload(fused_sc, run(fused_sc))
+    with monkeypatch.context() as m:
+        unfuse(m)
+        plain_sc = build()
+        plain = fusion_payload(plain_sc, run(plain_sc))
+    assert not any(run_plans(plain_sc)), "the unfused run built a plan"
+    for key in plain:
+        assert fused[key] == plain[key], key
+    return fused_sc
+
+
+def fuses(sc):
+    """Whether any stage run of ``sc`` was planned for fusion."""
+    return any(plan is not None for plan in run_plans(sc))
+
+
 def make_skb(flow=TEST_FLOW, size=1000, msg_id=0, start_seq=0, wire_seq=None, encap=False) -> Skb:
     skb = Skb(fragment_message(flow, msg_id, size, start_seq=start_seq, encap=encap))
     if wire_seq is not None:

@@ -18,7 +18,6 @@ from repro.faults import (
     FaultPlan,
     FlowHealthMonitor,
     clone_packet,
-    resolve_fault_plan,
 )
 from repro.metrics.telemetry import Telemetry
 from repro.netstack.packet import FlowKey, fragment_message
@@ -26,6 +25,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.units import MSEC
 from repro.steering.base import PoolAllocator
+from repro.workloads.options import RunOptions
 from repro.workloads.sockperf import run_single_flow
 
 QUICK = {"warmup_ns": 0.2 * MSEC, "measure_ns": 1.0 * MSEC}
@@ -96,15 +96,20 @@ class TestFaultPlan:
             plan.validate()
 
     def test_resolve_variants(self):
-        assert resolve_fault_plan(None) is None
-        assert resolve_fault_plan(FaultPlan()) is None  # inert -> no plan
-        assert resolve_fault_plan("clean") is None
-        assert resolve_fault_plan("loss1") is PLANS["loss1"]
-        assert resolve_fault_plan({"loss_rate": 0.5}).loss_rate == 0.5
-        with pytest.raises(KeyError):
-            resolve_fault_plan("no-such-plan")
-        with pytest.raises(TypeError):
-            resolve_fault_plan(42)
+        """A fault plan resolves in RunOptions: an inert plan is no plan,
+        and a spec dict is rebuilt and validated."""
+        assert RunOptions().faults is None
+        assert RunOptions(faults=FaultPlan()).faults is None
+        assert RunOptions(faults=PLANS["clean"]).faults is None
+        assert RunOptions(faults=PLANS["loss1"]).faults is PLANS["loss1"]
+        assert RunOptions.from_params({"faults": {"loss_rate": 0.5}}).faults.loss_rate == 0.5
+        assert RunOptions.from_params({"faults": None}).faults is None
+        with pytest.raises(ValueError, match="loss_rate"):
+            RunOptions(faults=FaultPlan(loss_rate=1.5))
+        with pytest.raises(ValueError, match="unknown FaultPlan fields"):
+            RunOptions.from_params({"faults": {"gremlins": True}})
+        with pytest.raises(TypeError, match="to_dict"):
+            RunOptions.from_params({"faults": "loss1"})  # a name is the CLI's form
 
 
 # ------------------------------------------------------- zero-fault identity
@@ -113,9 +118,11 @@ class TestZeroFaultIdentity:
     def test_inert_plan_is_bit_identical(self, system, proto):
         base = run_single_flow(system, proto, 16384, seed=3, **QUICK)
         inert = run_single_flow(
-            system, proto, 16384, seed=3, faults=FaultPlan(), **QUICK
+            system, proto, 16384, seed=3, options=RunOptions(faults=FaultPlan()), **QUICK
         )
-        named = run_single_flow(system, proto, 16384, seed=3, faults="clean", **QUICK)
+        named = run_single_flow(
+            system, proto, 16384, seed=3, options=RunOptions(faults=PLANS["clean"]), **QUICK
+        )
         assert result_fingerprint(base) == result_fingerprint(inert)
         assert result_fingerprint(base) == result_fingerprint(named)
         assert base.fault_plan == inert.fault_plan == named.fault_plan == ""
@@ -125,7 +132,9 @@ class TestZeroFaultIdentity:
 # -------------------------------------------------------------- wire faults
 class TestWireInjection:
     def test_loss_drops_frames(self):
-        res = run_single_flow("vanilla", "udp", 16384, seed=0, faults="loss5", **QUICK)
+        res = run_single_flow(
+            "vanilla", "udp", 16384, seed=0, options=RunOptions(faults=PLANS["loss5"]), **QUICK
+        )
         assert res.fault_counters["fault_lost_frames"] > 0
         clean = run_single_flow("vanilla", "udp", 16384, seed=0, **QUICK)
         # lost frames still occupy the link (the sender transmitted them),
@@ -137,7 +146,7 @@ class TestWireInjection:
     def test_dup_delivers_extra_frames(self):
         res = run_single_flow(
             "vanilla", "udp", 16384, seed=0,
-            faults=FaultPlan(name="d", dup_rate=0.05), **QUICK,
+            options=RunOptions(faults=FaultPlan(name="d", dup_rate=0.05)), **QUICK,
         )
         dups = res.fault_counters["fault_dup_frames"]
         assert dups > 0
@@ -149,19 +158,21 @@ class TestWireInjection:
 
     def test_corrupt_counted_separately_from_loss(self):
         res = run_single_flow(
-            "vanilla", "udp", 16384, seed=0, faults="corrupt1", **QUICK
+            "vanilla", "udp", 16384, seed=0, options=RunOptions(faults=PLANS["corrupt1"]), **QUICK
         )
         assert res.fault_counters["fault_corrupt_frames"] > 0
         assert "fault_lost_frames" not in res.fault_counters
 
     def test_reorder_marks_frames(self):
-        res = run_single_flow("vanilla", "udp", 16384, seed=0, faults="jitter", **QUICK)
+        res = run_single_flow(
+            "vanilla", "udp", 16384, seed=0, options=RunOptions(faults=PLANS["jitter"]), **QUICK
+        )
         assert res.fault_counters["fault_reordered_frames"] > 0
 
     def test_bandwidth_clamp_caps_throughput(self):
         clean = run_single_flow("vanilla", "udp", 16384, seed=0, **QUICK)
         slow = run_single_flow(
-            "vanilla", "udp", 16384, seed=0, faults="slow-link", **QUICK
+            "vanilla", "udp", 16384, seed=0, options=RunOptions(faults=PLANS["slow-link"]), **QUICK
         )
         assert slow.throughput_gbps < clean.throughput_gbps
         assert slow.throughput_gbps <= PLANS["slow-link"].bandwidth_gbps * 1.05
@@ -172,19 +183,19 @@ class TestNicAndCpuInjection:
     def test_ring_squeeze_forces_ring_drops(self):
         res = run_single_flow(
             "vanilla", "udp", 16384, seed=0,
-            faults=FaultPlan(name="rs", nic_ring_size=8), **QUICK,
+            options=RunOptions(faults=FaultPlan(name="rs", nic_ring_size=8)), **QUICK,
         )
         assert res.counters.get("nic_ring_drops", 0) > 0
 
     def test_irq_delay_counted_and_slows_delivery(self):
         res = run_single_flow(
-            "vanilla", "udp", 16384, seed=0, faults="irq-delay", **QUICK
+            "vanilla", "udp", 16384, seed=0, options=RunOptions(faults=PLANS["irq-delay"]), **QUICK
         )
         assert res.fault_counters["fault_delayed_irqs"] > 0
 
     def test_core_stall_appears_in_breakdown(self):
         res = run_single_flow(
-            "vanilla", "udp", 16384, seed=0, faults="noisy-core", **QUICK
+            "vanilla", "udp", 16384, seed=0, options=RunOptions(faults=PLANS["noisy-core"]), **QUICK
         )
         assert res.fault_counters["fault_core_stalls"] > 0
         stalled = [b for b in res.cpu_breakdown if "fault_stall" in b]
@@ -193,7 +204,7 @@ class TestNicAndCpuInjection:
     def test_stall_slows_victim_core_work(self):
         clean = run_single_flow("vanilla", "udp", 16384, seed=0, **QUICK)
         noisy = run_single_flow(
-            "vanilla", "udp", 16384, seed=0, faults="noisy-core", **QUICK
+            "vanilla", "udp", 16384, seed=0, options=RunOptions(faults=PLANS["noisy-core"]), **QUICK
         )
         assert noisy.throughput_gbps < clean.throughput_gbps
 
@@ -201,16 +212,24 @@ class TestNicAndCpuInjection:
 # -------------------------------------------------------------- determinism
 class TestDeterminism:
     def test_same_seed_same_plan_identical(self):
-        a = run_single_flow("mflow", "udp", 16384, seed=5, faults="chaos", **QUICK)
-        b = run_single_flow("mflow", "udp", 16384, seed=5, faults="chaos", **QUICK)
+        a = run_single_flow(
+            "mflow", "udp", 16384, seed=5, options=RunOptions(faults=PLANS["chaos"]), **QUICK
+        )
+        b = run_single_flow(
+            "mflow", "udp", 16384, seed=5, options=RunOptions(faults=PLANS["chaos"]), **QUICK
+        )
         assert result_fingerprint(a) == result_fingerprint(b)
         assert a.fault_counters == b.fault_counters
 
     def test_seed_salt_decorrelates(self):
         base = PLANS["loss5"]
-        a = run_single_flow("vanilla", "udp", 16384, seed=0, faults=base, **QUICK)
+        a = run_single_flow(
+            "vanilla", "udp", 16384, seed=0, options=RunOptions(faults=base), **QUICK
+        )
         salted = FaultPlan.from_dict({**base.to_dict(), "seed_salt": 99})
-        b = run_single_flow("vanilla", "udp", 16384, seed=0, faults=salted, **QUICK)
+        b = run_single_flow(
+            "vanilla", "udp", 16384, seed=0, options=RunOptions(faults=salted), **QUICK
+        )
         # same loss probability, different draw stream -> different schedule
         assert a.fault_counters != b.fault_counters or (
             result_fingerprint(a) != result_fingerprint(b)
@@ -252,12 +271,16 @@ class TestDeterminism:
 class TestConservationWatchdog:
     @pytest.mark.parametrize("plan", ["loss5", "dup1", "corrupt1", "jitter"])
     def test_no_unaccounted_packets_under_wire_faults(self, plan):
-        res = run_single_flow("vanilla", "udp", 16384, seed=0, faults=plan, **QUICK)
+        res = run_single_flow(
+            "vanilla", "udp", 16384, seed=0, options=RunOptions(faults=PLANS[plan]), **QUICK
+        )
         assert res.conservation_checks > 0
         assert res.conservation_violations == 0
 
     def test_tcp_dup_absorbed_by_receiver(self):
-        res = run_single_flow("vanilla", "tcp", 16384, seed=0, faults="dup1", **QUICK)
+        res = run_single_flow(
+            "vanilla", "tcp", 16384, seed=0, options=RunOptions(faults=PLANS["dup1"]), **QUICK
+        )
         assert res.fault_counters.get("fault_dup_frames", 0) > 0
         assert res.conservation_violations == 0
 
@@ -317,7 +340,9 @@ class TestInjectorUnits:
 # ----------------------------------------------- degradation and readmission
 class TestGracefulDegradation:
     def test_loss_quarantines_instead_of_stalling(self):
-        res = run_single_flow("mflow", "udp", 16384, seed=0, faults="loss1", **WIN)
+        res = run_single_flow(
+            "mflow", "udp", 16384, seed=0, options=RunOptions(faults=PLANS["loss1"]), **WIN
+        )
         assert res.counters.get("mflow_merge_skips", 0) > 0
         degraded = [
             e for e in res.degradation_events if e["event"] == "mflow_degraded"
@@ -335,7 +360,7 @@ class TestGracefulDegradation:
             blackout_duration_ns=1_000_000.0,
         )
         res = run_single_flow(
-            "mflow", "udp", 16384, seed=0, faults=plan,
+            "mflow", "udp", 16384, seed=0, options=RunOptions(faults=plan),
             warmup_ns=1.0 * MSEC, measure_ns=9.0 * MSEC,
         )
         assert res.fault_counters["fault_branch_blackout"] > 0
@@ -441,7 +466,9 @@ class TestChaosAcceptance:
     def test_mflow_survives_one_percent_loss(self):
         """The ISSUE acceptance bar: ≥1% loss, MFLOW completes with zero
         unaccounted packets and degraded flows keep delivering."""
-        res = run_single_flow("mflow", "udp", 16384, seed=0, faults="loss1", **WIN)
+        res = run_single_flow(
+            "mflow", "udp", 16384, seed=0, options=RunOptions(faults=PLANS["loss1"]), **WIN
+        )
         assert res.fault_counters["fault_lost_frames"] > 0
         assert res.conservation_checks >= 2
         assert res.conservation_violations == 0

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.obs.decompose import decompose
-from repro.obs.diff import diff_paths, diff_payloads, load_hist_source
+from repro.faults.plan import PLANS as FAULT_PLANS
+from repro.obs.config import ObsConfig
+from repro.obs.diff import diff_payloads, diff_sources, load_hist_source
 from repro.obs.hist import (
     LINEAR_MAX,
     N_BUCKETS,
@@ -31,6 +33,7 @@ from repro.obs.hist import (
 from repro.runner import RunEngine, RunSpec
 from repro.runner.records import scenario_result_from_dict, scenario_result_to_dict
 from repro.workloads.multiflow import build_multiflow_scenario
+from repro.workloads.options import RunOptions
 from repro.workloads.sockperf import build_scenario, run_single_flow
 
 TINY = {"warmup_ns": 100_000.0, "measure_ns": 600_000.0}
@@ -659,10 +662,10 @@ class TestJourneyEnvelope:
     def test_journeys_inside_histogram_envelope(self, system):
         sc = build_scenario(
             system, "tcp", 65536, seed=4,
-            obs={"enabled": True, "interval_ns": 200_000.0, "capacity": 50_000},
+            options=RunOptions(obs=ObsConfig(interval_ns=200_000.0, capacity=50_000)),
         )
         res = sc.run(**SHORT)
-        dec = decompose(sc.journeys)
+        dec = decompose(sc.recorder.journeys)
         assert dec.n_journeys > 0
         rollup = stage_rollup(res.hist)
         checked = 0
@@ -735,11 +738,18 @@ def _write_run_record(path, res, **extra):
     return path
 
 
+STALLED = RunOptions(faults=FAULT_PLANS["noisy-core"])
+
+
+def _diff(path_a, path_b):
+    return diff_sources(load_hist_source(path_a), load_hist_source(path_b))
+
+
 class TestDiff:
     def test_self_diff_is_clean(self, tmp_path):
         res = run_single_flow("mflow", "tcp", 65536, seed=0, **TINY)
         a = _write_run_record(tmp_path / "a.json", res)
-        diff = diff_paths(a, a)
+        diff = _diff(a, a)
         assert diff.exit_code() == 0
         assert diff.total_shift_ns == 0
         assert all(r.status == "ok" for r in diff.rows)
@@ -747,11 +757,11 @@ class TestDiff:
     def test_cpu_stall_flags_core_stage_queueing(self, tmp_path):
         baseline = run_single_flow("mflow", "tcp", 65536, seed=0, **SHORT)
         stalled = run_single_flow(
-            "mflow", "tcp", 65536, seed=0, faults="noisy-core", **SHORT
+            "mflow", "tcp", 65536, seed=0, options=STALLED, **SHORT
         )
         a = _write_run_record(tmp_path / "a.json", baseline)
         b = _write_run_record(tmp_path / "b.json", stalled)
-        diff = diff_paths(a, b)
+        diff = _diff(a, b)
         assert diff.exit_code() == 1
         assert diff.total_shift_ns > 0
         top = diff.rows[0]
@@ -765,12 +775,12 @@ class TestDiff:
 
     def test_improvement_is_not_a_regression(self, tmp_path):
         slow = run_single_flow(
-            "mflow", "tcp", 65536, seed=0, faults="noisy-core", **SHORT
+            "mflow", "tcp", 65536, seed=0, options=STALLED, **SHORT
         )
         fast = run_single_flow("mflow", "tcp", 65536, seed=0, **SHORT)
         a = _write_run_record(tmp_path / "a.json", slow)
         b = _write_run_record(tmp_path / "b.json", fast)
-        diff = diff_paths(a, b)
+        diff = _diff(a, b)
         assert diff.exit_code() == 0
         assert any(r.status == "improvement" for r in diff.rows)
 
@@ -799,7 +809,7 @@ class TestDiff:
     def test_report_and_json_shapes(self, tmp_path):
         res = run_single_flow("mflow", "tcp", 65536, seed=0, **TINY)
         a = _write_run_record(tmp_path / "a.json", res)
-        diff = diff_paths(a, a)
+        diff = _diff(a, a)
         text = diff.report()
         assert "Stage latency diff" in text and "| stage |" in text
         doc = diff.to_json_dict()
@@ -809,7 +819,7 @@ class TestDiff:
     def test_cli_diff_exit_codes(self, tmp_path, capsys):
         base = run_single_flow("mflow", "tcp", 65536, seed=0, **SHORT)
         stalled = run_single_flow(
-            "mflow", "tcp", 65536, seed=0, faults="noisy-core", **SHORT
+            "mflow", "tcp", 65536, seed=0, options=STALLED, **SHORT
         )
         a = _write_run_record(tmp_path / "a.json", base)
         b = _write_run_record(tmp_path / "b.json", stalled)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.summary import LatencySummary, percentile, summarize_latencies
+from repro.metrics.summary import LatencySummary, summarize_latencies
 from repro.metrics.telemetry import Telemetry
 from repro.sim.engine import Simulator
 
@@ -109,18 +109,6 @@ class TestTelemetry:
 
 
 class TestSummary:
-    def test_percentile_basics(self):
-        data = list(range(1, 101))
-        assert percentile(data, 50) == pytest.approx(50.5)
-        assert percentile(data, 99) == pytest.approx(99.01)
-
-    def test_percentile_empty(self):
-        assert percentile([], 99) == 0.0
-
-    def test_percentile_bounds_checked(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-
     def test_summarize_converts_to_us(self):
         s = summarize_latencies([1_000.0, 3_000.0])
         assert s.count == 2

@@ -17,11 +17,8 @@ import json
 import pytest
 
 from helpers import Harness, TEST_FLOW, make_skb
-from repro.migration import (
-    MigrationPlan,
-    PLANS,
-    resolve_migration_plan,
-)
+from repro.faults.plan import PLANS as FAULT_PLANS
+from repro.migration import PLANS, MigrationPlan
 from repro.netstack.packet import FlowKey
 from repro.netstack.stages import CountingSink
 from repro.overlay.balancer import ConsistentHashBalancerStage, HashRing
@@ -29,10 +26,12 @@ from repro.runner import scenario_result_from_dict, scenario_result_to_dict
 from repro.sim.engine import SimulationError
 from repro.sim.units import MSEC
 from repro.steering.base import stable_flow_hash
+from repro.workloads.options import RunOptions
 from repro.workloads.sockperf import build_scenario, run_single_flow
 
 #: the default plan fires at 2.5 ms, inside this measure window
 WIN = {"warmup_ns": 1.0 * MSEC, "measure_ns": 3.0 * MSEC}
+CUTOVER = RunOptions(migration=PLANS["default"])
 
 OVERLAY_SYSTEMS = ["vanilla", "rss", "rps", "falcon", "mflow"]
 
@@ -49,15 +48,17 @@ class TestMigrationPlan:
         assert plan.describe() == "no migration (inert)"
 
     def test_resolve_variants(self):
-        assert resolve_migration_plan(None) is None
-        assert resolve_migration_plan(MigrationPlan()) is None  # inert
-        assert resolve_migration_plan("default") is PLANS["default"]
-        via_dict = resolve_migration_plan(PLANS["default"].to_dict())
-        assert via_dict == PLANS["default"]
-        with pytest.raises(KeyError):
-            resolve_migration_plan("bogus")
-        with pytest.raises(TypeError):
-            resolve_migration_plan(42)
+        """A migration plan resolves in RunOptions: an inert plan is no
+        plan, and a spec dict is rebuilt and validated."""
+        assert RunOptions().migration is None
+        assert RunOptions(migration=MigrationPlan()).migration is None
+        assert RunOptions(migration=PLANS["default"]).migration is PLANS["default"]
+        via_dict = RunOptions.from_params({"migration": PLANS["default"].to_dict()})
+        assert via_dict.migration == PLANS["default"]
+        with pytest.raises(ValueError, match="vnodes"):
+            RunOptions(migration=MigrationPlan(start_ns=1.0, vnodes=0))
+        with pytest.raises(ValueError, match="unknown MigrationPlan fields"):
+            RunOptions.from_params({"migration": {"bogus": 1}})
 
     def test_registry_plans_are_valid_and_active(self):
         for name, plan in PLANS.items():
@@ -212,13 +213,15 @@ class TestInertIdentity:
     @pytest.mark.parametrize("system,proto", [("mflow", "tcp"), ("vanilla", "udp")])
     def test_inert_plan_is_bit_identical(self, system, proto):
         baseline = run_single_flow(system, proto, 65536, **WIN)
-        inert = run_single_flow(system, proto, 65536, migration=MigrationPlan(), **WIN)
-        none = run_single_flow(system, proto, 65536, migration=None, **WIN)
+        inert = run_single_flow(
+            system, proto, 65536, options=RunOptions(migration=MigrationPlan()), **WIN
+        )
+        none = run_single_flow(system, proto, 65536, options=RunOptions(migration=None), **WIN)
         assert fingerprint(baseline) == fingerprint(inert) == fingerprint(none)
 
     def test_inert_scenario_builds_no_migration_graph(self):
-        sc = build_scenario("vanilla", "tcp", 65536, migration=MigrationPlan())
-        assert sc.migration_plan is None
+        sc = build_scenario("vanilla", "tcp", 65536, options=RunOptions(migration=MigrationPlan()))
+        assert sc.options.migration is None
         assert sc.network is None
         assert sc.balancer is None
         assert sc.migration is None
@@ -227,7 +230,7 @@ class TestInertIdentity:
 
     def test_native_rejects_migration(self):
         with pytest.raises(ValueError, match="overlay"):
-            build_scenario("native", "tcp", 65536, migration="default")
+            build_scenario("native", "tcp", 65536, options=CUTOVER)
 
 
 # -------------------------------------------------------------- ride-through
@@ -235,7 +238,7 @@ class TestInertIdentity:
 class TestCutoverRideThrough:
     @pytest.mark.parametrize("system", OVERLAY_SYSTEMS)
     def test_default_plan_zero_connection_drops(self, system):
-        res = run_single_flow(system, "tcp", 65536, migration="default", **WIN)
+        res = run_single_flow(system, "tcp", 65536, options=CUTOVER, **WIN)
         mig = res.migration
         assert mig is not None
         assert mig["phase"] == "restored"
@@ -253,7 +256,7 @@ class TestCutoverRideThrough:
         assert res.messages_delivered > 0
 
     def test_udp_clients_ride_through(self):
-        res = run_single_flow("mflow", "udp", 65536, migration="default", **WIN)
+        res = run_single_flow("mflow", "udp", 65536, options=CUTOVER, **WIN)
         mig = res.migration
         assert mig["connection_drops"] == 0
         # three UDP clients, all re-pointed and all recovered
@@ -262,7 +265,7 @@ class TestCutoverRideThrough:
         assert res.conservation_violations == 0
 
     def test_timeline_ordering(self):
-        res = run_single_flow("vanilla", "tcp", 65536, migration="default", **WIN)
+        res = run_single_flow("vanilla", "tcp", 65536, options=CUTOVER, **WIN)
         mig = res.migration
         plan = PLANS["default"]
         assert mig["drain_start_ns"] == plan.start_ns
@@ -273,7 +276,9 @@ class TestCutoverRideThrough:
         assert mig["blackout_ns"] >= plan.min_downtime_ns
 
     def test_drop_blackout_recovers_via_retransmit(self):
-        res = run_single_flow("vanilla", "tcp", 65536, migration="drop-blackout", **WIN)
+        res = run_single_flow(
+            "vanilla", "tcp", 65536, options=RunOptions(migration=PLANS["drop-blackout"]), **WIN
+        )
         mig = res.migration
         assert mig["packets_buffered"] == 0
         assert mig["packets_replayed"] == 0
@@ -287,7 +292,8 @@ class TestCutoverRideThrough:
 
         plan = FaultPlan(name="loss", loss_rate=0.01)
         res = run_single_flow(
-            "mflow", "tcp", 65536, migration="default", faults=plan, **WIN
+            "mflow", "tcp", 65536,
+            options=RunOptions(faults=plan, migration=PLANS["default"]), **WIN
         )
         assert res.migration["connection_drops"] == 0
         assert res.conservation_violations == 0
@@ -295,21 +301,21 @@ class TestCutoverRideThrough:
     def test_pre_frozen_source_fails_loudly(self):
         """A cutover against an already-frozen source is a scripting bug
         and must raise, not silently double-freeze."""
-        sc = build_scenario("vanilla", "tcp", 65536, migration="default")
+        sc = build_scenario("vanilla", "tcp", 65536, options=CUTOVER)
         sc.network.lookup("c-src").freeze()
         with pytest.raises(SimulationError, match="cannot freeze"):
             sc.run(**WIN)
 
     def test_determinism_same_seed_same_cutover(self):
-        a = run_single_flow("mflow", "tcp", 65536, migration="default", **WIN)
-        b = run_single_flow("mflow", "tcp", 65536, migration="default", **WIN)
+        a = run_single_flow("mflow", "tcp", 65536, options=CUTOVER, **WIN)
+        b = run_single_flow("mflow", "tcp", 65536, options=CUTOVER, **WIN)
         assert fingerprint(a) == fingerprint(b)
 
 
 # ------------------------------------------------------------------- records
 class TestRecords:
     def test_migration_payload_roundtrips(self):
-        res = run_single_flow("vanilla", "tcp", 65536, migration="default", **WIN)
+        res = run_single_flow("vanilla", "tcp", 65536, options=CUTOVER, **WIN)
         data = scenario_result_to_dict(res)
         assert "migration" in data
         clone = scenario_result_from_dict(data)
@@ -325,7 +331,9 @@ class TestRecords:
     def test_health_counts_in_records(self):
         """Satellite: the health monitor's per-flow quarantine/readmission
         tallies surface in run records."""
-        res = run_single_flow("mflow", "udp", 16384, faults="loss1", **WIN)
+        res = run_single_flow(
+            "mflow", "udp", 16384, options=RunOptions(faults=FAULT_PLANS["loss1"]), **WIN
+        )
         assert res.health_counts, "sustained loss must quarantine flows"
         for label, counts in res.health_counts.items():
             assert set(counts) == {"quarantined", "readmitted"}
@@ -335,7 +343,7 @@ class TestRecords:
         assert scenario_result_from_dict(data).health_counts == res.health_counts
 
     def test_migration_summary_is_json_safe(self):
-        res = run_single_flow("mflow", "tcp", 65536, migration="default", **WIN)
+        res = run_single_flow("mflow", "tcp", 65536, options=CUTOVER, **WIN)
         json.dumps(res.migration)  # raises on any non-JSON type
 
 

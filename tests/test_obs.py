@@ -5,8 +5,8 @@ Covers the observability acceptance criteria:
 * trace export conforms to the Chrome ``trace_events`` schema,
 * the latency decomposition's components sum to the mean end-to-end
   latency (the telescoping identity, pinned to within 1%),
-* an obs-disabled run is bit-identical to an uninstrumented one, and an
-  obs-enabled run perturbs nothing but ``events_executed``/``obs``.
+* a run with no obs config is bit-identical to an uninstrumented one,
+  and an instrumented run perturbs nothing but ``events_executed``/``obs``.
 """
 
 import io
@@ -19,15 +19,16 @@ from repro.obs import (
     FlightRecorder,
     JourneyTracker,
     ObsConfig,
-    resolve_obs,
     to_trace_events,
     write_trace,
 )
 from repro.obs.decompose import Hop
 from repro.obs.perfetto import GLOBAL_TRACK_TID, TRACE_PID
+from repro.workloads.options import RunOptions
 from repro.workloads.sockperf import run_single_flow
 
 WINDOWS = dict(warmup_ns=0.5e6, measure_ns=2e6)
+OBS = RunOptions(obs=ObsConfig())
 
 
 # ---------------------------------------------------------------- recorder
@@ -101,31 +102,33 @@ class TestFlightRecorder:
 # ------------------------------------------------------------------ config
 class TestObsConfig:
     def test_resolve_disabled_forms(self):
-        assert resolve_obs(None) is None
-        assert resolve_obs(False) is None
-        assert resolve_obs({"enabled": False, "capacity": 5}) is None
-        assert resolve_obs(ObsConfig(enabled=False)) is None
+        """"Off" is no config: there is no off switch inside one."""
+        assert RunOptions().obs is None
+        assert RunOptions.from_params({}).obs is None
+        assert RunOptions.from_params({"obs": None}).obs is None
+        with pytest.raises(ValueError, match="unknown ObsConfig fields"):
+            RunOptions.from_params({"obs": {"enabled": False}})
 
     def test_resolve_enabled_forms(self):
-        assert resolve_obs(True) == ObsConfig()
-        cfg = resolve_obs({"interval_ns": 5e4, "capacity": 99})
+        assert RunOptions(obs=ObsConfig()).obs == ObsConfig()
+        cfg = RunOptions.from_params({"obs": {"interval_ns": 5e4, "capacity": 99}}).obs
         assert cfg.interval_ns == 5e4 and cfg.capacity == 99
         cfg = ObsConfig(interval_ns=2e5)
-        assert resolve_obs(cfg) is cfg
+        assert RunOptions(obs=cfg).obs is cfg
 
     def test_resolve_rejects_garbage(self):
         with pytest.raises(TypeError):
-            resolve_obs(42)
+            RunOptions.from_params({"obs": 42})
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            resolve_obs({"interval_ns": 0.0})
+            RunOptions.from_params({"obs": {"interval_ns": 0.0}})
         with pytest.raises(ValueError):
-            resolve_obs({"capacity": 0})
+            RunOptions(obs=ObsConfig(capacity=0))
 
     def test_round_trips_through_dict(self):
         cfg = ObsConfig(interval_ns=1e5, capacity=10)
-        assert resolve_obs(cfg.to_dict()) == cfg
+        assert ObsConfig.from_dict(cfg.to_dict()) == cfg
 
 
 # ------------------------------------------------------------- trace export
@@ -276,7 +279,7 @@ class TestScenarioIntegration:
     @pytest.fixture(scope="class")
     def mflow_obs(self):
         return run_single_flow(
-            "mflow", "tcp", 65536, n_split_cores=1, obs=True, **WINDOWS
+            "mflow", "tcp", 65536, n_split_cores=1, options=OBS, **WINDOWS
         )
 
     def test_decomposition_sums_within_1pct(self, mflow_obs):
@@ -294,12 +297,12 @@ class TestScenarioIntegration:
 
     def test_obs_off_is_bit_identical(self):
         base = run_single_flow("mflow", "tcp", 65536, **WINDOWS)
-        off = run_single_flow("mflow", "tcp", 65536, obs=False, **WINDOWS)
+        off = run_single_flow("mflow", "tcp", 65536, options=RunOptions(obs=None), **WINDOWS)
         assert off == base  # dataclass equality covers every field
 
     def test_obs_on_perturbs_nothing_but_event_count(self):
         base = run_single_flow("mflow", "tcp", 65536, **WINDOWS)
-        on = run_single_flow("mflow", "tcp", 65536, obs=True, **WINDOWS)
+        on = run_single_flow("mflow", "tcp", 65536, options=OBS, **WINDOWS)
         assert on.obs is not None and on.events_executed > base.events_executed
         for name in (
             "throughput_gbps", "messages_delivered", "latency",
@@ -312,7 +315,7 @@ class TestScenarioIntegration:
     def test_trace_export_from_real_run(self, tmp_path):
         from repro.workloads.sockperf import build_scenario
 
-        sc = build_scenario("mflow", "tcp", 65536, obs=True)
+        sc = build_scenario("mflow", "tcp", 65536, options=OBS)
         sc.run(**WINDOWS)
         trace = to_trace_events(sc.recorder, label="mflow")
         _validate_trace_events(trace)
@@ -330,7 +333,7 @@ class TestScenarioIntegration:
         again = RunSpec.make("sockperf", {"system": "mflow", "size": 65536})
         with_obs = RunSpec.make(
             "sockperf",
-            {"system": "mflow", "size": 65536, "obs": {"enabled": True}},
+            {"system": "mflow", "size": 65536, "obs": ObsConfig().to_dict()},
         )
         assert plain.key == again.key
         assert with_obs.key != plain.key

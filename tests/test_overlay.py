@@ -17,6 +17,7 @@ from repro.overlay.devices import (
 )
 from repro.overlay.namespace import ContainerNamespace, OverlayNetwork
 from repro.overlay.topology import DatapathKind, build_datapath_stages
+from repro.workloads.options import RunOptions
 
 
 class TestDevices:
@@ -188,7 +189,9 @@ class TestOverlayUnderFaults:
     def _run(self, plan, proto="tcp"):
         from repro.workloads.sockperf import run_single_flow
 
-        return run_single_flow("vanilla", proto, 65536, faults=plan, **self.WIN)
+        return run_single_flow(
+            "vanilla", proto, 65536, options=RunOptions(faults=plan), **self.WIN
+        )
 
     def test_vxlan_decap_under_corrupt_wire(self):
         plan = FaultPlan(name="corrupt", corrupt_rate=0.02)

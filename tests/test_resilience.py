@@ -32,7 +32,10 @@ from repro.resilience.resume import ResumeError, resume_results
 from repro.runner import ResultCache, RunEngine, RunSpec, code_version
 from repro.runner.engine import SWEEP_KIND, SWEEP_SCHEMA_VERSION
 from repro.runner.records import scenario_result_to_dict
+from repro.faults.plan import PLANS as FAULT_PLANS
+from repro.obs.config import ObsConfig
 from repro.sim.engine import Simulator
+from repro.workloads.options import RunOptions
 from repro.workloads.sockperf import run_single_flow
 
 TINY = {"warmup_ns": 100_000.0, "measure_ns": 400_000.0}
@@ -295,8 +298,8 @@ def _restore_save(monkeypatch, orig):
 
 CONFIGS = {
     "plain": {},
-    "faults": {"faults": "loss1"},
-    "obs": {"obs": {"enabled": True, "interval_ns": 100_000.0, "capacity": 10_000}},
+    "faults": {"options": RunOptions(faults=FAULT_PLANS["loss1"])},
+    "obs": {"options": RunOptions(obs=ObsConfig(interval_ns=100_000.0, capacity=10_000))},
 }
 
 

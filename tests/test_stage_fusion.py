@@ -11,8 +11,10 @@ messages delivered) and on every core's per-tag busy time and item
 count.
 
 The cases cover each hot path and each reason a run falls back to per-stage
-items or is cut short: drops inside a run, window boundaries inside a run,
-zero jitter, a fault plan that quarantines flows, and a live migration.
+items or is cut short: drops inside a run, window boundaries inside a run
+and zero jitter.  The runs that any option puts on the reference path (a
+fault plan, a live migration, the flight recorder) are in
+``tests/test_options.py``.
 Every core, client machines' included, draws from its own jitter stream,
 so receiver cores 0 and 1 fuse too (the MFLOW UDP case fuses on core 1).
 """
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import compare_unfused, fusion_payload, fuses, run_plans, stage_classes, unfuse
 from repro.experiments.extensions import _mflow_scenario
 from repro.netstack import stages as stage_module
 from repro.netstack.costs import DEFAULT_COSTS
-from repro.netstack.stages import Stage
 from repro.sim.engine import Simulator
 from repro.workloads.memcached import build_memcached
 from repro.workloads.multiflow import build_multiflow_scenario
@@ -34,61 +36,9 @@ WINDOWS = {"warmup_ns": 300_000.0, "measure_ns": 1_000_000.0}
 SEED = 5
 
 
-def _stage_classes():
-    found, todo = [], [Stage]
-    while todo:
-        cls = todo.pop()
-        found.append(cls)
-        todo.extend(cls.__subclasses__())
-    return found
-
-
-def _unfused(monkeypatch):
-    """Turn every pure stage class impure, so no run is ever fused."""
-    for cls in _stage_classes():
-        if cls.__dict__.get("pure"):
-            monkeypatch.setattr(cls, "pure", False)
-
-
-def _payload(sc, res):
-    return {
-        "events_executed": res.events_executed,
-        "counters": res.counters,
-        "drops": res.drops,
-        "throughput_gbps": res.throughput_gbps,
-        "latency": res.latency.to_dict(),
-        "hist": res.hist,
-        "messages_delivered": res.messages_delivered,
-        "busy_ns": [core.busy_ns for core in sc.cpus],
-        "items_executed": [core.items_executed for core in sc.cpus],
-    }
-
-
-def _plans(sc):
-    return [
-        plan
-        for by_stage in sc.policy.run_plans.values()
-        for by_branch in by_stage.values()
-        for plan in by_branch.values()
-    ]
-
-
 def _compare(monkeypatch, build, run=lambda sc: sc.run(**WINDOWS)):
     """Run ``build()`` fused, then unfused; return the fused scenario."""
-    fused_sc = build()
-    fused = _payload(fused_sc, run(fused_sc))
-    with monkeypatch.context() as m:
-        _unfused(m)
-        plain_sc = build()
-        plain = _payload(plain_sc, run(plain_sc))
-    assert not any(_plans(plain_sc)), "the unfused run built a plan"
-    for key in plain:
-        assert fused[key] == plain[key], key
-    return fused_sc
-
-
-def _fuses(sc):
-    return any(plan is not None for plan in _plans(sc))
+    return compare_unfused(monkeypatch, build, run)
 
 
 HOT_PATHS = {
@@ -106,12 +56,12 @@ def test_hot_paths_match_stage_by_stage(monkeypatch, name):
     if name == "mflow_2readers":
         # per-packet tcp_deliver routing: the route cache is not the
         # whole answer, so nothing may fuse
-        assert not sc.policy.per_flow_routes and not _fuses(sc)
+        assert not sc.policy.per_flow_routes and not fuses(sc)
     else:
-        assert _fuses(sc), "the case no longer exercises fusion"
+        assert fuses(sc), "the case no longer exercises fusion"
     if name == "mflow_udp64k":
         # the device-split core runs skb_alloc .. mflow_split as one item
-        assert sc.cpus[1] in {plan.core for plan in _plans(sc) if plan is not None}
+        assert sc.cpus[1] in {plan.core for plan in run_plans(sc) if plan is not None}
 
 
 def test_two_stage_runs_match_stage_by_stage(monkeypatch):
@@ -128,12 +78,12 @@ def test_two_stage_runs_match_stage_by_stage(monkeypatch):
         complete_run(core, run)
 
     with monkeypatch.context() as m:
-        for cls in _stage_classes():
+        for cls in stage_classes():
             if cls.__dict__.get("pure") and cls is not stage_module.SkbAllocStage:
                 m.setattr(cls, "pure", False)
         m.setattr(Core, "_complete_run", counted)
         sc = _compare(m, HOT_PATHS["vanilla_tcp4k_x8"])
-    tags = {plan.tags for plan in _plans(sc) if plan is not None}
+    tags = {plan.tags for plan in run_plans(sc) if plan is not None}
     assert tags == {("skb_alloc", "gro")}
     # a horizon or a backlog cut may end a run after its first stage
     assert 2 in completed and set(completed) <= {1, 2}
@@ -209,12 +159,12 @@ def test_window_boundaries_inside_runs(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(Core, "_start_run", start)
         fused_sc = build()
-        fused = _payload(fused_sc, _sliced(3_217.0)(fused_sc))
+        fused = fusion_payload(fused_sc, _sliced(3_217.0)(fused_sc))
     assert truncated, "no horizon fell inside a run"
     with monkeypatch.context() as m:
-        _unfused(m)
+        unfuse(m)
         plain_sc = build()
-        plain = _payload(plain_sc, plain_sc.run(**WINDOWS))
+        plain = fusion_payload(plain_sc, plain_sc.run(**WINDOWS))
     for key in plain:
         assert fused[key] == plain[key], key
 
@@ -246,40 +196,7 @@ def test_zero_jitter_never_fuses(monkeypatch):
     sc = _compare(
         monkeypatch, lambda: build_multiflow_scenario("vanilla", 8, 4096, seed=SEED, costs=costs)
     )
-    assert not _fuses(sc)
-
-
-def test_quarantining_fault_plan_never_fuses(monkeypatch):
-    """Quarantine and readmission re-route a flow mid-run, and the
-    conservation watchdog reads counters mid-run."""
-    windows = {"warmup_ns": 1_000_000.0, "measure_ns": 3_000_000.0}
-    sc = _compare(
-        monkeypatch,
-        lambda: build_scenario("mflow", "udp", 16384, seed=0, faults="loss1"),
-        run=lambda sc: sc.run(**windows),
-    )
-    assert sc.telemetry.get("mflow_degraded") > 0, "no flow was quarantined"
-    assert not _fuses(sc)
-
-
-def test_migration_never_fuses(monkeypatch):
-    windows = {"warmup_ns": 1_000_000.0, "measure_ns": 3_000_000.0}
-    sc = _compare(
-        monkeypatch,
-        lambda: build_scenario("mflow", "tcp", 65536, seed=SEED, migration="default"),
-        run=lambda sc: sc.run(**windows),
-    )
-    assert sc.migration.restore_ns is not None, "the migration never completed"
-    assert not _fuses(sc)
-
-
-def test_obs_never_fuses(monkeypatch):
-    """A flight recorder and journey tracker see every hop's span."""
-    sc = _compare(
-        monkeypatch,
-        lambda: build_multiflow_scenario("vanilla", 8, 4096, seed=SEED, obs=True),
-    )
-    assert not _fuses(sc)
+    assert not fuses(sc)
 
 
 def test_forget_flow_drops_the_cached_plan():
