@@ -56,6 +56,11 @@ def collect_inputs(quick: bool = True, seed: int = 0) -> FidelityInputs:
     Each figure runs serially on its own ``run`` with the engine's global
     seed set to ``seed``; a cell's seed derives from its spec alone, so
     every value equals the same cell of a full figure run.
+
+    Fig. 12 always runs at full windows: its balance ratio is a spread of
+    utilizations, and one quick-window draw of it is noise (quick reads
+    across global seeds 0-7 ranged 0.97-1.47 while full windows stayed
+    within 1.13-1.24).
     """
     from repro.experiments import (
         extensions,
@@ -117,7 +122,7 @@ def collect_inputs(quick: bool = True, seed: int = 0) -> FidelityInputs:
         v[f"fig11.{system}.success_per_s"] = res.total_success_per_sec()
         v[f"fig11.{system}.browse_us"] = res.mean_response_us("browse")
 
-    fig12 = fig12_cpu_balance.run(quick=quick, systems=["falcon", "mflow"], engine=engine)
+    fig12 = fig12_cpu_balance.run(quick=False, systems=["falcon", "mflow"], engine=engine)
     for system, std in fig12.stddev.items():
         v[f"fig12.{system}.util_std"] = std
 
