@@ -37,7 +37,11 @@ artifacts as ok, salvageable, or corrupt (:mod:`repro.resilience`).
 OpenMetrics exporter, and a self-contained HTML/markdown run report.
 ``diff`` compares the exact stage histograms of two runs or sweeps and
 prints a ranked regression attribution (:mod:`repro.obs.diff`), exiting
-1 when a significant latency regression survives the CI-overlap test.
+1 when a significant latency regression survives the CI-overlap test;
+given two benchmark trajectory points (``BENCH_<sha>.json``) it lists
+their end-to-end medians and per-layer accounting instead
+(:mod:`repro.perf.trajectory`), exiting 1 when a median is past its
+bound.
 """
 
 from __future__ import annotations
@@ -622,11 +626,29 @@ def cmd_report(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    """Stage-histogram regression attribution between two hist sources."""
+    """Stage-histogram regression attribution between two hist sources, or
+    the end-to-end and per-layer accounting between two benchmark
+    trajectory points (``BENCH_<sha>.json``)."""
     from pathlib import Path
 
     from repro.obs.diff import diff_sources, load_hist_source
+    from repro.perf import trajectory
 
+    points = [trajectory.load_point(Path(p)) for p in (args.a, args.b)]
+    if any(points):
+        if not all(points):
+            raise SystemExit("repro diff: both sides must be benchmark trajectory points")
+        tdiff = trajectory.diff_points(*points)
+        if args.json_out:
+            from repro.resilience.atomic import atomic_write_json
+
+            atomic_write_json(args.json_out, tdiff)
+        if args.md_out:
+            from repro.resilience.atomic import atomic_write_text
+
+            atomic_write_text(args.md_out, trajectory.report(tdiff) + "\n")
+        print(json.dumps(tdiff, indent=1) if args.json else trajectory.report(tdiff))
+        return 1 if trajectory.past_bound(tdiff) else 0
     try:
         source_a = load_hist_source(Path(args.a))
         source_b = load_hist_source(Path(args.b))
@@ -897,13 +919,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "diff",
-        help="stage-histogram latency attribution between two runs/sweeps",
+        help="stage-histogram latency attribution between two runs/sweeps, or "
+             "the accounting between two benchmark trajectory points",
     )
     p.add_argument(
-        "a", help="baseline: run-record JSON or sweep dir"
+        "a", help="baseline: run-record JSON, sweep dir or BENCH_<sha>.json"
     )
     p.add_argument(
-        "b", help="candidate: run-record JSON or sweep dir"
+        "b", help="candidate: run-record JSON, sweep dir or BENCH_<sha>.json"
     )
     p.add_argument(
         "--tol", type=float, default=0.02,

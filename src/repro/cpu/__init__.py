@@ -13,6 +13,6 @@ Figures 4b / 8b / 12.
 
 from repro.cpu.core import Core, WorkItem
 from repro.cpu.topology import CpuSet
-from repro.cpu.softirq import IPI_COST_NS, Softirq
+from repro.cpu.softirq import Softirq
 
-__all__ = ["Core", "WorkItem", "CpuSet", "Softirq", "IPI_COST_NS"]
+__all__ = ["Core", "WorkItem", "CpuSet", "Softirq"]

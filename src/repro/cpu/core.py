@@ -31,6 +31,15 @@ run holds the core, so a run is cut at its next guard as soon as a
 submission fills the backlog, and its completion moves there.  See
 docs/ENGINE.md for the full invariant.
 
+Steering payments: a completion that hands packets to other cores owes
+each hop's sender-side steering cost (:attr:`Core._owed`, added by the
+pipeline).  The core pays it right after that completion, with one
+jitter draw, and starts its next item or run that much later; the paid
+prefix rides on that item's completion entry (``paid``) and accrues to
+``busy_ns["steer_dispatch"]`` when it completes, so a window edge can
+split it exactly.  Only a completion that leaves the queue empty files
+what it owes as a ``steer_dispatch`` item of its own.
+
 Stage histograms (:mod:`repro.obs.hist`) are recorded here, at
 completion, the one place that knows every span: a pipeline hop's item
 carries its series log and submit time and appends ``submit, end,
@@ -93,11 +102,12 @@ class FusedRun:
     the time it was submitted.  Once started, ``durs`` holds the
     duration of each *covered* sub-stage (the prefix that completes in
     this run's one event), and ``bounds`` the start time followed by
-    each covered sub-stage's end time.
+    each covered sub-stage's end time, and ``paid`` the steering
+    prefix paid just before ``bounds[0]`` (0.0 for none).
     """
 
     fused = True
-    __slots__ = ("shape", "costs", "item", "submit", "durs", "bounds")
+    __slots__ = ("shape", "costs", "item", "submit", "durs", "bounds", "paid")
 
 
 class Core:
@@ -138,6 +148,11 @@ class Core:
         #: bound once: every completion entry shares this method object
         self._on_complete = self._complete
         self._on_run_complete = self._complete_run
+        self._on_complete_paid = self._complete_paid
+        #: steering cost (ns, before speed and jitter) that the completion
+        #: in progress owes for its cross-core handoffs; paid before the
+        #: next item starts, so it is 0.0 between events
+        self._owed = 0.0
         self.busy_ns: Dict[str, float] = {}
         #: logical items: a fused run counts one per covered sub-stage
         self.items_executed = 0
@@ -285,7 +300,7 @@ class Core:
             log = item.series
             if log is not None:  # a pipeline hop
                 log.fromlist([item.submit, self.sim._now, duration])
-            else:  # system work: irq, driver_poll, softirq, ipi, app work
+            else:  # system work: irq, driver_poll, softirq, steering, app work
                 log = self._tag_series.get(tag)
                 if log is None:
                     log = self._tag_series[tag] = hist.core_series(tag, self.id)
@@ -305,6 +320,9 @@ class Core:
         item.args = None
         self._item_pool.append(item)
         fn(*args)
+        if self._owed:
+            self._pay()
+            return
         # the completion may have submitted more work to this core
         q = self._queue
         if q:
@@ -324,10 +342,72 @@ class Core:
         else:
             self._busy = False
 
+    # ----------------------------------------------------- steering payments
+    def file_owed(self) -> None:
+        """File what this core owes as a ``steer_dispatch`` item at the
+        back of its queue.  For a dispatch made outside any completion of
+        this core (a timer's), where there is no next item to prefix."""
+        owed = self._owed
+        self._owed = 0.0
+        self.submit_call("steer_dispatch", owed, _paid)
+
+    def _pay(self) -> None:
+        """Pay what the completion in progress owes, with one jitter draw,
+        and start the next item or run that much later.  With nothing
+        queued the payment runs as a ``steer_dispatch`` item of its own."""
+        q = self._queue
+        if not q:
+            self._busy = False
+            self.file_owed()
+            return
+        owed = self._owed
+        self._owed = 0.0
+        sigma = self.jitter_sigma
+        zbuf = self._zbuf
+        if sigma == 0.0:
+            paid = owed / self.speed
+        else:
+            z = zbuf.pop() if zbuf else self._normals.refill()
+            paid = owed / self.speed * _exp(self._jitter_mu + sigma * z)
+        nxt = q.popleft()
+        if nxt.fused:
+            self._start_run(nxt, paid)
+            return
+        if sigma == 0.0:
+            duration = nxt.cost_ns / self.speed
+        else:
+            z = zbuf.pop() if zbuf else self._normals.refill()
+            duration = nxt.cost_ns / self.speed * _exp(self._jitter_mu + sigma * z)
+        sim = self.sim
+        sim._sched(sim._now + paid + duration, self._on_complete_paid, (nxt, duration, paid))
+
+    def _complete_paid(self, item: WorkItem, duration: float, paid: float) -> None:
+        """Complete an item that started after a paid steering prefix."""
+        self._accrue_paid(paid, self.sim._now - duration)
+        self._complete(item, duration)
+
+    def _accrue_paid(self, paid: float, start: float) -> None:
+        """Account a steering prefix of ``paid`` ns that ended at ``start``,
+        as a ``steer_dispatch`` item would be (no item counted)."""
+        busy = self.busy_ns
+        busy["steer_dispatch"] = busy.get("steer_dispatch", 0.0) + paid
+        hist = self.hist
+        if hist is not None:
+            log = self._tag_series.get("steer_dispatch")
+            if log is None:
+                log = self._tag_series["steer_dispatch"] = hist.core_series(
+                    "steer_dispatch", self.id
+                )
+            log.append(paid)
+        obs = self.obs
+        if obs is not None:
+            obs.span("steer_dispatch", start - paid, start, core=self.id)
+
     # ------------------------------------------------------------ fused runs
-    def _start_run(self, run: FusedRun) -> None:
+    def _start_run(self, run: FusedRun, paid: float = 0.0) -> None:
         """Compute the run's boundaries and file one completion at the end
-        of the covered prefix.
+        of the covered prefix; the run starts ``paid`` ns from now, after
+        a steering payment.
 
         The draws are read in place (``buf[-1]``, ``buf[-2]``, ...) and
         popped only at completion, so a sub-stage left uncovered leaves
@@ -344,7 +424,7 @@ class Core:
         mu = self._jitter_mu
         sigma = self.jitter_sigma
         sim = self.sim
-        t = sim._now
+        t = sim._now + paid
         durs = []
         bounds = [t]
         i = len(zbuf)
@@ -362,6 +442,7 @@ class Core:
             del bounds[n + 1:]
         run.durs = durs
         run.bounds = bounds
+        run.paid = paid
         self._busy = True
         shape = run.shape
         guards = shape.guards
@@ -400,10 +481,43 @@ class Core:
         del bounds[g + 1:]
         sim._sched(bounds[g], self._on_run_complete, (run,))
 
+    def cut_runs(self, holds: Callable[[Any], bool]) -> None:
+        """End each fused run whose payload ``holds`` accepts where
+        stage-by-stage dispatch would next re-resolve its route: a queued
+        run keeps only its first sub-stage, and the run holding the core
+        ends after the sub-stage in progress (its completion entry moves
+        to that boundary).  For a caller that re-routes a flow mid-run,
+        so the run's later stages dispatch on the new routes."""
+        for work in self._queue:
+            if work.fused and holds(work.item):
+                del work.costs[1:]
+        sim = self.sim
+        now = sim._now
+        for end, _, fn, args in sim.entries():
+            if fn == self._on_run_complete:
+                run = args[0]
+                break
+        else:
+            return
+        if not holds(run.item):
+            return
+        bounds = run.bounds
+        for g in range(1, len(run.durs)):
+            if bounds[g] >= now:
+                break
+        else:
+            return
+        sim._unsched(end, self._on_run_complete)
+        del run.durs[g:]
+        del bounds[g + 1:]
+        sim._sched(bounds[g], self._on_run_complete, (run,))
+
     def _complete_run(self, run: FusedRun) -> None:
         durs = run.durs
         n = len(durs)
         del self._zbuf[-n:]  # the covered sub-stages' draws, read at start
+        if run.paid:
+            self._accrue_paid(run.paid, run.bounds[0])
         busy = self.busy_ns
         shape = run.shape
         for tag, duration in zip(shape.tags, durs):
@@ -427,6 +541,9 @@ class Core:
         shape.finish(run)
         run.shape = run.costs = run.item = None
         self._run_pool.append(run)
+        if self._owed:
+            self._pay()
+            return
         q = self._queue
         if q:
             nxt = q.popleft()
@@ -463,3 +580,8 @@ class Core:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Core {self.id} busy={self._busy} depth={len(self._queue)}>"
+
+
+def _paid() -> None:
+    """A ``steer_dispatch`` item's completion: its charge was all the
+    work (see :meth:`Core.file_owed`)."""

@@ -58,7 +58,9 @@ class CpuSet:
         edge inside an item would count all of it on one side.  This adds
         the elapsed part of each item in flight, found through its
         completion entry on the wheel, so an edge splits it exactly and no
-        windowed utilization exceeds 1.
+        windowed utilization exceeds 1.  The steering prefix paid before
+        an item or run (see :class:`~repro.cpu.core.Core`) accrues with
+        it, so it is split the same way.
         """
         rows = [dict(core.busy_ns) for core in self.cores]
         row_of = {id(core): row for core, row in zip(self.cores, rows)}
@@ -69,9 +71,15 @@ class CpuSet:
                 continue
             work = args[0]
             if work.fused:
-                spans = zip(work.shape.tags, work.bounds, work.bounds[1:])
+                begin = work.bounds[0]
+                paid = work.paid
+                spans = list(zip(work.shape.tags, work.bounds, work.bounds[1:]))
             else:
-                spans = ((work.tag, end - args[1], end),)
+                begin = end - args[1]
+                paid = args[2] if len(args) > 2 else 0.0
+                spans = [(work.tag, begin, end)]
+            if paid:
+                spans.append(("steer_dispatch", begin - paid, begin))
             for tag, start, stop in spans:
                 if start < now:
                     row[tag] = row.get(tag, 0.0) + min(stop, now) - start

@@ -127,7 +127,7 @@ def group_breakdown(breakdown: Dict[str, float]) -> Dict[str, float]:
     grouped: Dict[str, float] = {}
     for tag, frac in breakdown.items():
         base = tag.split(":", 1)[0]
-        if base in ("irq", "driver_poll", "softirq", "ipi"):
+        if base in ("irq", "driver_poll", "softirq"):
             group = "driver"
         else:
             group = TAG_GROUPS.get(base, base)

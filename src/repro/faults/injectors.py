@@ -122,15 +122,13 @@ class FaultInjectors:
 
     # -------------------------------------------------------------------- NIC
     def apply_to_nic(self, nic) -> None:
-        """Build-time NIC degradation: ring shrink + softirq knobs."""
+        """Build-time NIC degradation: ring shrink + softirq entry cost."""
         p = self.plan
         for queue in nic._queues:
             if p.nic_ring_size > 0:
                 queue.ring.size = min(queue.ring.size, p.nic_ring_size)
             if p.softirq_entry_extra_ns > 0.0:
                 queue.napi.entry_cost_ns += p.softirq_entry_extra_ns
-            if p.ipi_delay_ns > 0.0:
-                queue.napi.ipi_delay_ns = p.ipi_delay_ns
 
     def irq_fire_delay(self) -> float:
         """Extra ns between frame arrival and the IRQ top half (0 = none)."""

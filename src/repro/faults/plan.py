@@ -61,7 +61,10 @@ class FaultPlan(Plan):
     stall_duration_ns: float = 0.0
     #: extra entry cost added to every softirq invocation (starvation)
     softirq_entry_extra_ns: float = 0.0
-    #: delay before a remote softirq raise lands on its target core
+    #: delay before a remote softirq raise lands on its target core.  No
+    #: softirq is raised remotely (every raise is local to its NIC queue's
+    #: core), so :meth:`validate` rejects a nonzero value; the field stays
+    #: so that every plan keeps its spec key.
     ipi_delay_ns: float = 0.0
 
     # ------------------------------------------------------- branch blackout
@@ -106,7 +109,7 @@ class FaultPlan(Plan):
             bool(self.stall_cores)
             and self.stall_period_ns > 0.0
             and self.stall_duration_ns > 0.0
-        ) or self.softirq_entry_extra_ns > 0.0 or self.ipi_delay_ns > 0.0
+        ) or self.softirq_entry_extra_ns > 0.0
 
     @property
     def blackout_active(self) -> bool:
@@ -132,11 +135,16 @@ class FaultPlan(Plan):
         for f in (
             "reorder_delay_ns", "jitter_ns", "bandwidth_gbps", "irq_delay_ns",
             "stall_period_ns", "stall_duration_ns", "softirq_entry_extra_ns",
-            "ipi_delay_ns", "blackout_start_ns", "blackout_duration_ns",
-            "start_ns", "stop_ns",
+            "blackout_start_ns", "blackout_duration_ns", "start_ns", "stop_ns",
         ):
             if getattr(self, f) < 0.0:
                 raise ValueError(f"{f} must be >= 0, got {getattr(self, f)}")
+        if self.ipi_delay_ns != 0.0:
+            raise ValueError(
+                f"ipi_delay_ns must be 0, got {self.ipi_delay_ns}: no softirq is "
+                "raised on a remote core (each NIC queue raises NAPI on its own "
+                "core), so there is no IPI to delay"
+            )
         if self.nic_ring_size < 0:
             raise ValueError(f"nic_ring_size must be >= 0, got {self.nic_ring_size}")
         if self.watchdog_period_ns <= 0.0:

@@ -14,8 +14,11 @@ and merge nodes into the graph (see :mod:`repro.core`).
 Hot-path notes: the steering decision is made exactly once per hop (the
 forwarding loop passes the chosen core straight into :meth:`_dispatch`),
 and a single-output hop reads the policy's route cache in place, asking
-``core_for`` only on a miss; a stage's cost is its node's resolved
-terms, evaluated inline (no per-hop method call); the
+``core_for`` only on a miss; a cross-core hop adds its sender-side
+steering cost to the dispatching core's owed amount, which that core
+pays before its next item (no work item, no wheel event); a stage's
+cost is its node's resolved terms, evaluated inline (no per-hop method
+call); the
 :class:`~repro.netstack.stages.StageContext` handed to stages is a
 single reused instance (stages must read, not retain, it — every
 in-tree stage extracts what it needs); and datapath skbs come from a
@@ -243,12 +246,18 @@ class Pipeline:
         immediately (head of the run queue) instead of re-queueing behind
         other packets — matching real softirq semantics, where one packet
         walks all of a core's stages before the next packet is picked up.
+
+        This is the entry point for dispatches made outside a completion
+        of ``from_core`` (a timer's): a handoff's steering cost then has
+        no next item to prefix, so it is filed as an item of its own.
         """
         if node is None:
             return
         stage = node.stage
         core = self._policy.core_for(stage.name, skb, from_core)
         self._dispatch(node, stage, skb, core, from_core, front)
+        if from_core is not None and from_core._owed:
+            from_core.file_owed()
 
     def inject_batch(
         self,
@@ -313,10 +322,11 @@ class Pipeline:
         costs = self.costs
         if from_core is not None and core.id != from_core.id:
             # Crossing cores costs both sides: the sender pays the steering
-            # dispatch (hash + enqueue + IPI arming), the receiver pays the
-            # queue pull + cold-cache penalty.
+            # dispatch (hash + enqueue + IPI arming) inline, right after the
+            # completion that dispatches (see Core._pay); the receiver pays
+            # the queue pull + cold-cache penalty.
             cost += costs.handoff_cost_ns
-            from_core.submit_call("steer_dispatch", costs.steer_dispatch_ns, _noop)
+            from_core._owed += costs.steer_dispatch_ns
             self.telemetry.counters["handoffs"] += 1
             front = False
         obs = self.obs
@@ -487,7 +497,3 @@ class Pipeline:
                 return node
             node = node.next
         raise KeyError(f"no stage named {stage_name!r} in pipeline")
-
-
-def _noop() -> None:
-    return None

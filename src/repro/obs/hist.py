@@ -192,7 +192,7 @@ class StageHistograms:
       handoff penalty included), one pair per executed pipeline hop;
     * ``cores`` — per ``(tag, core)`` service histograms for system work
       that is not a datapath stage (``irq:*``, ``driver_poll:*``,
-      ``softirq:*``, ``ipi:*``, ``steer_dispatch``, app work).
+      ``softirq:*``, ``steer_dispatch``, app work).
 
     Both are recorded where the work completes, by
     :class:`~repro.cpu.core.Core`, into the raw logs this object hands
@@ -613,7 +613,7 @@ def stage_rollup(payload: Mapping[str, Any]) -> Dict[str, Dict[str, Dict[str, An
 
     Includes the core-tag family as pseudo-stages (their tag names never
     collide with datapath stage names), each with an empty queue series —
-    so a diff over the rollup sees softirq/IRQ/IPI work too.
+    so a diff over the rollup sees softirq/IRQ/steering work too.
     """
     _check_geometry(payload)
     out: Dict[str, Dict[str, Dict[str, Any]]] = {}

@@ -8,7 +8,7 @@ consumed by ``chrome://tracing`` and https://ui.perfetto.dev:
 * one **thread track per core** (``tid = core id``), carrying ``"X"``
   complete slices for every work item the core executed (stage runs,
   ``softirq:*`` entries, ``irq:*`` top halves, ``driver_poll:*``,
-  ``ipi:*`` costs);
+  ``steer_dispatch`` payments);
 * a synthetic **"events" track** for instants not bound to a core
   (wire faults, quarantine transitions), plus per-core ``"i"`` instant
   markers for IRQ raises, IPIs, steering decisions, and fault hits.
@@ -36,12 +36,12 @@ _NS_PER_US = 1e3
 def _category(name: str) -> str:
     """Coarse slice category, used by the viewers for color/filter."""
     if ":" in name:
-        return name.split(":", 1)[0]  # irq / softirq / ipi / driver_poll
+        return name.split(":", 1)[0]  # irq / softirq / driver_poll
     if name.startswith("fault_"):
         return "fault"
     if name.startswith("irq") or name.startswith("nic_"):
         return "irq"
-    if name.startswith("softirq") or name.startswith("ipi"):
+    if name.startswith("softirq"):
         return "softirq"
     if name.startswith("mflow_") or name.startswith("steer"):
         return "steering"

@@ -7,7 +7,9 @@ Measures the *simulator as a program* rather than the simulated network
   figure modules on reduced windows and scoring each reproduced
   headline number against the paper within explicit tolerance bands;
 * :mod:`repro.perf.stats` — bootstrap confidence intervals, used by
-  :mod:`repro.obs.diff`'s significance test.
+  :mod:`repro.obs.diff`'s significance test;
+* :mod:`repro.perf.trajectory` — ``repro diff`` between two points of
+  the end-to-end benchmark's trajectory (``BENCH_<sha>.json``).
 
 Where the simulator's wall time goes is ``repro prof`` (stdlib
 :mod:`cProfile` around one scenario run); the host-time benchmark of

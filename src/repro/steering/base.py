@@ -131,7 +131,10 @@ class SteeringPolicy:
         they arrived with, then hands back those still in flight, which
         resolve their queue when they arrive."""
         self._routes.pop(flow, None)
-        self.run_plans.pop(flow, None)
+        if self.run_plans.pop(flow, None) is not None:
+            # runs in flight or queued cover hops on the old routes
+            for core in self.cpus:
+                core.cut_runs(lambda skb: skb.flow == flow)
         queue = self.rx_queues.pop(flow, None)
         if queue is not None:
             queue.forget_flow(flow)

@@ -198,3 +198,134 @@ class TestCoreJitter:
         sim = Simulator()
         with pytest.raises(ValueError):
             Core(sim, 0, jitter_sigma=-0.1)
+
+
+class _Shape:
+    """The static part of a fused run, as the pipeline's RunPlan gives it."""
+
+    def __init__(self, tags, finished):
+        self.tags = tags
+        self.guards = ()
+        self.limit = 1_000
+        self.series = None
+        self._finished = finished
+
+    def finish(self, run):
+        self._finished.append((run.bounds[0], list(run.bounds)))
+
+
+def _owing(core, owed, then=None):
+    """A completion that dispatches across cores: it owes ``owed`` ns of
+    steering (as ``Pipeline._dispatch`` adds it) and may submit more."""
+
+    def fn():
+        core._owed += owed
+        if then is not None:
+            then()
+
+    return fn
+
+
+class TestSteeringPayment:
+    """A completion's cross-core handoffs are paid before the core's next
+    item starts, as a prefix: no work item, no wheel event of its own."""
+
+    def test_prefix_delays_the_next_item_without_an_item(self):
+        sim, core = make_core(speed=2.0)
+        done = []
+        core.submit_call("a", 100.0, _owing(core, 40.0))
+        core.submit_call("b", 100.0, lambda: done.append(sim.now))
+        sim.run()
+        # a ends at 50, the payment takes 40 / 2, b runs 50 more
+        assert done == [120.0]
+        assert core.busy_ns == {"a": 50.0, "steer_dispatch": 20.0, "b": 50.0}
+        assert core.items_executed == 2
+        assert sim.events_executed == 2
+        assert core._owed == 0.0
+
+    def test_empty_queue_files_one_item(self):
+        """With nothing queued the owed cost becomes a steer_dispatch item
+        of its own; several hops in one completion pay as one."""
+        sim, core = make_core()
+        core.submit_call("a", 100.0, _owing(core, 40.0, _owing(core, 40.0)))
+        sim.run()
+        assert core.busy_ns == {"a": 100.0, "steer_dispatch": 80.0}
+        assert core.items_executed == 2
+        assert sim.now == 180.0 and not core.busy
+
+    def test_unjittered_core_pays_without_drawing(self):
+        """No rng at all: a draw would fail."""
+        sim, core = make_core()
+        assert core._normals is None
+        core.submit_call("a", 10.0, _owing(core, 40.0))
+        core.submit_call("b", 10.0, lambda: None)
+        sim.run()
+        assert core.busy_ns["steer_dispatch"] == 40.0
+        assert sim.now == 60.0
+
+    def test_jittered_payment_takes_one_draw(self):
+        import math
+
+        sim, core = make_core(jitter=0.2, seed=3)
+        core.submit_call("a", 100.0, _owing(core, 40.0, _owing(core, 40.0)))
+        core.submit_call("b", 100.0, lambda: None)
+        sim.run()
+        ref = RngStreams(3).stream("core")
+        mu = -0.5 * 0.2 * 0.2
+        a, paid, b = (cost * math.exp(mu + 0.2 * ref.standard_normal())
+                      for cost in (100.0, 80.0, 100.0))
+        assert core.busy_ns == {"a": a, "steer_dispatch": paid, "b": b}
+        assert sim.now == a + paid + b
+
+    def test_window_edge_inside_a_prefix_splits_it(self):
+        from repro.cpu.topology import CpuSet
+
+        sim = Simulator()
+        cpus = CpuSet(sim, 1)
+        core = cpus[0]
+        core.submit_call("a", 100.0, _owing(core, 40.0))
+        core.submit_call("b", 100.0, lambda: None)
+        sim.run(until_ns=120.0)  # inside the prefix [100, 140]
+        first = cpus.utilization_breakdown()[0]
+        assert first == {"a": 100.0 / 120.0, "steer_dispatch": 20.0 / 120.0}
+        assert "steer_dispatch" not in core.busy_ns, "accrued before it was paid"
+        cpus.start_window()
+        sim.run()
+        second = cpus.utilization_breakdown()[0]
+        assert second == {"steer_dispatch": 20.0 / 120.0, "b": 100.0 / 120.0}
+        assert cpus.utilization() == [1.0]
+
+    def test_fused_run_starts_after_the_prefix(self):
+        from repro.cpu.topology import CpuSet
+
+        def rig():
+            sim = Simulator()
+            cpus = CpuSet(sim, 1, jitter_sigma=0.2, rngs=RngStreams(4))
+            core = cpus[0]
+            finished, ended = [], []
+            core.submit_call("a", 100.0, _owing(core, 40.0, lambda: ended.append(sim.now)))
+            core.submit_run(_Shape(("x", "y"), finished), [100.0, 100.0], None, False)
+            return sim, cpus, core, finished, ended
+
+        sim, cpus, core, finished, ended = rig()
+        sim.run()
+        paid = core.busy_ns["steer_dispatch"]
+        (start, bounds), = finished
+        assert start == ended[0] + paid and len(bounds) == 3
+        assert core.items_executed == 3 and sim.events_executed == 3
+
+        # a window edge inside the run's prefix splits the prefix exactly
+        sim, cpus, core, finished, ended = rig()
+        sim.run(until_ns=101.0)
+        assert ended and ended[0] < 101.0 < ended[0] + paid
+        (end, _, _, (run,)), = [e for e in sim.entries() if e[2] == core._on_run_complete]
+        assert run.paid == paid and run.bounds[0] == ended[0] + paid
+        window = cpus.utilization_breakdown()[0]
+        assert window["steer_dispatch"] == pytest.approx((101.0 - ended[0]) / 101.0)
+        assert "x" not in window and "steer_dispatch" not in core.busy_ns
+        cpus.start_window()
+        sim.run()
+        rest = cpus.utilization_breakdown()[0]
+        elapsed = sim.now - 101.0
+        assert rest["steer_dispatch"] * elapsed == pytest.approx(ended[0] + paid - 101.0)
+        assert core.busy_ns["steer_dispatch"] == paid

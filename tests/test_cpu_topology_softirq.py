@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu.core import Core
-from repro.cpu.softirq import IPI_COST_NS, Softirq
+from repro.cpu.softirq import Softirq
 from repro.cpu.topology import CpuSet
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -133,31 +133,6 @@ class TestSoftirq:
         sirq.raise_on(core)
         sim.run()
         assert state["left"] == 0
-
-    def test_remote_raise_charges_ipi_to_sender(self):
-        sim = Simulator()
-        a, b = Core(sim, 0), Core(sim, 1)
-        sirq = Softirq("test", lambda c: False)
-        sirq.raise_on_remote(a, b)
-        sim.run()
-        assert a.busy_ns.get("ipi:test", 0.0) == pytest.approx(IPI_COST_NS)
-        assert sirq.ipis == 1
-
-    def test_hardware_raise_has_no_ipi(self):
-        sim = Simulator()
-        b = Core(sim, 1)
-        sirq = Softirq("test", lambda c: False)
-        sirq.raise_on_remote(None, b)
-        sim.run()
-        assert sirq.ipis == 0
-
-    def test_local_remote_raise_skips_ipi(self):
-        sim = Simulator()
-        a = Core(sim, 0)
-        sirq = Softirq("test", lambda c: False)
-        sirq.raise_on_remote(a, a)
-        sim.run()
-        assert sirq.ipis == 0
 
     def test_pending_flag_lifecycle(self):
         sim, core = self._setup()

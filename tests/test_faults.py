@@ -81,6 +81,20 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(**kwargs).validate()
 
+    def test_ipi_delay_is_rejected(self):
+        """No softirq is raised on a remote core, so an IPI delay would
+        change nothing: a plan that asks for one is refused, through every
+        front door, and the inert value stays accepted."""
+        plan = FaultPlan(ipi_delay_ns=5_000.0)
+        assert not plan.cpu_active
+        with pytest.raises(ValueError, match="ipi_delay_ns must be 0.*no IPI to delay"):
+            plan.validate()
+        with pytest.raises(ValueError, match="ipi_delay_ns"):
+            FaultPlan.from_dict({"ipi_delay_ns": 1.0})
+        with pytest.raises(ValueError, match="ipi_delay_ns"):
+            RunOptions(faults=plan)
+        FaultPlan(ipi_delay_ns=0.0).validate()
+
     def test_dict_roundtrip(self):
         plan = PLANS["chaos"]
         again = FaultPlan.from_dict(plan.to_dict())

@@ -43,11 +43,11 @@ CASES = {
 }
 
 PINNED = {
-    "falcon_tcp64k": "ed1f170fa942ee4412c2",
-    "mflow_2readers": "94a9738682d507039607",
-    "mflow_tcp64k": "a3648aa136cd31f90d14",
-    "mflow_udp64k": "9b770ef998000ee9e7cc",
-    "vanilla_tcp4k_x8": "9a4bea20371431a9eaf6",
+    "falcon_tcp64k": "8227f111b1018d72bef8",
+    "mflow_2readers": "0c7e1cb54d92200dfc7a",
+    "mflow_tcp64k": "b1db2b9eed2dd3a9dcfa",
+    "mflow_udp64k": "e4dc339616ff7f85d1f6",
+    "vanilla_tcp4k_x8": "580465bbb930f31be9bf",
 }
 
 

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from helpers import Harness, MapPolicy, TEST_FLOW, unfuse
+from helpers import Harness, MapPolicy, TEST_FLOW
 from repro.cpu.softirq import SOFTIRQ_ENTRY_COST_NS
 from repro.netstack.costs import DEFAULT_COSTS
 from repro.netstack.nic import Nic, Wire, _RxQueue
@@ -196,8 +196,7 @@ class TestWire:
 def _eager(nic):
     """Force one wheel entry per frame: the reference path that every run
     option takes.  It rules out fused stage runs too, which changes no
-    simulated result unless a flow is retired while a run holds one of
-    its packets."""
+    simulated result."""
     nic.pipeline.reference_path = True
 
 
@@ -310,10 +309,8 @@ class TestLazyArrivals:
             return sc
 
         monkeypatch.setattr(_RxQueue, "forget_flow", counted)
-        # a straggler inside a fused run finishes on the routes the run
-        # started with (docs/ENGINE.md), and the per-frame reference path
-        # never fuses: both runs go stage by stage
-        unfuse(monkeypatch)
+        # the per-frame reference path never fuses; the lazy run fuses, and
+        # the retirement cuts the runs that hold the flow's packets
         self._compare(monkeypatch, build)
         # the lazy run handed in-flight frames back to be re-placed
         assert handed_back[0] > 0

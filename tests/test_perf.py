@@ -264,3 +264,54 @@ class TestFidelity:
         board = run_fidelity(quick=True, seed=0)
         assert len(board.checks) == len(CHECKS)
         assert board.all_pass, board.report()
+
+
+# ----------------------------------------------------------------- trajectory
+class TestTrajectoryDiff:
+    """``repro diff`` over two committed benchmark trajectory points."""
+
+    ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+    OLD = os.path.join(ROOT, "BENCH_3106056.json")
+    NEW = os.path.join(ROOT, "BENCH_be22e77.json")
+
+    def _diff(self, capsys, a, b, *extra):
+        code = cli_main(["diff", a, b, *extra])
+        return code, capsys.readouterr().out
+
+    def test_json_lists_medians_and_layers(self, capsys):
+        from statistics import median
+
+        code, out = self._diff(capsys, self.OLD, self.NEW, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "repro-trajectory-diff"
+        assert (doc["old"], doc["new"]) == ("3106056", "be22e77")
+        assert set(doc["workloads"]) == {
+            "tcp64k_mflow", "tcp4k_x8_vanilla", "udp64k_mflow", "fig7_sweep"
+        }
+        with open(self.NEW) as f:
+            new = json.load(f)
+        row = doc["workloads"]["tcp64k_mflow"]["end_to_end"]["pkts_per_s"]
+        sets = new["summary"]["tcp64k_mflow"]["end_to_end"]["pkts_per_s"]["sets"]
+        assert row["new"] == median(s["median"] for s in sets)
+        assert row["ratio"] == row["new"] / row["old"] and row["bound"] == 0.1
+        assert not row["past_bound"]
+        layers = doc["workloads"]["tcp64k_mflow"]["layers"]
+        assert {"sim.self_s", "cpu.calls", "sim.events_per_pkt", "cpu.items_per_pkt",
+                "model.gbps", "model.handoffs"} <= set(layers)
+        assert layers["sim.events_per_pkt"]["new"] == pytest.approx(11.38, abs=0.01)
+        assert not any(name.endswith(".share") for name in layers)
+
+    def test_a_median_past_its_bound_is_flagged(self, capsys):
+        """Reversed, the older point's lower pkts_per_s is a >10% loss."""
+        code, out = self._diff(capsys, self.NEW, self.OLD)
+        assert code == 1
+        assert "trajectory be22e77 -> 3106056" in out
+        assert "pkts_per_s" in out and "PAST BOUND" in out
+        assert "past bound: " in out and "tcp64k_mflow.pkts_per_s" in out
+
+    def test_a_point_against_a_run_record_is_refused(self, tmp_path):
+        other = tmp_path / "run.json"
+        other.write_text(json.dumps({"kind": "run"}))
+        with pytest.raises(SystemExit, match="trajectory points"):
+            cli_main(["diff", self.OLD, str(other)])

@@ -41,6 +41,35 @@ class TestDispatch:
             DEFAULT_COSTS.steer_dispatch_ns
         )
         assert h.telemetry.get("handoffs") == 1
+        # the dispatching core pays each handoff before its next item: no
+        # steer_dispatch work item while it has queued work, and one item
+        # for the last handoff, which leaves its queue empty
+        h, sink = two_stage_harness(mapping={"s1": 1, "s2": 2, "sink": 2})
+        for i in range(3):
+            h.inject(make_skb(msg_id=i, start_seq=i * 2000))
+        h.run()
+        core = h.cpus[1]
+        assert core.busy_ns["steer_dispatch"] == pytest.approx(
+            3 * DEFAULT_COSTS.steer_dispatch_ns
+        )
+        assert core.items_executed == 3 + 1  # three s1 items, one payment
+        assert h.telemetry.get("handoffs") == 3
+
+    def test_timer_dispatch_files_its_steering_item(self):
+        """A dispatch made outside any completion of the sending core (a
+        timer's) has no next item to prefix: its steering cost is a
+        steer_dispatch item, behind the work already queued there."""
+        h, sink = two_stage_harness(mapping={"s1": 2, "s2": 2, "sink": 2})
+        sender = h.cpus[1]
+        sender.submit_call("busy", 500.0, lambda: None)
+        h.inject(make_skb(), from_core=sender)
+        assert sender._owed == 0.0 and sender.queue_depth == 1
+        h.run()
+        assert sender.busy_ns == {
+            "busy": 500.0, "steer_dispatch": DEFAULT_COSTS.steer_dispatch_ns,
+        }
+        assert sender.items_executed == 2
+        assert h.telemetry.get("handoffs") == 1
 
     def test_same_core_no_handoff(self):
         h, sink = two_stage_harness(mapping={"s1": 1, "s2": 1})

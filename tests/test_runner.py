@@ -279,6 +279,6 @@ class TestDeterminism:
         [rec] = run_specs("golden", [spec])
         m = rec.measurements
         assert m["messages_delivered"] == 25
-        assert m["events_executed"] == 11801
-        assert m["throughput_gbps"] == pytest.approx(13.246208, abs=1e-6)
+        assert m["events_executed"] == 11452
+        assert m["throughput_gbps"] == pytest.approx(13.199872, abs=1e-6)
         assert m["counters"]["nic_rx_packets"] == 2346

@@ -150,8 +150,8 @@ def test_window_boundaries_inside_runs(monkeypatch):
     truncated = []
     orig = Core._start_run
 
-    def start(core, run):
-        orig(core, run)
+    def start(core, run, paid=0.0):
+        orig(core, run, paid)
         if len(run.durs) < len(run.costs):
             truncated.append(run)
 
@@ -197,6 +197,38 @@ def test_zero_jitter_never_fuses(monkeypatch):
         monkeypatch, lambda: build_multiflow_scenario("vanilla", 8, 4096, seed=SEED, costs=costs)
     )
     assert not fuses(sc)
+
+
+def test_retiring_a_flow_cuts_its_runs(monkeypatch):
+    """A flow retired while fused runs hold its packets: each run ends
+    where stage-by-stage dispatch next reads the flow's routes, so the
+    straggler's later stages take the re-placed routes either way."""
+    from repro.cpu.core import Core
+
+    cut = []
+    cut_runs = Core.cut_runs
+
+    def counted(core, holds):
+        before = [(w, len(w.costs)) for w in core._queue if w.fused]
+        ends = {fn.__self__: end for end, _, fn, _ in core.sim.entries()
+                if fn == core._on_run_complete}
+        cut_runs(core, holds)
+        cut.extend(w for w, n in before if len(w.costs) < n)
+        after = {fn.__self__: end for end, _, fn, _ in core.sim.entries()
+                 if fn == core._on_run_complete}
+        cut.extend(c for c in ends if after.get(c) != ends[c])
+
+    def build():
+        sc = build_multiflow_scenario("mflow", 4, 65536, seed=3)
+        victim = next(iter(sc._senders))
+        sc.sim.call_at(150_000.0, sc.retire_flow, victim)
+        return sc
+
+    monkeypatch.setattr(Core, "cut_runs", counted)
+    sc = _compare(monkeypatch, build,
+                  run=lambda sc: sc.run(warmup_ns=100_000.0, measure_ns=300_000.0))
+    assert fuses(sc)
+    assert cut, "the retirement cut no run"
 
 
 def test_forget_flow_drops_the_cached_plan():
