@@ -320,12 +320,37 @@ class Core:
         item.args = None
         self._item_pool.append(item)
         fn(*args)
-        if self._owed:
-            self._pay()
-            return
         # the completion may have submitted more work to this core
         q = self._queue
-        if q:
+        if self._owed:
+            if not q:
+                self._busy = False
+                self.file_owed()
+                return
+            # pay what the completion owes (one draw), then start the next
+            # item or run that much later
+            owed = self._owed
+            self._owed = 0.0
+            sigma = self.jitter_sigma
+            if sigma == 0.0:
+                paid = owed / self.speed
+            else:
+                zbuf = self._zbuf
+                z = zbuf.pop() if zbuf else self._normals.refill()
+                paid = owed / self.speed * _exp(self._jitter_mu + sigma * z)
+            nxt = q.popleft()
+            if nxt.fused:
+                self._start_run(nxt, paid)
+                return
+            if sigma == 0.0:
+                duration = nxt.cost_ns / self.speed
+            else:
+                z = zbuf.pop() if zbuf else self._normals.refill()
+                duration = nxt.cost_ns / self.speed * _exp(self._jitter_mu + sigma * z)
+            sim = self.sim
+            sim._sched(sim._now + paid + duration, self._on_complete_paid,
+                       (nxt, duration, paid))
+        elif q:
             nxt = q.popleft()
             if nxt.fused:
                 self._start_run(nxt)
@@ -351,44 +376,10 @@ class Core:
         self._owed = 0.0
         self.submit_call("steer_dispatch", owed, _paid)
 
-    def _pay(self) -> None:
-        """Pay what the completion in progress owes, with one jitter draw,
-        and start the next item or run that much later.  With nothing
-        queued the payment runs as a ``steer_dispatch`` item of its own."""
-        q = self._queue
-        if not q:
-            self._busy = False
-            self.file_owed()
-            return
-        owed = self._owed
-        self._owed = 0.0
-        sigma = self.jitter_sigma
-        zbuf = self._zbuf
-        if sigma == 0.0:
-            paid = owed / self.speed
-        else:
-            z = zbuf.pop() if zbuf else self._normals.refill()
-            paid = owed / self.speed * _exp(self._jitter_mu + sigma * z)
-        nxt = q.popleft()
-        if nxt.fused:
-            self._start_run(nxt, paid)
-            return
-        if sigma == 0.0:
-            duration = nxt.cost_ns / self.speed
-        else:
-            z = zbuf.pop() if zbuf else self._normals.refill()
-            duration = nxt.cost_ns / self.speed * _exp(self._jitter_mu + sigma * z)
-        sim = self.sim
-        sim._sched(sim._now + paid + duration, self._on_complete_paid, (nxt, duration, paid))
-
     def _complete_paid(self, item: WorkItem, duration: float, paid: float) -> None:
-        """Complete an item that started after a paid steering prefix."""
-        self._accrue_paid(paid, self.sim._now - duration)
-        self._complete(item, duration)
-
-    def _accrue_paid(self, paid: float, start: float) -> None:
-        """Account a steering prefix of ``paid`` ns that ended at ``start``,
-        as a ``steer_dispatch`` item would be (no item counted)."""
+        """Complete an item that started after a paid steering prefix: the
+        prefix accrues first, as a ``steer_dispatch`` item's time would
+        (no item counted; :meth:`_complete_run` does the same for a run)."""
         busy = self.busy_ns
         busy["steer_dispatch"] = busy.get("steer_dispatch", 0.0) + paid
         hist = self.hist
@@ -401,7 +392,9 @@ class Core:
             log.append(paid)
         obs = self.obs
         if obs is not None:
+            start = self.sim._now - duration
             obs.span("steer_dispatch", start - paid, start, core=self.id)
+        self._complete(item, duration)
 
     # ------------------------------------------------------------ fused runs
     def _start_run(self, run: FusedRun, paid: float = 0.0) -> None:
@@ -516,9 +509,10 @@ class Core:
         durs = run.durs
         n = len(durs)
         del self._zbuf[-n:]  # the covered sub-stages' draws, read at start
-        if run.paid:
-            self._accrue_paid(run.paid, run.bounds[0])
         busy = self.busy_ns
+        paid = run.paid
+        if paid:  # the steering prefix, as in _complete_paid (no recorder here)
+            busy["steer_dispatch"] = busy.get("steer_dispatch", 0.0) + paid
         shape = run.shape
         for tag, duration in zip(shape.tags, durs):
             busy[tag] = busy.get(tag, 0.0) + duration
@@ -531,6 +525,13 @@ class Core:
         self._cut_depth = _NO_CUT
         hist = self.hist
         if hist is not None:
+            if paid:
+                log = self._tag_series.get("steer_dispatch")
+                if log is None:
+                    log = self._tag_series["steer_dispatch"] = hist.core_series(
+                        "steer_dispatch", self.id
+                    )
+                log.append(paid)
             # one entry per run, whatever its length; see StageHistograms.fold
             log = shape.series[n]
             log.append(run.submit)
@@ -541,11 +542,27 @@ class Core:
         shape.finish(run)
         run.shape = run.costs = run.item = None
         self._run_pool.append(run)
-        if self._owed:
-            self._pay()
-            return
         q = self._queue
-        if q:
+        if self._owed:
+            if not q:
+                self._busy = False
+                self.file_owed()
+                return
+            # as in _complete; a core that fuses is jittered
+            owed = self._owed
+            self._owed = 0.0
+            zbuf = self._zbuf
+            z = zbuf.pop() if zbuf else self._normals.refill()
+            paid = owed / self.speed * _exp(self._jitter_mu + self.jitter_sigma * z)
+            nxt = q.popleft()
+            if nxt.fused:
+                self._start_run(nxt, paid)
+                return
+            z = zbuf.pop() if zbuf else self._normals.refill()
+            duration = nxt.cost_ns / self.speed * _exp(self._jitter_mu + self.jitter_sigma * z)
+            sim._sched(sim._now + paid + duration, self._on_complete_paid,
+                       (nxt, duration, paid))
+        elif q:
             nxt = q.popleft()
             if nxt.fused:
                 self._start_run(nxt)

@@ -323,7 +323,7 @@ class Pipeline:
         if from_core is not None and core.id != from_core.id:
             # Crossing cores costs both sides: the sender pays the steering
             # dispatch (hash + enqueue + IPI arming) inline, right after the
-            # completion that dispatches (see Core._pay); the receiver pays
+            # completion that dispatches (see Core._complete); the receiver pays
             # the queue pull + cold-cache penalty.
             cost += costs.handoff_cost_ns
             from_core._owed += costs.steer_dispatch_ns

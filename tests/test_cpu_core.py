@@ -211,7 +211,7 @@ class _Shape:
         self._finished = finished
 
     def finish(self, run):
-        self._finished.append((run.bounds[0], list(run.bounds)))
+        self._finished.append(list(run.bounds))
 
 
 def _owing(core, owed, then=None):
@@ -310,15 +310,15 @@ class TestSteeringPayment:
         sim, cpus, core, finished, ended = rig()
         sim.run()
         paid = core.busy_ns["steer_dispatch"]
-        (start, bounds), = finished
-        assert start == ended[0] + paid and len(bounds) == 3
+        (bounds,) = finished
+        assert bounds[0] == ended[0] + paid and len(bounds) == 3
         assert core.items_executed == 3 and sim.events_executed == 3
 
         # a window edge inside the run's prefix splits the prefix exactly
         sim, cpus, core, finished, ended = rig()
         sim.run(until_ns=101.0)
         assert ended and ended[0] < 101.0 < ended[0] + paid
-        (end, _, _, (run,)), = [e for e in sim.entries() if e[2] == core._on_run_complete]
+        ((_, _, _, (run,)),) = [e for e in sim.entries() if e[2] == core._on_run_complete]
         assert run.paid == paid and run.bounds[0] == ended[0] + paid
         window = cpus.utilization_breakdown()[0]
         assert window["steer_dispatch"] == pytest.approx((101.0 - ended[0]) / 101.0)
