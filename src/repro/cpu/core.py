@@ -370,8 +370,9 @@ class Core:
     # ----------------------------------------------------- steering payments
     def file_owed(self) -> None:
         """File what this core owes as a ``steer_dispatch`` item at the
-        back of its queue.  For a dispatch made outside any completion of
-        this core (a timer's), where there is no next item to prefix."""
+        back of its queue, when there is no next item to prefix: after a
+        completion that leaves the queue empty, or for a dispatch made
+        outside any completion of this core (a timer's)."""
         owed = self._owed
         self._owed = 0.0
         self.submit_call("steer_dispatch", owed, _paid)
