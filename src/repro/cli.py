@@ -633,51 +633,35 @@ def cmd_diff(args) -> int:
 
     from repro.obs.diff import diff_sources, load_hist_source
     from repro.perf import trajectory
+    from repro.resilience.atomic import atomic_write_json, atomic_write_text
 
     points = [trajectory.load_point(Path(p)) for p in (args.a, args.b)]
     if any(points):
         if not all(points):
             raise SystemExit("repro diff: both sides must be benchmark trajectory points")
-        tdiff = trajectory.diff_points(*points)
-        if args.json_out:
-            from repro.resilience.atomic import atomic_write_json
-
-            atomic_write_json(args.json_out, tdiff)
-        if args.md_out:
-            from repro.resilience.atomic import atomic_write_text
-
-            atomic_write_text(args.md_out, trajectory.report(tdiff) + "\n")
-        print(json.dumps(tdiff, indent=1) if args.json else trajectory.report(tdiff))
-        return 1 if trajectory.past_bound(tdiff) else 0
-    try:
-        source_a = load_hist_source(Path(args.a))
-        source_b = load_hist_source(Path(args.b))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise SystemExit(str(exc))
-    diff = diff_sources(
-        source_a, source_b, tolerance=args.tol, seed=args.seed
-    )
-    if args.json_out:
-        from repro.resilience.atomic import atomic_write_json
-
-        atomic_write_json(args.json_out, diff.to_json_dict())
-    if args.md_out:
-        from repro.resilience.atomic import atomic_write_text
-
-        atomic_write_text(args.md_out, diff.report() + "\n")
-    if args.json:
-        print(json.dumps(diff.to_json_dict(), indent=1))
+        doc = trajectory.diff_points(*points)
+        header, report = "", trajectory.report(doc)
+        code = 1 if trajectory.past_bound(doc) else 0
     else:
-        print(
-            f"A: {source_a.label} ({source_a.kind}, "
-            f"{source_a.n_merged} hist payload(s) merged)"
+        try:
+            source_a = load_hist_source(Path(args.a))
+            source_b = load_hist_source(Path(args.b))
+        except (OSError, ValueError, json.JSONDecodeError) as exc:
+            raise SystemExit(str(exc))
+        diff = diff_sources(
+            source_a, source_b, tolerance=args.tol, seed=args.seed
         )
-        print(
-            f"B: {source_b.label} ({source_b.kind}, "
-            f"{source_b.n_merged} hist payload(s) merged)\n"
-        )
-        print(diff.report())
-    return diff.exit_code()
+        doc, report, code = diff.to_json_dict(), diff.report(), diff.exit_code()
+        header = "".join(
+            f"{side}: {src.label} ({src.kind}, {src.n_merged} hist payload(s) merged)\n"
+            for side, src in (("A", source_a), ("B", source_b))
+        ) + "\n"
+    if args.json_out:
+        atomic_write_json(args.json_out, doc)
+    if args.md_out:
+        atomic_write_text(args.md_out, report + "\n")
+    print(json.dumps(doc, indent=1) if args.json else header + report)
+    return code
 
 
 def cmd_ceilings(args) -> int:
