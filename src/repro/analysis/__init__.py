@@ -1,9 +1,10 @@
 """Analysis companions to the simulator.
 
 * :mod:`repro.analysis.bottleneck` — a closed-form bottleneck model that
-  predicts each scheme's single-flow throughput ceiling directly from the
-  cost model (the back-of-envelope the calibration is built on); used to
-  cross-validate the simulator and to explain results;
+  predicts each scheme's single-flow throughput ceiling from a built
+  scenario's datapath, placement and cost model (the back-of-envelope the
+  calibration is built on); used to cross-validate the simulator and to
+  explain results;
 * :mod:`repro.analysis.charts` — dependency-free ASCII bar/line charts
   for experiment reports;
 * :mod:`repro.analysis.conservation` — end-to-end packet-conservation

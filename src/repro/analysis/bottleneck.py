@@ -2,184 +2,150 @@
 
 For a single elephant flow, each scheme's throughput ceiling is set by
 its most-loaded core:  ``throughput = payload_bits / max_core(ns per
-packet charged to that core)``.  This module computes that ceiling
-directly from a :class:`~repro.netstack.costs.CostModel` and a stage→
-core assignment — no simulation — which serves three purposes:
+packet charged to that core)``.  :class:`BottleneckModel` computes that
+ceiling from a scenario that is built but not run — no simulation — by
+walking the datapath the simulator itself dispatches through: the
+scenario's stage chain (``pipeline.head`` → ``node.next``), each hop
+placed by the scenario's steering policy (``policy.core_for``).  The
+placement it reads is the one the run uses, so vanilla, RPS, FALCON and
+MFLOW differ here exactly as they do in simulation.  It serves three
+purposes:
 
 * documents *why* the calibration produces the paper's shape (the same
-  arithmetic as DESIGN.md's calibration notes, executable);
+  arithmetic as docs/CALIBRATION.md, executable);
 * cross-validates the simulator: the measured throughput must come in at
-  or slightly below the analytic ceiling (queueing and jitter only ever
+  or below the analytic ceiling (queueing and jitter only ever
   subtract);
-* lets users predict the effect of cost changes before running sweeps.
+* lets users predict the effect of cost changes before running sweeps
+  (build the scenario with another :class:`~repro.netstack.costs.CostModel`).
 
-The model deliberately ignores queueing dynamics, drops and reassembly
-stalls; it is an upper bound, not a replacement for simulation.
+Per wire packet of ``MAX_SEGMENT_PAYLOAD`` bytes, the walk charges:
+
+* ``driver_poll_per_pkt_ns`` to the core of the NIC RX queue serving the
+  flow;
+* each hop its node's resolved ``base``/``per_seg``/``per_byte`` terms,
+  with an skb holding one packet up to GRO and :meth:`gro_factor`
+  packets after it;
+* on every change of core, ``handoff_cost_ns`` to the receiving stage and
+  ``steer_dispatch_ns`` to the sending core, once per crossing skb;
+* inside MFLOW's split region (after the policy's ``split_stage``, up to
+  and including its ``merge_stage``), each branch separately, with
+  ``skb.branch`` set and a 1/``n_branches`` share of the packets.
+
+Everything it leaves out (queueing, drops, jitter, IRQs, merge queue
+switches, TCP's out-of-order penalty) only adds time, so the ceiling is
+an upper bound, not a replacement for simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
-from repro.netstack.costs import CostModel
-from repro.netstack.packet import MAX_SEGMENT_PAYLOAD
+from repro.netstack.packet import MAX_SEGMENT_PAYLOAD, Packet, Skb
+from repro.overlay.topology import DatapathKind
 
-#: receive-path stages in order, with their per-unit cost attribute and
-#: whether the cost is charged per wire packet or per (GRO-merged) skb
-_OVERLAY_STAGES = [
-    ("driver_poll", "driver_poll_per_pkt_ns", "packet"),
-    ("skb_alloc", "skb_alloc_ns", "packet"),
-    ("gro", "gro_per_seg_ns", "packet"),
-    ("ip_outer", "ip_rcv_ns", "skb"),
-    ("udp_outer", "udp_rcv_outer_ns", "skb"),
-    ("vxlan", "vxlan_decap_ns", "skb"),
-    ("bridge", "bridge_fwd_ns", "skb"),
-    ("veth_xmit", "veth_xmit_ns", "skb"),
-    ("veth_rx", "veth_rx_ns", "skb"),
-    ("ip_inner", "ip_rcv_inner_ns", "skb"),
-]
-
-_NATIVE_STAGES = [
-    ("driver_poll", "driver_poll_per_pkt_ns", "packet"),
-    ("skb_alloc", "skb_alloc_ns", "packet"),
-    ("gro", "gro_per_seg_ns", "packet"),
-    ("ip_rcv", "ip_rcv_ns", "skb"),
-]
-
-_TRANSPORT = {
-    "tcp": [("tcp_rcv", "tcp_rcv_ns", "skb")],
-    "udp": [("udp_rcv", "udp_rcv_ns", "skb")],
-}
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.workloads.scenario import Scenario
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageLoad:
-    """Per-packet cost of one stage under a given GRO merge factor."""
+    """ns per wire packet that one hop charges to one core.
+
+    ``stage`` is ``"steer_dispatch"`` for the sending side of a handoff."""
 
     stage: str
     core: int
     ns_per_packet: float
 
 
-@dataclass
 class BottleneckModel:
-    """Analytic single-flow ceiling for one (scheme, protocol) setup."""
+    """Analytic single-flow ceiling of a built (not run) scenario.
 
-    costs: CostModel
-    proto: str = "tcp"
-    overlay: bool = True
+    Walking asks the policy for each hop of the scenario's first client
+    flow, resolving its routes as that flow's first packet would, so walk
+    a scenario built for the purpose.
+    """
 
-    def __post_init__(self) -> None:
-        if self.proto not in ("tcp", "udp"):
-            raise ValueError(f"proto must be tcp/udp, got {self.proto!r}")
+    def __init__(self, scenario: "Scenario"):
+        self.scenario = scenario
+        #: what each hop charges to each core, in walk order
+        self.loads: List[StageLoad] = self._walk()
 
-    # ------------------------------------------------------------ building
     def gro_factor(self) -> float:
-        """Effective GRO merge factor (1 for UDP — paper footnote 2)."""
-        if self.proto != "tcp":
+        """Wire packets per skb after GRO: the merge cap for TCP (smaller
+        for encapsulated frames), 1 for UDP (paper footnote 2)."""
+        sc = self.scenario
+        if sc.proto != "tcp":
             return 1.0
-        cap = (
-            self.costs.gro_max_segs_encap
-            if self.overlay
-            else self.costs.gro_max_segs_native
-        )
-        return float(max(1, cap))
+        if sc.kind is DatapathKind.OVERLAY:
+            return float(sc.costs.gro_max_segs_encap)
+        return float(sc.costs.gro_max_segs_native)
 
-    def stage_list(self) -> List[tuple]:
-        base = _OVERLAY_STAGES if self.overlay else _NATIVE_STAGES
-        return list(base) + _TRANSPORT[self.proto]
+    def _walk(self) -> List[StageLoad]:
+        # deferred: repro.workloads imports repro.faults, which imports
+        # this package
+        from repro.workloads.scenario import make_flow
 
-    def stage_loads(self, assignment: Dict[str, int]) -> List[StageLoad]:
-        """Per-packet cost of every stage, on its assigned core.
-
-        ``assignment`` maps stage name → core index; stages absent from
-        the map are an error (the caller must place the whole path).
-        Cross-core boundaries charge the handoff to the downstream core
-        and the dispatch cost to the upstream core.
-        """
-        merge = self.gro_factor()
-        loads: List[StageLoad] = []
-        prev_core: Optional[int] = None
-        for name, attr, unit in self.stage_list():
-            if name not in assignment:
-                raise KeyError(f"stage {name!r} missing from core assignment")
-            core = assignment[name]
-            per_unit = getattr(self.costs, attr)
-            per_packet = per_unit if unit == "packet" else per_unit / merge
-            # skbs cross boundaries post-GRO; packets pre-GRO
-            boundary_unit = 1.0 if unit == "packet" else 1.0 / merge
-            if prev_core is not None and core != prev_core:
-                per_packet += self.costs.handoff_cost_ns * boundary_unit
-                loads.append(
-                    StageLoad(
-                        f"{name}:dispatch",
-                        prev_core,
-                        self.costs.steer_dispatch_ns * boundary_unit,
-                    )
-                )
-            loads.append(StageLoad(name, core, per_packet))
-            prev_core = core
+        sc = self.scenario
+        costs, policy = sc.costs, sc.policy
+        pkt = Packet(make_flow(sc.proto), MAX_SEGMENT_PAYLOAD,
+                     encap=sc.kind is DatapathKind.OVERLAY)
+        nic_core = sc.nic.queue_for(pkt).core
+        loads = [StageLoad("driver_poll", nic_core.id, costs.driver_poll_per_pkt_ns)]
+        split = getattr(policy, "split_stage", None)
+        merge = getattr(policy, "merge_stage", None)
+        # (skb.branch, share of the flow's packets, core the skb is on)
+        lanes = [(None, 1.0, nic_core)]
+        segs = 1.0  # wire packets per skb
+        node = sc.pipeline.head
+        while node is not None:
+            stage = node.stage
+            ns = ((node.base or 0.0) / segs + (node.per_seg or 0.0)
+                  + (node.per_byte or 0.0) * MAX_SEGMENT_PAYLOAD)
+            walked = []
+            for branch, share, prev in lanes:
+                skb = Skb([pkt])
+                skb.branch = branch
+                core = policy.core_for(stage.name, skb, prev)
+                hop = ns
+                if core is not prev:
+                    hop += costs.handoff_cost_ns / segs
+                    loads.append(StageLoad(
+                        "steer_dispatch", prev.id, share * costs.steer_dispatch_ns / segs
+                    ))
+                loads.append(StageLoad(stage.name, core.id, share * hop))
+                walked.append((branch, share, core))
+            lanes = walked
+            if stage is split:
+                n = stage.n_branches
+                lanes = [(b, 1.0 / n, lanes[0][2]) for b in range(n)]
+            elif stage is merge:
+                lanes = [(None, 1.0, lanes[0][2])]
+            elif stage.name == "gro":
+                segs = self.gro_factor()
+            node = node.next
         return loads
 
     # ------------------------------------------------------------- results
-    def core_loads(self, assignment: Dict[str, int]) -> Dict[int, float]:
+    def core_loads(self) -> Dict[int, float]:
         """ns of CPU per wire packet charged to each core."""
         out: Dict[int, float] = {}
-        for load in self.stage_loads(assignment):
+        for load in self.loads:
             out[load.core] = out.get(load.core, 0.0) + load.ns_per_packet
         return out
 
-    def ceiling_gbps(
-        self,
-        assignment: Dict[str, int],
-        parallel_groups: Optional[Dict[int, float]] = None,
-    ) -> float:
-        """Throughput ceiling in Gbps for a stage→core placement.
+    def ceiling_gbps(self) -> float:
+        """Throughput ceiling in Gbps: full segments over the busiest core."""
+        return MAX_SEGMENT_PAYLOAD * 8.0 / max(self.core_loads().values())
 
-        ``parallel_groups`` maps a core index to the fraction of packets
-        it serves (e.g. 0.5 for each of two MFLOW branch cores); cores
-        absent serve every packet.
-        """
-        loads = self.core_loads(assignment)
-        worst = 0.0
-        for core, ns_per_pkt in loads.items():
-            share = parallel_groups.get(core, 1.0) if parallel_groups else 1.0
-            effective = ns_per_pkt * share
-            worst = max(worst, effective)
-        if worst <= 0:
-            raise ValueError("empty assignment")
-        return MAX_SEGMENT_PAYLOAD * 8.0 / worst
-
-    # ------------------------------------------------------- common layouts
-    def vanilla_ceiling(self) -> float:
-        """Everything on one kernel core (the paper's vanilla/native)."""
-        assignment = {name: 1 for name, _, _ in self.stage_list()}
-        return self.ceiling_gbps(assignment)
-
-    def falcon_fun_ceiling(self) -> float:
-        """FALCON function-level: alloc | GRO+outer+VxLAN | rest."""
-        if not self.overlay:
-            raise ValueError("FALCON pipelines the overlay path")
-        assignment = {"driver_poll": 1, "skb_alloc": 1, "gro": 2}
-        for name in ("ip_outer", "udp_outer", "vxlan"):
-            assignment[name] = 2
-        for name in ("bridge", "veth_xmit", "veth_rx", "ip_inner", "tcp_rcv", "udp_rcv"):
-            assignment[name] = 3
-        assignment = {k: v for k, v in assignment.items()
-                      if k in {n for n, _, _ in self.stage_list()}}
-        return self.ceiling_gbps(assignment)
-
-    def mflow_branch_ceiling(self, n_branches: int = 2) -> float:
-        """MFLOW device scaling: branches share everything after the split."""
-        if not self.overlay:
-            raise ValueError("MFLOW configs here target the overlay path")
-        assignment = {"driver_poll": 1, "skb_alloc": 1, "gro": 1,
-                      "ip_outer": 1, "udp_outer": 1}
-        branch_core = 2
-        for name in ("vxlan", "bridge", "veth_xmit", "veth_rx", "ip_inner",
-                     "tcp_rcv", "udp_rcv"):
-            assignment[name] = branch_core
-        assignment = {k: v for k, v in assignment.items()
-                      if k in {n for n, _, _ in self.stage_list()}}
-        return self.ceiling_gbps(assignment, parallel_groups={branch_core: 1.0 / n_branches})
+    def binding(self) -> Tuple[int, str]:
+        """The busiest core and the stage that dominates its load."""
+        loads = self.core_loads()
+        core = max(loads, key=loads.__getitem__)
+        by_stage: Dict[str, float] = {}
+        for load in self.loads:
+            if load.core == core:
+                by_stage[load.stage] = by_stage.get(load.stage, 0.0) + load.ns_per_packet
+        return core, max(by_stage, key=by_stage.__getitem__)

@@ -56,13 +56,12 @@ from repro.analysis.bottleneck import BottleneckModel
 from repro.analysis.charts import bar_chart
 from repro.faults.plan import PLANS
 from repro.migration.plan import PLANS as MIGRATION_PLANS
-from repro.netstack.costs import DEFAULT_COSTS
 from repro.obs.config import ObsConfig
 from repro.sim.units import MSEC
 from repro.workloads.memcached import run_memcached
 from repro.workloads.options import RunOptions
 from repro.workloads.multiflow import run_multiflow, utilization_stddev
-from repro.workloads.sockperf import ALL_SYSTEMS, SYSTEMS, run_single_flow
+from repro.workloads.sockperf import ALL_SYSTEMS, SYSTEMS, build_scenario, run_single_flow
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -330,7 +329,6 @@ def cmd_compare(args) -> int:
 def cmd_trace(args) -> int:
     """One instrumented run + flight-recorder artifact export."""
     from repro.obs import decompose, write_trace
-    from repro.workloads.sockperf import build_scenario
 
     sc = build_scenario(
         args.system, args.proto, args.size, seed=args.seed,
@@ -432,8 +430,6 @@ def cmd_prof(args) -> int:
     """Profile one scenario run under cProfile: where does *wall-clock* time go."""
     import cProfile
     import pstats
-
-    from repro.workloads.sockperf import build_scenario
 
     sc = build_scenario(args.system, args.proto, args.size, seed=args.seed,
                         batch_size=args.batch, options=_options(args.fault_plan))
@@ -664,19 +660,29 @@ def cmd_diff(args) -> int:
     return code
 
 
+#: ``repro ceilings`` rows: label -> (system, MFLOW branches), one per
+#: evaluated system plus MFLOW with a third branch
+CEILING_ROWS = {
+    "native": ("native", 2),
+    "vanilla overlay": ("vanilla", 2),
+    "rps": ("rps", 2),
+    "falcon": ("falcon", 2),
+    "mflow 2 branches": ("mflow", 2),
+    "mflow 3 branches": ("mflow", 3),
+}
+
+
 def cmd_ceilings(args) -> int:
-    overlay = BottleneckModel(DEFAULT_COSTS, proto=args.proto, overlay=True)
-    native = BottleneckModel(DEFAULT_COSTS, proto=args.proto, overlay=False)
-    rows = {
-        "native (1 core)": native.vanilla_ceiling(),
-        "vanilla overlay (1 core)": overlay.vanilla_ceiling(),
-        "mflow 2 branches": overlay.mflow_branch_ceiling(2),
-        "mflow 3 branches": overlay.mflow_branch_ceiling(3),
-    }
-    if args.proto == "tcp":
-        rows["falcon function-level"] = overlay.falcon_fun_ceiling()
+    rows = {}
+    for label, (system, branches) in CEILING_ROWS.items():
+        model = BottleneckModel(
+            build_scenario(system, args.proto, 65536, n_split_cores=branches)
+        )
+        core, stage = model.binding()
+        rows[f"{label} (core {core}, {stage})"] = model.ceiling_gbps()
     print(bar_chart(rows, unit=" Gbps", title=f"analytic ceilings ({args.proto})"))
-    print("\n(closed-form upper bounds from the cost model; simulation adds queueing)")
+    print("\n(upper bounds walked over each system's own datapath; the binding core "
+          "and its dominant stage in parentheses; simulation adds queueing)")
     return 0
 
 

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict
+from typing import Callable, Dict
 
 from repro.obs.live.status import SweepProgress
 

@@ -1,4 +1,5 @@
-"""Per-packet critical-path latency decomposition (the Fig. 5/6 analysis).
+"""Per-packet critical-path latency decomposition: where an skb's time goes,
+stage by stage, from DMA arrival to user space.
 
 The :class:`JourneyTracker` rides the pipeline's obs hooks and records,
 for a sample of skbs, every hop through the datapath as an explicit
@@ -59,9 +60,12 @@ class Hop:
 class JourneyTracker:
     """Samples skb journeys through the pipeline's obs hooks.
 
-    At most :data:`MAX_JOURNEYS` are sampled; tracking starts at
-    ``start_ns`` (the scenario sets it to its warmup horizon, to sample
-    steady state only).  Trace ids are assigned monotonically; ids
+    At most :data:`MAX_JOURNEYS` are sampled, each from the pipeline
+    head: an skb is sampled only when every frame it wraps arrived at or
+    after ``start_ns`` (the scenario sets it to its warmup horizon, to
+    sample steady state only), so an skb already in flight at the window
+    start is never adopted mid-path with its missing hops booked as ring
+    wait.  Trace ids are assigned monotonically; ids
     assigned by another tracker are adopted and skipped over, so two
     trackers never collide on a key.
     """
@@ -80,12 +84,15 @@ class JourneyTracker:
         if tid is None:
             if now < self.start_ns or len(self.journeys) >= MAX_JOURNEYS:
                 return
+            # DMA arrival of the oldest wire frame wrapped by this skb
+            arrival = min(p.arrival_ts for p in skb.packets)
+            if arrival < self.start_ns:
+                return
             tid = self._next_id
             self._next_id += 1
             skb.trace_id = tid
             self.journeys[tid] = []
-            # DMA arrival of the oldest wire frame wrapped by this skb
-            self.arrival_ns[tid] = min(p.arrival_ts for p in skb.packets)
+            self.arrival_ns[tid] = arrival
         else:
             if tid not in self.journeys:
                 # id assigned by another tracker: adopt it and never reuse it

@@ -20,8 +20,9 @@ as a CI artifact or mailed around:
   counters across the matrix;
 * optional **bench** (a ``BENCH_<sha>.json`` trajectory point of the
   ``benchmarks/e2e`` benchmark), **fidelity** scoreboard, and
-  **diff** (``repro diff --json-out``) payloads, embedded as tables when
-  paths are supplied.
+  **diff** (``repro diff --json-out``: a stage-histogram attribution or a
+  two-point trajectory diff) payloads, embedded as tables when paths are
+  supplied.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import html
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.obs.live.status import SweepStatus
 
@@ -297,6 +298,39 @@ def _hist_sections(status: SweepStatus) -> str:
     return "".join(sections)
 
 
+def _trajectory_diff(payload: Dict[str, Any]) -> Optional[Tuple[str, Dict, str]]:
+    """For a two-point trajectory diff (``repro diff BENCH_a.json
+    BENCH_b.json``): its title, the rows ``repro diff`` prints per
+    workload, and its verdict line.  None for any other diff payload."""
+    # deferred: repro.perf is not on a sweep's import path
+    from repro.perf import trajectory
+
+    if payload.get("kind") != trajectory.DIFF_KIND:
+        return None
+    rows = {w: trajectory.workload_rows(r) for w, r in payload["workloads"].items()}
+    title = f"Trajectory diff {payload.get('old')} → {payload.get('new')}"
+    return title, rows, trajectory.verdict(payload)
+
+
+def _trajectory_diff_section(rows: Dict, verdict: str) -> str:
+    sections = [
+        f"<h3>{_esc(workload)}</h3>"
+        '<table><thead><tr><th>metric</th><th class="num">old</th>'
+        '<th class="num">new</th><th class="num">new/old</th><th></th>'
+        "</tr></thead><tbody>"
+        + "".join(
+            f"<tr><td>{_esc(name)}</td><td class=\"num\">{old}</td>"
+            f'<td class="num">{new}</td><td class="num">{ratio}</td>'
+            f"<td>{flag}</td></tr>"
+            for name, old, new, ratio, flag in workload_rows
+        )
+        + "</tbody></table>"
+        for workload, workload_rows in rows.items()
+    ]
+    sections.append(f'<p class="note">{_esc(verdict)}</p>')
+    return "".join(sections)
+
+
 def _diff_section(payload: Dict[str, Any]) -> str:
     rows = payload.get("rows")
     if not isinstance(rows, list):
@@ -450,8 +484,14 @@ def build_html(
         parts.append("<h3>Fault summary</h3>")
         parts.append(_fault_summary(status))
     if diff is not None:
-        parts.append("<h2>Stage latency diff</h2>")
-        parts.append(_diff_section(diff))
+        trajectory = _trajectory_diff(diff)
+        if trajectory is None:
+            parts.append("<h2>Stage latency diff</h2>")
+            parts.append(_diff_section(diff))
+        else:
+            title, rows, verdict = trajectory
+            parts.append(f"<h2>{_esc(title)}</h2>")
+            parts.append(_trajectory_diff_section(rows, verdict))
     if bench is not None:
         parts.append("<h2>Benchmark trajectory point</h2>")
         parts.append(_bench_section(bench))
@@ -501,9 +541,22 @@ def build_markdown(
         if hist_lines:
             lines += ["### Stage histograms", ""] + hist_lines + [""]
     if diff is not None:
-        lines += ["## Stage latency diff", ""]
         rows = diff.get("rows")
-        if isinstance(rows, list):
+        trajectory = _trajectory_diff(diff)
+        lines += [f"## {trajectory[0] if trajectory else 'Stage latency diff'}", ""]
+        if trajectory is not None:
+            _, by_workload, verdict = trajectory
+            for workload, workload_rows in by_workload.items():
+                lines += [
+                    f"### {workload}",
+                    "",
+                    "| metric | old | new | new/old | |",
+                    "| --- | ---: | ---: | ---: | --- |",
+                ]
+                lines += [f"| {' | '.join(row)} |" for row in workload_rows]
+                lines.append("")
+            lines += [verdict, ""]
+        elif isinstance(rows, list):
             lines += [
                 "| stage | series | mean A µs | mean B µs | Δ% | share | verdict |",
                 "| --- | --- | ---: | ---: | ---: | ---: | --- |",

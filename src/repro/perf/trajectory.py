@@ -19,9 +19,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from statistics import median
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 KIND = "e2e-bench-agreement"
+#: the ``kind`` of the document :func:`diff_points` returns
+DIFF_KIND = "repro-trajectory-diff"
 
 #: per-layer values the diff lists, besides every ``*.self_s``/``*.calls``
 _LAYER_EXTRA = ("sim.events_per_pkt", "cpu.items_per_pkt")
@@ -69,7 +71,7 @@ def diff_points(old: Dict[str, Any], new: Dict[str, Any]) -> Dict[str, Any]:
     specs = {m["name"]: m for m in new["benchmark"]["end_to_end"]}
     workloads = [w for w in old["summary"] if w in new["summary"]]
     out: Dict[str, Any] = {
-        "kind": "repro-trajectory-diff", "old": old.get("sha"), "new": new.get("sha"),
+        "kind": DIFF_KIND, "old": old.get("sha"), "new": new.get("sha"),
         "workloads": {},
     }
     for workload in workloads:
@@ -109,21 +111,35 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
+def workload_rows(rows: Dict[str, Any]) -> List[Tuple[str, str, str, str, str]]:
+    """(metric, old, new, new/old, flag) for each row of one workload that
+    :func:`report` prints; the flag is ``PAST BOUND`` or empty."""
+    out = []
+    for section in ("end_to_end", "layers"):
+        for name, row in rows[section].items():
+            if not (row["old"] or row["new"]):
+                continue  # a layer neither side reaches
+            ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
+            flag = "PAST BOUND" if row.get("past_bound") else ""
+            out.append((name, _fmt(row["old"]), _fmt(row["new"]), ratio, flag))
+    return out
+
+
+def verdict(diff: Dict[str, Any]) -> str:
+    """The diff's closing line: which medians are past their bound, if any."""
+    flagged = past_bound(diff)
+    return (f"past bound: {', '.join(flagged)}" if flagged
+            else "every end-to-end median within its bound")
+
+
 def report(diff: Dict[str, Any]) -> str:
     """The diff as a plain-text table per workload."""
     lines = [f"trajectory {diff['old']} -> {diff['new']}"]
     for workload, rows in diff["workloads"].items():
         lines.append(f"\n{workload}")
         lines.append(f"  {'metric':<26} {'old':>12} {'new':>12} {'new/old':>8}")
-        for section in ("end_to_end", "layers"):
-            for name, row in rows[section].items():
-                if not (row["old"] or row["new"]):
-                    continue  # a layer neither side reaches
-                ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
-                flag = "  PAST BOUND" if row.get("past_bound") else ""
-                lines.append(f"  {name:<26} {_fmt(row['old']):>12} {_fmt(row['new']):>12} "
-                             f"{ratio:>8}{flag}")
-    flagged = past_bound(diff)
-    lines.append("\n" + (f"past bound: {', '.join(flagged)}" if flagged
-                         else "every end-to-end median within its bound"))
+        for name, old, new, ratio, flag in workload_rows(rows):
+            lines.append(f"  {name:<26} {old:>12} {new:>12} {ratio:>8}"
+                         + (f"  {flag}" if flag else ""))
+    lines.append("\n" + verdict(diff))
     return "\n".join(lines)

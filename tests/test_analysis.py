@@ -5,65 +5,93 @@ import pytest
 from repro.analysis.bottleneck import BottleneckModel
 from repro.analysis.charts import bar_chart, line_chart
 from repro.analysis.conservation import check_conservation
+from repro.cli import CEILING_ROWS
 from repro.netstack.costs import DEFAULT_COSTS
+from repro.overlay.topology import DatapathKind
+from repro.steering.base import SteeringPolicy
+from repro.workloads.scenario import Scenario
+from repro.workloads.sockperf import build_scenario, run_single_flow
+
+
+def model(system, proto="tcp", branches=2):
+    return BottleneckModel(build_scenario(system, proto, 65536, n_split_cores=branches))
 
 
 class TestBottleneckModel:
     def test_rejects_unknown_proto(self):
         with pytest.raises(ValueError):
-            BottleneckModel(DEFAULT_COSTS, proto="sctp")
+            model("vanilla", proto="sctp")
 
     def test_gro_factor_udp_is_one(self):
-        assert BottleneckModel(DEFAULT_COSTS, proto="udp").gro_factor() == 1.0
+        assert model("vanilla", proto="udp").gro_factor() == 1.0
 
     def test_gro_factor_encap_smaller(self):
-        native = BottleneckModel(DEFAULT_COSTS, proto="tcp", overlay=False)
-        overlay = BottleneckModel(DEFAULT_COSTS, proto="tcp", overlay=True)
-        assert overlay.gro_factor() < native.gro_factor()
+        assert model("vanilla").gro_factor() < model("native").gro_factor()
 
     def test_vanilla_native_ceiling_matches_calibration(self):
         """The analytic native TCP ceiling must sit near the paper's
         26.6 Gbps target (that is what the cost model is calibrated to)."""
-        model = BottleneckModel(DEFAULT_COSTS, proto="tcp", overlay=False)
-        assert 22.0 < model.vanilla_ceiling() < 31.0
+        assert 22.0 < model("native").ceiling_gbps() < 31.0
 
     def test_overlay_ceiling_below_native(self):
-        native = BottleneckModel(DEFAULT_COSTS, proto="tcp", overlay=False)
-        overlay = BottleneckModel(DEFAULT_COSTS, proto="tcp", overlay=True)
-        assert overlay.vanilla_ceiling() < 0.75 * native.vanilla_ceiling()
+        assert model("vanilla").ceiling_gbps() < 0.75 * model("native").ceiling_gbps()
 
     def test_falcon_above_vanilla_overlay(self):
-        m = BottleneckModel(DEFAULT_COSTS, proto="tcp", overlay=True)
-        assert m.falcon_fun_ceiling() > m.vanilla_ceiling()
+        assert model("falcon").ceiling_gbps() > model("vanilla").ceiling_gbps()
 
     def test_mflow_branches_raise_ceiling(self):
-        m = BottleneckModel(DEFAULT_COSTS, proto="udp", overlay=True)
-        assert m.mflow_branch_ceiling(2) > m.vanilla_ceiling()
-        assert m.mflow_branch_ceiling(2) >= m.mflow_branch_ceiling(1)
+        two = model("mflow", proto="udp").ceiling_gbps()
+        assert two > model("vanilla", proto="udp").ceiling_gbps()
+        assert two >= model("mflow", proto="udp", branches=1).ceiling_gbps()
 
     def test_missing_stage_in_assignment_rejected(self):
-        m = BottleneckModel(DEFAULT_COSTS, proto="tcp", overlay=False)
+        """The walk asks the policy for every hop: a placement that leaves
+        a stage out is an error, not a stage charged nowhere."""
+
+        class AllocOnly(SteeringPolicy):
+            def kernel_core_for(self, stage_name, skb, from_core):
+                return self.cpus[{"skb_alloc": 1}[stage_name]]
+
+        sc = Scenario(DatapathKind.NATIVE, "tcp", AllocOnly)
         with pytest.raises(KeyError):
-            m.core_loads({"driver_poll": 1})
+            BottleneckModel(sc)
 
     def test_simulator_respects_analytic_ceiling(self):
-        """Measured throughput must not exceed the closed-form upper bound."""
-        from repro.workloads.sockperf import run_single_flow
+        """Measured throughput must not exceed the upper bound, on every
+        ``repro ceilings`` row, TCP and UDP."""
+        over = []
+        for proto in ("tcp", "udp"):
+            for label, (system, branches) in CEILING_ROWS.items():
+                ceiling = model(system, proto, branches).ceiling_gbps()
+                measured = run_single_flow(
+                    system, proto, 65536, warmup_ns=1e6, measure_ns=3e6,
+                    n_split_cores=branches,
+                ).throughput_gbps
+                if measured > ceiling * 1.02:  # float slack
+                    over.append(f"{proto} {label}: {measured:.2f} > {ceiling:.2f}")
+        assert not over
 
-        model = BottleneckModel(DEFAULT_COSTS, proto="tcp", overlay=True)
-        measured = run_single_flow(
-            "vanilla", "tcp", 65536, warmup_ns=1e6, measure_ns=3e6
-        ).throughput_gbps
-        assert measured <= model.vanilla_ceiling() * 1.02  # float slack
+    def test_mflow_tcp_bound_is_the_delivery_copy(self):
+        """Paper §V-A: MFLOW TCP is bounded by the one delivery thread's
+        copy to user space, on the application core."""
+        m = model("mflow")
+        assert m.binding() == (m.scenario.policy.app_cores[0], "tcp_deliver")
+        assert m.ceiling_gbps() > model("native").ceiling_gbps()
 
     def test_core_loads_sum_handoffs(self):
-        m = BottleneckModel(DEFAULT_COSTS, proto="udp", overlay=True)
-        one_core = m.core_loads({n: 1 for n, _, _ in m.stage_list()})
-        split = dict.fromkeys([n for n, _, _ in m.stage_list()], 1)
-        split["vxlan"] = 2
-        two_core = m.core_loads(split)
-        # splitting adds handoff + dispatch overhead to total work
-        assert sum(two_core.values()) > sum(one_core.values())
+        """FALCON device-level UDP is vanilla's path cut at two more core
+        boundaries (before VxLAN and before the bridge): each adds one
+        handoff on the receiving core and one dispatch on the sending one."""
+        one_core = sum(model("vanilla", proto="udp").core_loads().values())
+        pipelined = sum(model("falcon", proto="udp").core_loads().values())
+        crossing = DEFAULT_COSTS.handoff_cost_ns + DEFAULT_COSTS.steer_dispatch_ns
+        assert pipelined - one_core == pytest.approx(2 * crossing)
+
+    def test_cost_what_if(self):
+        """A cheaper copy lifts MFLOW TCP's ceiling: the copy binds it."""
+        cheap = DEFAULT_COSTS.with_overrides(copy_per_byte_ns=0.08)
+        faster = BottleneckModel(build_scenario("mflow", "tcp", 65536, costs=cheap))
+        assert faster.ceiling_gbps() > model("mflow").ceiling_gbps()
 
 
 class TestCharts:

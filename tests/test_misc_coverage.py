@@ -86,19 +86,11 @@ class TestWebServingResultHelpers:
 class TestBottleneckLayouts:
     def test_native_stage_list_excludes_overlay(self):
         from repro.analysis.bottleneck import BottleneckModel
-        from repro.netstack.costs import DEFAULT_COSTS
+        from repro.workloads.sockperf import build_scenario
 
-        m = BottleneckModel(DEFAULT_COSTS, proto="tcp", overlay=False)
-        names = [n for n, _, _ in m.stage_list()]
-        assert "vxlan" not in names and "tcp_rcv" in names
-
-    def test_falcon_requires_overlay(self):
-        from repro.analysis.bottleneck import BottleneckModel
-        from repro.netstack.costs import DEFAULT_COSTS
-
-        m = BottleneckModel(DEFAULT_COSTS, proto="tcp", overlay=False)
-        with pytest.raises(ValueError):
-            m.falcon_fun_ceiling()
+        m = BottleneckModel(build_scenario("native", "tcp", 65536))
+        names = {load.stage for load in m.loads}
+        assert "vxlan" not in names and {"tcp_rcv", "tcp_deliver"} <= names
 
 
 class TestRpcConnectionLifecycle:

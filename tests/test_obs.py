@@ -295,6 +295,21 @@ class TestScenarioIntegration:
         for col in ("goodput_gbps", "backlog_depth", "ring_depth", "util_core0"):
             assert col in ts["columns"]
 
+    def test_journeys_start_at_the_pipeline_head(self):
+        """An skb already in flight when sampling starts is never adopted
+        mid-path: every sampled journey begins at the head stage, with
+        every frame it wraps arriving after the warmup horizon."""
+        from repro.workloads.sockperf import build_scenario
+
+        sc = build_scenario("mflow", "tcp", 65536, options=OBS)
+        sc.run(**WINDOWS)
+        tracker = sc.recorder.journeys
+        head = sc.pipeline.head.stage.name
+        assert tracker.n_journeys > 0
+        for tid, hops in tracker.journeys.items():
+            assert hops[0].stage == head
+            assert tracker.arrival_ns[tid] >= WINDOWS["warmup_ns"]
+
     def test_obs_off_is_bit_identical(self):
         base = run_single_flow("mflow", "tcp", 65536, **WINDOWS)
         off = run_single_flow("mflow", "tcp", 65536, options=RunOptions(obs=None), **WINDOWS)

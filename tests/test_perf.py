@@ -310,6 +310,27 @@ class TestTrajectoryDiff:
         assert "pkts_per_s" in out and "PAST BOUND" in out
         assert "past bound: " in out and "tcp64k_mflow.pkts_per_s" in out
 
+    def test_report_renders_a_trajectory_diff(self, tmp_path, capsys):
+        """``repro report --diff`` over a ``repro diff --json-out`` of two
+        points shows, per workload, the rows ``repro diff`` prints."""
+        from repro.obs.live.report import build_html, build_markdown
+        from repro.perf import trajectory
+
+        diff_json = tmp_path / "d.json"
+        assert self._diff(capsys, self.NEW, self.OLD, "--json-out", str(diff_json))[0] == 1
+        doc = json.loads(diff_json.read_text())
+        html_text = build_html([], diff=doc)
+        md = build_markdown([], diff=doc)
+        assert "Unrecognized" not in html_text
+        for text in (html_text, md):
+            assert "Trajectory diff be22e77 → 3106056" in text
+            assert "past bound: " in text and "PAST BOUND" in text
+            for workload, rows in doc["workloads"].items():
+                assert workload in text
+                for name, old, new, ratio, _ in trajectory.workload_rows(rows):
+                    assert name in text and old in text and new in text and ratio in text
+        assert "| pkts_per_s |" in md
+
     def test_a_point_against_a_run_record_is_refused(self, tmp_path):
         other = tmp_path / "run.json"
         other.write_text(json.dumps({"kind": "run"}))
